@@ -21,6 +21,7 @@ from .chain import (
     Trajectory,
     build_matrices,
     marginal_at,
+    mastered_after,
     sample_trajectory,
     stationary_closed_form,
     stationary_power_iteration,
@@ -32,6 +33,7 @@ from .experiment import (
     SimConfig,
     compare_to_irf,
     draw_population,
+    expected_curves,
     run_equilibrium_experiment,
 )
 from .irt import (
@@ -107,6 +109,7 @@ __all__ = [
     "energy",
     "flip_energy_delta",
     "equilibrium_gap",
+    "expected_curves",
     "fit_baum_welch",
     "fit_irf_cd",
     "forward_filter",
@@ -118,6 +121,7 @@ __all__ = [
     "learner_item_equilibrium",
     "logistic",
     "marginal_at",
+    "mastered_after",
     "metropolis_step",
     "run_equilibrium_experiment",
     "sample_trajectory",

@@ -124,6 +124,20 @@ def marginal_at(params: BktParams, t: int) -> float:
     return m
 
 
+def mastered_after(p_learn, p_forget, z, steps: int):
+    """P(mastered after ``steps`` transitions | current state z), elementwise.
+
+    The closed form lambda1 + (z - lambda1) * r^steps, with lambda1 =
+    p_learn / (p_learn + p_forget) and r = 1 - p_learn - p_forget, is the
+    mastered column of row z of the steps-th power of the transition matrix.
+    Requires p_learn + p_forget > 0; arguments broadcast as numpy arrays.
+    """
+    p_learn = np.asarray(p_learn, dtype=float)
+    p_forget = np.asarray(p_forget, dtype=float)
+    lam1 = p_learn / (p_learn + p_forget)
+    return lam1 + (z - lam1) * (1.0 - p_learn - p_forget) ** steps
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled latent/emitted paths plus the stream key that produced them."""

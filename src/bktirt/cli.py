@@ -29,8 +29,11 @@ from .chain import sample_trajectory, stationary_closed_form
 from .errors import DomainError
 from .experiment import (
     SimConfig,
+    draw_population,
+    expected_curves,
     run_equilibrium_experiment,
     summarize_curves,
+    work_counts,
     write_curves_csv,
     write_summary_json,
 )
@@ -41,6 +44,10 @@ from .rng import DEFAULT_SEED, RngKey
 from .tracing import fit_baum_welch, forward_filter
 
 FORMAT_VERSION = 1
+
+
+class UsageError(Exception):
+    """Flags or environment that make no valid invocation (exit code 2)."""
 
 
 def _parse_seed(text: str) -> int:
@@ -86,7 +93,11 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(
-    outputs: list[Path], argv: list[str], seeds: list[int], started: float
+    outputs: list[Path],
+    argv: list[str],
+    seeds: list[int],
+    started: float,
+    extra: dict | None = None,
 ) -> Path:
     main = outputs[0]
     manifest_path = main.parent / (main.stem + ".manifest.json")
@@ -99,6 +110,7 @@ def _write_manifest(
         "outputs": [
             {"path": str(path), "sha256": _sha256(path)} for path in outputs
         ],
+        **(extra or {}),
     }
     with open(manifest_path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
@@ -218,41 +230,67 @@ def _cmd_bridge(args: argparse.Namespace) -> int:
 
 
 def _resolve_threads(value: int | None) -> int:
+    """Requested worker threads: BKT_IRT_THREADS, else --threads, else the
+    core count. The experiment caps the request (``worker_count``)."""
     env = os.environ.get("BKT_IRT_THREADS")
     if env is not None:
-        return max(1, int(env))
-    if value is not None:
-        return max(1, value)
-    return max(1, os.cpu_count() or 1)
+        try:
+            value = int(env)
+        except ValueError:
+            raise UsageError(f"BKT_IRT_THREADS must be an integer, got {env!r}") from None
+    if value is None:
+        return os.cpu_count() or 1
+    if value < 1:
+        raise UsageError(f"thread count must be >= 1, got {value}")
+    return value
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     started = time.time()
+    # Sizes left unset take SimConfig's full-scale defaults.
+    flags = {
+        "n_people": ("--people", args.people),
+        "n_items": ("--items", args.items),
+        "replications": ("--reps", args.reps),
+    }
+    sizes = {name: value for name, (_, value) in flags.items() if value is not None}
+    if args.desk and sizes:
+        given = ", ".join(flags[name][0] for name in sizes)
+        raise UsageError(f"--desk fixes the run size; drop {given}")
+    threads = _resolve_threads(args.threads)
     iters = tuple(int(tok) for tok in args.iters.split(",") if tok != "")
-    fields = dict(
+    config = (SimConfig.desk if args.desk else SimConfig)(
+        **sizes,
         iteration_counts=iters,
         p_slip=args.slip,
         p_guess=args.guess,
         seed=args.seed,
         bin_width=args.bin_width,
     )
-    if args.desk:
-        config = SimConfig.desk(**fields)
-    else:
-        config = SimConfig(
-            n_people=args.people,
-            n_items=args.items,
-            replications=args.reps,
-            **fields,
-        )
-    curves = run_equilibrium_experiment(config, threads=_resolve_threads(args.threads))
+    phases = {}
+    mark = time.perf_counter()
+    # The simulate phase redraws this same population from the config's key.
+    population = draw_population(config)
+    phases["population_s"] = time.perf_counter() - mark
+
+    mark = time.perf_counter()
+    curves = run_equilibrium_experiment(config, threads=threads)
+    phases["simulate_s"] = time.perf_counter() - mark
+
+    mark = time.perf_counter()
     item = config.irf()
     out = Path(args.out)
     write_curves_csv(curves, item, str(out))
-    summary = summarize_curves(curves, item, args.min_count)
+    summary = summarize_curves(
+        curves, item, args.min_count, expected_curves(config, population)
+    )
     summary_path = out.parent / (out.stem + ".summary.json")
     write_summary_json(summary, str(summary_path))
-    _write_manifest([out, summary_path], args._argv, [config.seed], started)
+    phases["write_s"] = time.perf_counter() - mark
+    _write_manifest(
+        [out, summary_path], args._argv, [config.seed], started,
+        {"phases": phases, "work": work_counts(config)},
+    )
     return 0
 
 
@@ -346,11 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bridge)
 
     p = sub.add_parser("experiment", help="population convergence experiment")
-    p.add_argument("--people", type=int, default=1000,
+    p.add_argument("--people", type=int, default=None,
                    help="number of learners (default: 1000)")
-    p.add_argument("--items", type=int, default=100,
+    p.add_argument("--items", type=int, default=None,
                    help="number of items (default: 100)")
-    p.add_argument("--reps", type=int, default=1000,
+    p.add_argument("--reps", type=int, default=None,
                    help="replications per pair (default: 1000)")
     p.add_argument("--iters", default="2,5,50",
                    help="comma-separated chain step counts (default: 2,5,50)")
@@ -360,12 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bin-width", type=float, default=0.25,
                    help="advantage bin width (default: 0.25)")
     p.add_argument("--desk", action="store_true",
-                   help="reduced preset: 200 people, 50 items, 200 reps")
+                   help="reduced preset: 200 people, 50 items, 200 reps "
+                        "(excludes --people, --items, --reps)")
     p.add_argument("--min-count", type=int, default=200,
                    help="bin count threshold for the deviation summary (default: 200)")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: available cores; "
-                        "BKT_IRT_THREADS overrides)")
+                   help="worker threads, capped at the core and person counts "
+                        "(default: available cores; BKT_IRT_THREADS overrides)")
     p.add_argument("--out", required=True, help="curve CSV path")
     p.set_defaults(handler=_cmd_experiment)
 
@@ -414,6 +453,9 @@ def dispatch(argv: list[str]) -> int:
     except DomainError as exc:
         print(exc.render(), file=sys.stderr)
         return 1
+    except UsageError as exc:
+        print(f"usage_error: {exc}", file=sys.stderr)
+        return 2
     except (OSError, ValueError) as exc:
         print(f"io_error: {exc}", file=sys.stderr)
         return 2

@@ -13,11 +13,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .chain import mastered_after
 from .errors import InsufficientData, OutOfRange
 from .irt import irf_4pl
 from .params import Irf4pl
@@ -31,8 +33,17 @@ _EDGE = 1e-12
 # extreme bins.
 _BIN_SPAN = 8.0
 
-# Stream layout: child(0) draws the population, child(1, person, item) draws
-# one block of shape (replications, steps + checkpoints) per pair.
+# Pairs per block in expected_curves: 8192 doubles (64 KiB) per temporary.
+# Full-grid temporaries would add about 3.5 MB to the peak RSS of a
+# 1000 x 100 run, more than the simulation itself needs.
+_EXPECTED_BLOCK_PAIRS = 8192
+
+# Stream layout: child(0) draws the population (people's learning rates, then
+# items' forgetting rates); child(1, person) draws one uniform block of shape
+# (checkpoints, 2, items, replications) per person. Slice [k, 0] draws every
+# latent state at checkpoint k, jumping the whole gap since checkpoint k - 1
+# (or the unmastered start) through the closed-form multi-step law; slice
+# [k, 1] draws the responses emitted there.
 _POPULATION_STREAM = 0
 _PAIR_STREAM = 1
 
@@ -85,13 +96,16 @@ class Population:
     b: np.ndarray
 
 
-def draw_population(config: SimConfig, key: RngKey) -> Population:
+def draw_population(config: SimConfig, key: RngKey | None = None) -> Population:
     """Draw i.i.d. uniform learning/forgetting rates and their log scores.
 
     Rates are uniform on (1e-12, 1 - 1e-12) (people first, then items, from
     one stream), so theta = log p_learn and b = log p_forget are finite and
-    nonpositive.
+    nonpositive. ``key`` defaults to the config's population stream, the
+    draw ``run_equilibrium_experiment`` makes.
     """
+    if key is None:
+        key = RngKey(config.seed).child(_POPULATION_STREAM)
     gen = key.generator()
     span = 1.0 - 2.0 * _EDGE
     p_learn = _EDGE + span * gen.random(config.n_people)
@@ -124,11 +138,33 @@ class BinnedCurve:
         ]
 
 
-def _bin_index(advantage: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
+def _pair_bins(pop: Population, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bin index of every (person, item) advantage, and the bin centers."""
     k_max = int(math.floor(_BIN_SPAN / width))
+    advantage = pop.theta[:, None] - pop.b[None, :]
     idx = np.clip(np.rint(advantage / width).astype(np.int64), -k_max, k_max) + k_max
     centers = (np.arange(2 * k_max + 1) - k_max) * width
     return idx, centers
+
+
+def worker_count(requested: int, n_people: int, cpu_count: int | None) -> int:
+    """Threads a run uses: the request, capped at one per core and one per
+    person (persons are the unit of work), and at least one."""
+    return max(1, min(requested, cpu_count or 1, n_people))
+
+
+def work_counts(config: SimConfig) -> dict[str, int]:
+    """Work a run does under the stream layout above: (person, item) pairs,
+    keyed generators created, and uniforms drawn."""
+    pairs = config.n_people * config.n_items
+    n_check = len(set(config.iteration_counts))
+    return {
+        "pairs": pairs,
+        "keyed_streams": 1 + config.n_people,
+        "uniforms_drawn": config.n_people
+        + config.n_items
+        + 2 * n_check * pairs * config.replications,
+    }
 
 
 def _simulate_person_block(
@@ -139,41 +175,42 @@ def _simulate_person_block(
     checkpoints: list[int],
     pair_bin: np.ndarray,
     n_bins: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulate correct/observation counts for a contiguous person range.
+) -> np.ndarray:
+    """Correct-response counts by (checkpoint, bin) for a contiguous person
+    range.
 
-    Each (person, item) pair consumes one uniform block of shape
-    (replications, T_max + n_checkpoints): the first T_max columns drive the
-    latent transitions, the rest drive one response emission per checkpoint.
+    Each person draws one uniform block of shape (checkpoints, 2, items,
+    replications) from its own stream, one checkpoint slice at a time so
+    only that slice is held. Between checkpoints the latent state of every
+    (item, replication) chain jumps the whole gap at once through the
+    closed-form multi-step law, which keeps the joint law of the states at
+    the checkpoints exact; one response is then emitted per checkpoint.
     """
-    t_max = checkpoints[-1]
-    n_check = len(checkpoints)
-    reps = config.replications
+    gaps = np.diff(checkpoints, prepend=0).tolist()
+    shape = (2, config.n_items, config.replications)
     p_correct_mastered = 1.0 - config.p_slip
     p_correct_unmastered = config.p_guess
-    correct = np.zeros((n_check, n_bins), dtype=np.int64)
-    observed = np.zeros((n_check, n_bins), dtype=np.int64)
-    check_at = {t: i for i, t in enumerate(checkpoints)}
+    p_forget = pop.p_forget[:, None]
+    correct = np.zeros((len(checkpoints), n_bins), dtype=np.int64)
     for person in people:
         p_learn = pop.p_learn[person]
-        for item in range(config.n_items):
-            p_keep = 1.0 - pop.p_forget[item]
-            draws = key.child(_PAIR_STREAM, person, item).generator().random(
-                (reps, t_max + n_check)
+        gen = key.child(_PAIR_STREAM, person).generator()
+        z = np.zeros(shape[1:], dtype=bool)
+        for ci, gap in enumerate(gaps):
+            u_state, u_emit = gen.random(shape)
+            up = np.where(
+                z,
+                mastered_after(p_learn, p_forget, 1, gap),
+                mastered_after(p_learn, p_forget, 0, gap),
             )
-            z = np.zeros(reps, dtype=bool)
-            k = pair_bin[person, item]
-            for t in range(1, t_max + 1):
-                u = draws[:, t - 1]
-                z = np.where(z, u < p_keep, u < p_learn)
-                ci = check_at.get(t)
-                if ci is not None:
-                    responses = draws[:, t_max + ci] < np.where(
-                        z, p_correct_mastered, p_correct_unmastered
-                    )
-                    correct[ci, k] += int(np.count_nonzero(responses))
-                    observed[ci, k] += reps
-    return correct, observed
+            z = u_state < up
+            responses = u_emit < np.where(
+                z, p_correct_mastered, p_correct_unmastered
+            )
+            np.add.at(
+                correct[ci], pair_bin[person], np.count_nonzero(responses, axis=1)
+            )
+    return correct
 
 
 def run_equilibrium_experiment(
@@ -181,58 +218,85 @@ def run_equilibrium_experiment(
 ) -> dict[int, BinnedCurve]:
     """Run the full population x item bank simulation; one curve per count.
 
-    Latent chains are simulated once to the largest iteration count and read
-    at every requested count, with an independent emission per checkpoint.
-    Results are bit-identical for a given config regardless of thread count:
-    every pair owns its key-derived stream and all pooling is integer
-    summation.
+    The population is the config's own draw (``draw_population(config)``).
+    Latent chains are sampled at every requested count, with an independent
+    emission per checkpoint. Persons are split into contiguous blocks over
+    ``worker_count`` threads. Results are bit-identical for a given config
+    regardless of thread count: every person owns its key-derived stream and
+    all pooling is integer summation.
     """
     key = RngKey(config.seed)
-    pop = draw_population(config, key.child(_POPULATION_STREAM))
+    pop = draw_population(config)
     checkpoints = sorted(set(config.iteration_counts))
-    advantage = pop.theta[:, None] - pop.b[None, :]
-    pair_bin, centers = _bin_index(advantage, config.bin_width)
+    pair_bin, centers = _pair_bins(pop, config.bin_width)
     n_bins = centers.size
 
-    threads = max(1, int(threads))
-    block_size = max(1, -(-config.n_people // threads))
+    threads = worker_count(int(threads), config.n_people, os.cpu_count())
+    block_size = -(-config.n_people // threads)
     blocks = [
         range(start, min(start + block_size, config.n_people))
         for start in range(0, config.n_people, block_size)
     ]
-    correct = np.zeros((len(checkpoints), n_bins), dtype=np.int64)
-    observed = np.zeros_like(correct)
-    if threads == 1:
-        partials = [
-            _simulate_person_block(
-                block, config, pop, key, checkpoints, pair_bin, n_bins
-            )
-            for block in blocks
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(
-                pool.map(
-                    lambda block: _simulate_person_block(
-                        block, config, pop, key, checkpoints, pair_bin, n_bins
-                    ),
-                    blocks,
-                )
-            )
-    for part_correct, part_observed in partials:
-        correct += part_correct
-        observed += part_observed
 
-    curves: dict[int, BinnedCurve] = {}
-    for ci, t in enumerate(checkpoints):
-        mask = observed[ci] > 0
-        curves[t] = BinnedCurve(
+    def simulate(block: range) -> np.ndarray:
+        return _simulate_person_block(
+            block, config, pop, key, checkpoints, pair_bin, n_bins
+        )
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        correct = np.sum(list(pool.map(simulate, blocks)), axis=0)
+    observed = config.replications * np.bincount(pair_bin.ravel(), minlength=n_bins)
+    mask = observed > 0
+
+    return {
+        t: BinnedCurve(
             iterations=t,
             bin_centers=centers[mask],
-            prop_correct=correct[ci, mask] / observed[ci, mask],
-            n_obs=observed[ci, mask].copy(),
+            prop_correct=correct[ci, mask] / observed[mask],
+            n_obs=observed[mask],
         )
-    return curves
+        for ci, t in enumerate(checkpoints)
+    }
+
+
+def expected_curves(config: SimConfig, population: Population) -> dict[int, BinnedCurve]:
+    """Exact expectation of ``run_equilibrium_experiment``'s curves.
+
+    A pair started unmastered is mastered after t steps with probability
+    lambda1 * (1 - r^t), with lambda1 = l / (l + f) and r = 1 - l - f, so it
+    answers correctly with probability g + (1 - s - g) * lambda1 * (1 - r^t).
+    Every pair of a bin is replicated equally often, so a bin's expected
+    proportion is the mean of that probability over its pairs. The layout
+    (bins, n_obs) is the one the simulation produces. Pairs are summed in
+    blocks of persons holding about ``_EXPECTED_BLOCK_PAIRS`` pairs, so no
+    temporary spans the whole pair grid.
+    """
+    pair_bin, centers = _pair_bins(population, config.bin_width)
+    pairs = np.bincount(pair_bin.ravel(), minlength=centers.size)
+    mask = pairs > 0
+    checkpoints = sorted(set(config.iteration_counts))
+    forget = population.p_forget[None, :]
+    spread = 1.0 - config.p_slip - config.p_guess
+    sums = np.zeros((len(checkpoints), centers.size))
+    n_people, n_items = pair_bin.shape
+    rows = max(1, _EXPECTED_BLOCK_PAIRS // n_items)
+    for start in range(0, n_people, rows):
+        learn = population.p_learn[start : start + rows, None]
+        bins = pair_bin[start : start + rows].ravel()
+        lam1 = learn / (learn + forget)
+        r = 1.0 - learn - forget
+        for ci, t in enumerate(checkpoints):
+            p_pair = config.p_guess + spread * lam1 * (1.0 - r**t)
+            sums[ci] += np.bincount(bins, weights=p_pair.ravel(), minlength=centers.size)
+    return {
+        t: BinnedCurve(
+            iterations=t,
+            bin_centers=centers[mask],
+            prop_correct=sums[ci, mask] / pairs[mask],
+            n_obs=config.replications * pairs[mask],
+        )
+        for ci, t in enumerate(checkpoints)
+    }
 
 
 def compare_to_irf(
@@ -277,14 +341,31 @@ def write_curves_csv(
 
 
 def summarize_curves(
-    curves: dict[int, BinnedCurve], item: Irf4pl, min_count: int
+    curves: dict[int, BinnedCurve],
+    item: Irf4pl,
+    min_count: int,
+    expected: dict[int, BinnedCurve] | None = None,
 ) -> dict:
-    """Deviation summary per iteration count, as written beside the CSV."""
+    """Deviation summary per iteration count, as written beside the CSV.
+
+    Deviations are taken over bins holding at least min_count observations:
+    from the equilibrium curve, and, when ``expected`` (``expected_curves``)
+    is given, from the exact expectation at the same step count.
+    """
     summary: dict = {"format_version": 1, "min_count": min_count, "max_abs_dev": {}, "weighted_rmse": {}}
+    if expected is not None:
+        summary["expected_max_abs_dev"] = {}
     for t in sorted(curves):
-        max_abs, rmse = compare_to_irf(curves[t], item, min_count)
+        curve = curves[t]
+        max_abs, rmse = compare_to_irf(curve, item, min_count)
         summary["max_abs_dev"][str(t)] = max_abs
         summary["weighted_rmse"][str(t)] = rmse
+        if expected is not None:
+            if not np.array_equal(curve.bin_centers, expected[t].bin_centers):
+                raise ValueError(f"t={t}: expected curve has a different bin layout")
+            mask = curve.n_obs >= min_count
+            dev = np.abs(curve.prop_correct[mask] - expected[t].prop_correct[mask])
+            summary["expected_max_abs_dev"][str(t)] = float(dev.max())
     return summary
 
 

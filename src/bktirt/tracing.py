@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     DomainError,
     InvalidInit,
+    OutOfRange,
     UnknownSkill,
     ZeroLikelihood,
 )
@@ -45,31 +46,41 @@ class FilterResult:
 
 
 def forward_filter(params: BktParams, responses) -> FilterResult:
-    """Exact forward recursion over a single response sequence."""
+    """Exact forward recursion over a single response sequence of 0/1.
+
+    The mastered and unmastered probabilities are carried as two separate
+    terms and the posterior is formed from both joint terms,
+    mass_m / (mass_m + mass_u). Neither term is formed as 1 minus the other,
+    so the posterior stays in [0, 1] when mastery is certain to rounding.
+    """
     responses = list(responses)
     if not responses:
         raise ValueError("responses must be non-empty")
-    p_stay = 1.0 - params.p_forget
+    for t, x in enumerate(responses):
+        if x not in (0, 1):
+            raise OutOfRange(f"response {x!r} at attempt {t + 1} is not 0 or 1")
+    p_correct_m, p_correct_u = 1.0 - params.p_slip, params.p_guess
     posterior = np.empty(len(responses))
     predictive = np.empty(len(responses))
     log_likelihood = 0.0
-    m = params.p_init
+    m, u = params.p_init, 1.0 - params.p_init
     for t, x in enumerate(responses):
-        p_correct = m * (1.0 - params.p_slip) + (1.0 - m) * params.p_guess
-        predictive[t] = p_correct
-        realized = p_correct if x == 1 else 1.0 - p_correct
+        predictive[t] = m * p_correct_m + u * p_correct_u
+        if x == 1:
+            mass_m, mass_u = m * p_correct_m, u * p_correct_u
+        else:
+            mass_m, mass_u = m * params.p_slip, u * (1.0 - params.p_guess)
+        realized = mass_m + mass_u
         if realized <= 0.0:
             raise ZeroLikelihood(
                 f"response {x} at attempt {t + 1} has probability 0 under "
                 "the given parameters"
             )
-        if x == 1:
-            m_post = m * (1.0 - params.p_slip) / realized
-        else:
-            m_post = m * params.p_slip / realized
+        m_post, u_post = mass_m / realized, mass_u / realized
         posterior[t] = m_post
         log_likelihood += float(np.log(realized))
-        m = m_post * p_stay + (1.0 - m_post) * params.p_learn
+        m = m_post * (1.0 - params.p_forget) + u_post * params.p_learn
+        u = m_post * params.p_forget + u_post * (1.0 - params.p_learn)
     return FilterResult(posterior, predictive, log_likelihood)
 
 

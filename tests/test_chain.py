@@ -10,6 +10,7 @@ from bktirt import (
     RngKey,
     build_matrices,
     marginal_at,
+    mastered_after,
     sample_trajectory,
     stationary_closed_form,
     stationary_power_iteration,
@@ -138,6 +139,41 @@ class TestMarginal:
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError):
             marginal_at(_params(0.3, 0.1), -1)
+
+
+class TestMasteredAfter:
+    """The closed-form multi-step law against rows of matrix powers."""
+
+    CASES = [
+        (0.3, 0.1),
+        (0.9, 0.8),  # p_learn + p_forget > 1: r < 0, the law oscillates
+        (1.0 - 1e-12, 1.0 - 1e-12),  # r near -1
+        (1e-12, 1e-12),  # r near 1
+        (1e-12, 1.0 - 1e-12),
+        (1.0 - 1e-12, 1e-12),
+    ]
+
+    @pytest.mark.parametrize("p_learn,p_forget", CASES)
+    @pytest.mark.parametrize("steps", [1, 2, 3, 45])
+    def test_matches_matrix_power_rows(self, p_learn, p_forget, steps):
+        a, _ = build_matrices(_params(p_learn, p_forget))
+        power = np.linalg.matrix_power(a, steps)
+        for z in (0, 1):
+            got = mastered_after(p_learn, p_forget, z, steps)
+            assert abs(got - power[z, 1]) < 1e-12
+
+    def test_broadcasts_over_rate_arrays(self):
+        rng = np.random.default_rng(92)
+        p_learn = rng.random(5)[:, None]
+        p_forget = rng.random(4)[None, :]
+        got = mastered_after(p_learn, p_forget, np.array([[0, 1, 1, 0]]), 3)
+        assert got.shape == (5, 4)
+        for i in range(5):
+            for j in range(4):
+                a, _ = build_matrices(_params(p_learn[i, 0], p_forget[0, j]))
+                row = (0, 1, 1, 0)[j]
+                want = np.linalg.matrix_power(a, 3)[row, 1]
+                assert abs(got[i, j] - want) < 1e-12
 
 
 class TestTrajectory:

@@ -117,6 +117,14 @@ class TestFilterCommand:
         assert payload["log_likelihood"] == pytest.approx(want.log_likelihood)
         np.testing.assert_allclose(payload["posterior"], want.posterior)
 
+    def test_non_binary_response_exits_one(self, capsys, params_file):
+        code = dispatch(["filter", "--params", str(params_file), "--responses", "1,0,5"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("OutOfRange:")
+        assert len(captured.err.splitlines()) == 1
+
     def test_zero_likelihood_exits_one(self, capsys, tmp_path):
         path = tmp_path / "noguess.json"
         path.write_text(BktParams(0.0, 0.3, 0.0, 0.1, 0.0).to_json())
@@ -197,6 +205,40 @@ class TestExperimentCommand:
         monkeypatch.setenv("BKT_IRT_THREADS", "8")
         assert dispatch(argv + ["--out", str(two)]) == 0
         assert one.read_bytes() == two.read_bytes()
+
+
+    @pytest.mark.parametrize(
+        "extra", [["--people", "5"], ["--items", "3"], ["--reps", "2", "--people", "4"]]
+    )
+    def test_desk_with_explicit_size_exits_two(self, tmp_path, capsys, extra):
+        argv = ["experiment", "--desk", *extra, "--out", str(tmp_path / "d.csv")]
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage_error:") and len(err.splitlines()) == 1
+        assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("value", ["two", "", "1.5", "0"])
+    def test_bad_thread_env_is_usage_error(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("BKT_IRT_THREADS", value)
+        argv = ["experiment", "--people", "2", "--items", "2", "--reps", "2",
+                "--out", str(tmp_path / "e.csv")]
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage_error:") and len(err.splitlines()) == 1
+
+    def test_manifest_reports_phases_and_work(self, tmp_path):
+        out = tmp_path / "w.csv"
+        argv = ["experiment", "--people", "5", "--items", "4", "--reps", "3",
+                "--iters", "1,2", "--min-count", "1", "--out", str(out)]
+        assert dispatch(argv) == 0
+        manifest = json.loads((tmp_path / "w.manifest.json").read_text())
+        assert set(manifest["phases"]) == {"population_s", "simulate_s", "write_s"}
+        assert all(value >= 0.0 for value in manifest["phases"].values())
+        assert manifest["work"] == {
+            "pairs": 20, "keyed_streams": 6, "uniforms_drawn": 5 + 4 + 2 * 2 * 20 * 3,
+        }
+        summary = json.loads((tmp_path / "w.summary.json").read_text())
+        assert set(summary["expected_max_abs_dev"]) == {"1", "2"}
 
 
 class TestIrfCommand:

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binomtest
 
 from bktirt import (
     BktParams,
@@ -16,12 +17,42 @@ from bktirt import (
     SimConfig,
     compare_to_irf,
     draw_population,
+    expected_curves,
     irf_4pl,
     marginal_at,
     run_equilibrium_experiment,
 )
 from bktirt.errors import InsufficientData, OutOfRange
-from bktirt.experiment import summarize_curves, write_curves_csv
+from bktirt.experiment import (
+    _pair_bins,
+    _simulate_person_block,
+    summarize_curves,
+    work_counts,
+    worker_count,
+    write_curves_csv,
+)
+
+# Family-wise false-alarm probability of the per-bin binomial tests against
+# the exact expectation; Bonferroni-split over every (step count, bin) cell.
+FAMILY_ALPHA = 1e-3
+
+
+def _binomial_p_values(curves, expected):
+    """Exact two-sided binomial p-value of every (step count, bin) cell.
+
+    A bin's correct count is a sum of independent Bernoulli draws whose
+    means average to the expected proportion; its tails are no heavier than
+    the binomial's at that mean (Hoeffding 1956), so the test is valid.
+    """
+    p_values = []
+    for t, curve in curves.items():
+        np.testing.assert_array_equal(curve.bin_centers, expected[t].bin_centers)
+        np.testing.assert_array_equal(curve.n_obs, expected[t].n_obs)
+        for prop, n, p in zip(curve.prop_correct, curve.n_obs, expected[t].prop_correct):
+            k = int(round(prop * n))
+            assert abs(k - prop * n) < 1e-6
+            p_values.append(binomtest(k, int(n), float(p)).pvalue)
+    return np.array(p_values)
 
 
 class TestSimConfig:
@@ -134,6 +165,29 @@ class TestRunExperiment:
             np.testing.assert_array_equal(base[t].n_obs, threaded[t].n_obs)
             np.testing.assert_array_equal(base[t].prop_correct, threaded[t].prop_correct)
 
+    def test_block_split_does_not_change_counts(self):
+        # Each person draws from its own stream, so any partition of the
+        # persons into blocks pools to the same integer counts.
+        config = SimConfig(
+            n_people=10, n_items=4, replications=9, iteration_counts=(1, 3, 4), seed=14
+        )
+        pop = draw_population(config)
+        pair_bin, centers = _pair_bins(pop, config.bin_width)
+        key = RngKey(config.seed)
+
+        def pooled(splits):
+            edges = [0, *splits, config.n_people]
+            return sum(
+                _simulate_person_block(
+                    range(lo, hi), config, pop, key, [1, 3, 4], pair_bin, centers.size
+                )
+                for lo, hi in zip(edges, edges[1:])
+            )
+
+        whole = pooled([])
+        for splits in ([1], [3, 4, 9], list(range(1, 10))):
+            np.testing.assert_array_equal(pooled(splits), whole)
+
     def test_observation_budget_conserved(self):
         config = SimConfig(
             n_people=9, n_items=5, replications=6, iteration_counts=(2, 3), seed=12
@@ -143,6 +197,97 @@ class TestRunExperiment:
             assert curve.n_obs.sum() == 9 * 5 * 6
             assert np.all(np.diff(curve.bin_centers) > 0)
             assert np.all((curve.prop_correct >= 0) & (curve.prop_correct <= 1))
+
+
+class TestExpectedCurves:
+    CONFIG = SimConfig.desk(iteration_counts=(1, 2, 5, 50), seed=16)
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        config = self.CONFIG
+        curves = run_equilibrium_experiment(config)
+        return curves, expected_curves(config, draw_population(config))
+
+    def test_counts_match_exact_expectation(self, runs):
+        curves, expected = runs
+        p_values = _binomial_p_values(curves, expected)
+        assert p_values.min() >= FAMILY_ALPHA / p_values.size
+
+    def test_detects_a_one_step_bias(self, runs):
+        # A kernel that ran one step short would be told apart from noise.
+        curves, _ = runs
+        config = SimConfig.desk(iteration_counts=(2, 3, 6), seed=16)
+        shifted = expected_curves(config, draw_population(config))
+        short = {t + 1: curves[t] for t in (1, 2, 5)}
+        p_values = _binomial_p_values(short, shifted)
+        assert p_values.min() < FAMILY_ALPHA / p_values.size
+
+    def test_single_pair_closed_form(self):
+        config = SimConfig(n_people=1, n_items=1, replications=5, iteration_counts=(4,), seed=17)
+        pop = draw_population(config)
+        chain = BktParams(
+            p_init=0.0,
+            p_learn=float(pop.p_learn[0]),
+            p_forget=float(pop.p_forget[0]),
+            p_slip=config.p_slip,
+            p_guess=config.p_guess,
+        )
+        want = config.p_guess + (1.0 - config.p_slip - config.p_guess) * marginal_at(chain, 4)
+        curve = expected_curves(config, pop)[4]
+        assert curve.n_obs.tolist() == [5]
+        assert abs(curve.prop_correct[0] - want) < 1e-12
+
+    def test_summary_reports_deviation_from_expectation(self, runs):
+        curves, expected = runs
+        summary = summarize_curves(curves, self.CONFIG.irf(), 200, expected)
+        for t, curve in curves.items():
+            mask = curve.n_obs >= 200
+            want = np.abs(curve.prop_correct - expected[t].prop_correct)[mask].max()
+            assert summary["expected_max_abs_dev"][str(t)] == want
+        assert "expected_max_abs_dev" not in summarize_curves(curves, self.CONFIG.irf(), 200)
+
+
+class TestWorkAndThreads:
+    def test_work_counts_match_the_draws_made(self, monkeypatch):
+        config = SimConfig(
+            n_people=6, n_items=4, replications=5, iteration_counts=(3, 1, 3), seed=18
+        )
+        seen = {"streams": 0, "uniforms": 0}
+        original = RngKey.generator
+
+        class Counted:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def random(self, size):
+                seen["uniforms"] += int(np.prod(size))
+                return self.gen.random(size)
+
+        def counting(key):
+            seen["streams"] += 1
+            return Counted(original(key))
+
+        monkeypatch.setattr(RngKey, "generator", counting)
+        run_equilibrium_experiment(config, threads=1)
+        work = work_counts(config)
+        assert work["pairs"] == 24
+        assert work["keyed_streams"] == seen["streams"] == 7
+        assert work["uniforms_drawn"] == seen["uniforms"] == 6 + 4 + 2 * 2 * 24 * 5
+
+    @pytest.mark.parametrize(
+        "requested,n_people,cpus,want",
+        [
+            (1, 1000, 2, 1),
+            (2, 1000, 2, 2),
+            (8, 1000, 2, 2),
+            (10**6, 1000, 64, 64),
+            (10**6, 3, 64, 3),
+            (4, 1000, None, 1),
+            (0, 1000, 8, 1),
+        ],
+    )
+    def test_worker_count_is_capped(self, requested, n_people, cpus, want):
+        assert worker_count(requested, n_people, cpus) == want
 
 
 class TestCompareToIrf:

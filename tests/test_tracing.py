@@ -19,7 +19,7 @@ from bktirt import (
     sample_trajectory,
     sequence_loglik,
 )
-from bktirt.errors import InvalidInit, UnknownSkill, ZeroLikelihood
+from bktirt.errors import InvalidInit, OutOfRange, UnknownSkill, ZeroLikelihood
 
 
 def _loglik_bruteforce(params, responses):
@@ -33,6 +33,38 @@ def _loglik_bruteforce(params, responses):
             prob *= transition[path[t - 1], path[t]] * emission[path[t], responses[t]]
         total += prob
     return math.log(total)
+
+
+def _classic_filter_by_enumeration(params, responses):
+    """Posterior mastery after each attempt, and the log-likelihood, by
+    enumerating latent paths of a chain without forgetting.
+
+    With p_forget = 0 a path is unmastered up to some attempt and mastered
+    from then on, so its switch attempt (or none) indexes every path of
+    nonzero probability: T + 1 paths instead of 2^T.
+    """
+    _, emission = build_matrices(params)
+
+    def switch_prior(k):  # P(first mastered at attempt k + 1), 0-based k
+        if k == 0:
+            return params.p_init
+        return (1.0 - params.p_init) * (1.0 - params.p_learn) ** (k - 1) * params.p_learn
+
+    posteriors = []
+    for t in range(1, len(responses) + 1):
+        mastered = sum(
+            switch_prior(k)
+            * math.prod(emission[0, x] for x in responses[:k])
+            * math.prod(emission[1, x] for x in responses[k:t])
+            for k in range(t)
+        )
+        unmastered = (
+            (1.0 - params.p_init)
+            * (1.0 - params.p_learn) ** (t - 1)
+            * math.prod(emission[0, x] for x in responses[:t])
+        )
+        posteriors.append(mastered / (mastered + unmastered))
+    return np.array(posteriors), math.log(mastered + unmastered)
 
 
 def _panel_from_sequences(sequences, skill_id=7):
@@ -99,6 +131,26 @@ class TestForwardFilter:
             want = _loglik_bruteforce(params, responses)
             got = forward_filter(params, responses).log_likelihood
             assert abs(got - want) < 1e-10
+
+    def test_rejects_responses_other_than_zero_and_one(self):
+        params = BktParams(0.2, 0.3, 0.0, 0.1, 0.2)
+        with pytest.raises(OutOfRange, match="attempt 3"):
+            forward_filter(params, [1, 0, 5])
+        with pytest.raises(OutOfRange):
+            forward_filter(params, [0.5])
+
+    @pytest.mark.parametrize("n_zeros", [20, 30])
+    def test_certain_mastery_then_errors_matches_enumeration(self, n_zeros):
+        # Without forgetting, 40 correct answers drive the mastery
+        # probability to 1.0 in floating point; the errors that follow must
+        # leave every posterior in [0, 1] and raise no ZeroLikelihood.
+        params = BktParams(0.2, 0.3, 0.0, 0.1, 0.2)
+        responses = [1] * 40 + [0] * n_zeros
+        result = forward_filter(params, responses)
+        assert np.all((result.posterior >= 0.0) & (result.posterior <= 1.0))
+        want_post, want_ll = _classic_filter_by_enumeration(params, responses)
+        assert np.max(np.abs(result.posterior - want_post)) < 1e-10
+        assert abs(result.log_likelihood - want_ll) < 1e-10
 
     def test_probabilities_stay_in_unit_interval(self):
         rng = np.random.default_rng(52)
