@@ -7,7 +7,6 @@ generalization with exact small-network oracles.
 """
 
 from .bridge import (
-    LearnerItemEquilibrium,
     RecoveredParams,
     SkillEquilibrium,
     bkt_to_irt,
@@ -45,7 +44,6 @@ from .irt import (
     simulate_dynamic_irt,
 )
 from .ising import (
-    FieldState,
     FieldTrace,
     IsingNetwork,
     boltzmann_exact,
@@ -82,13 +80,11 @@ __all__ = [
     "DEFAULT_SEED",
     "DomainError",
     "DynamicIrtConfig",
-    "FieldState",
     "FieldTrace",
     "FilterResult",
     "FitReport",
     "Irf4pl",
     "IsingNetwork",
-    "LearnerItemEquilibrium",
     "MirtIrf",
     "Population",
     "RecoveredParams",

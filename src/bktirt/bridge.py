@@ -35,21 +35,6 @@ class SkillEquilibrium:
     p_correct: float
 
 
-@dataclass(frozen=True)
-class LearnerItemEquilibrium:
-    """Equilibrium curve for one learner-item chain.
-
-    theta = log of the learner's p_learn, b = log of the item's p_forget,
-    c/d the item's guess and 1 - slip.
-    """
-
-    theta: float
-    b: float
-    c: float
-    d: float
-    p_correct: float
-
-
 def _require_ergodic(p_learn: float, p_forget: float) -> None:
     if p_learn <= 0.0 or p_forget <= 0.0:
         raise NonErgodic(
@@ -83,19 +68,18 @@ def learner_item_equilibrium(
     p_forget_i: float,
     p_slip_i: float,
     p_guess_i: float,
-) -> LearnerItemEquilibrium:
+) -> SkillEquilibrium:
     """Equilibrium law of one learner-item chain (learner-side learning rate,
-    item-side forgetting, guess and slip)."""
-    params = BktParams(
-        p_init=0.5,
-        p_learn=p_learn_p,
-        p_forget=p_forget_i,
-        p_slip=p_slip_i,
-        p_guess=p_guess_i,
-    )
-    skill = bkt_to_irt(params)
-    return LearnerItemEquilibrium(
-        theta=skill.theta, b=skill.b, c=skill.c, d=skill.d, p_correct=skill.p_correct
+    item-side forgetting, guess and slip): theta is the log of the learner's
+    p_learn, b the log of the item's p_forget."""
+    return bkt_to_irt(
+        BktParams(
+            p_init=0.5,
+            p_learn=p_learn_p,
+            p_forget=p_forget_i,
+            p_slip=p_slip_i,
+            p_guess=p_guess_i,
+        )
     )
 
 

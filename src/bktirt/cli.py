@@ -53,7 +53,21 @@ class UsageError(Exception):
 def _parse_seed(text: str) -> int:
     if text == "auto":
         return secrets.randbits(63)
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer or 'auto', got {text!r}"
+        )
     return int(text)
+
+
+def _int_list(text: str) -> list[int]:
+    """Comma-separated integers; empty tokens are skipped."""
+    try:
+        return [int(tok) for tok in text.split(",") if tok != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _add_seed(parser: argparse.ArgumentParser) -> None:
@@ -173,8 +187,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_filter(args: argparse.Namespace) -> int:
     started = time.time()
     params = _read_params(args.params)
-    responses = [int(tok) for tok in args.responses.split(",") if tok != ""]
-    result = forward_filter(params, responses)
+    result = forward_filter(params, args.responses)
     payload = {
         "format_version": FORMAT_VERSION,
         "posterior": result.posterior.tolist(),
@@ -258,10 +271,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         given = ", ".join(flags[name][0] for name in sizes)
         raise UsageError(f"--desk fixes the run size; drop {given}")
     threads = _resolve_threads(args.threads)
-    iters = tuple(int(tok) for tok in args.iters.split(",") if tok != "")
     config = (SimConfig.desk if args.desk else SimConfig)(
         **sizes,
-        iteration_counts=iters,
+        iteration_counts=args.iters,
         p_slip=args.slip,
         p_guess=args.guess,
         seed=args.seed,
@@ -279,11 +291,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
     mark = time.perf_counter()
     item = config.irf()
-    out = Path(args.out)
-    write_curves_csv(curves, item, str(out))
+    # Summarize first: it can reject the run, and then no file is written.
     summary = summarize_curves(
         curves, item, args.min_count, expected_curves(config, population)
     )
+    out = Path(args.out)
+    write_curves_csv(curves, item, str(out))
     summary_path = out.parent / (out.stem + ".summary.json")
     write_summary_json(summary, str(summary_path))
     phases["write_s"] = time.perf_counter() - mark
@@ -359,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filter", help="forward-filter a response sequence")
     p.add_argument("--params", required=True, help="BKT parameter JSON file")
-    p.add_argument("--responses", required=True,
+    p.add_argument("--responses", type=_int_list, required=True,
                    help="comma-separated 0/1 responses, e.g. 1,0,1")
     p.add_argument("--out", help="JSON path (default: print to stdout)")
     p.set_defaults(handler=_cmd_filter)
@@ -390,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of items (default: 100)")
     p.add_argument("--reps", type=int, default=None,
                    help="replications per pair (default: 1000)")
-    p.add_argument("--iters", default="2,5,50",
+    p.add_argument("--iters", type=_int_list, default="2,5,50",
                    help="comma-separated chain step counts (default: 2,5,50)")
     p.add_argument("--slip", type=float, default=0.1, help="slip probability (default: 0.1)")
     p.add_argument("--guess", type=float, default=0.1, help="guess probability (default: 0.1)")

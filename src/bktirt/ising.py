@@ -68,11 +68,19 @@ class IsingNetwork:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "IsingNetwork":
-        n = int(raw["n"])
+        n = raw.get("n") if isinstance(raw, dict) else None
+        if not isinstance(n, int) or n < 1:
+            raise OutOfRange(
+                f'network needs an integer node count "n" >= 1, got {n!r}'
+            )
         couplings = np.zeros((n, n))
         for i, j, sigma in raw.get("couplings", []):
-            couplings[int(i), int(j)] = float(sigma)
-            couplings[int(j), int(i)] = float(sigma)
+            if not all(isinstance(k, int) and 0 <= k < n for k in (i, j)) or i == j:
+                raise OutOfRange(
+                    f"coupling ({i!r}, {j!r}) must join two distinct nodes in [0, {n})"
+                )
+            couplings[i, j] = float(sigma)
+            couplings[j, i] = float(sigma)
         emissions = raw.get("emissions", [[0.0, 0.0]] * n)
         return cls(
             couplings=couplings,
@@ -102,18 +110,6 @@ class IsingNetwork:
     def from_json_file(cls, path: str) -> "IsingNetwork":
         with open(path, encoding="utf-8") as handle:
             return cls.from_dict(json.load(handle))
-
-
-@dataclass(frozen=True)
-class FieldState:
-    """One snapshot: latent mastery vector z and emitted response vector x."""
-
-    z: np.ndarray
-    x: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.z) != len(self.x):
-            raise ValueError("z and x must have equal length")
 
 
 def energy(net: IsingNetwork, z) -> float:
@@ -190,9 +186,6 @@ class FieldTrace:
 
     def __len__(self) -> int:
         return self.latent.shape[0]
-
-    def __getitem__(self, sweep: int) -> FieldState:
-        return FieldState(self.latent[sweep], self.emitted[sweep])
 
     def state_indices(self) -> np.ndarray:
         """Latent state per sweep packed as an integer (node j = bit j)."""

@@ -55,11 +55,6 @@ class BktParams:
         for name in self._FIELDS:
             _check_unit(name, getattr(self, name))
 
-    def replace(self, **changes: float) -> "BktParams":
-        values = {name: getattr(self, name) for name in self._FIELDS}
-        values.update(changes)
-        return BktParams(**values)
-
     def to_json(self) -> str:
         return json.dumps({name: getattr(self, name) for name in self._FIELDS})
 
@@ -246,7 +241,15 @@ class ResponsePanel:
                 raise InvalidPanel(
                     f"expected header {','.join(PANEL_CSV_HEADER)}, got {header}"
                 )
-            records = [PanelRecord(*map(int, row)) for row in reader if row]
+            try:
+                records = [PanelRecord(*map(int, row)) for row in reader if row]
+            except (TypeError, ValueError):
+                # TypeError: a row whose column count is not the header's.
+                # The reader's line number is that of the failing row.
+                raise InvalidPanel(
+                    f"line {reader.line_num}: expected "
+                    f"{len(PANEL_CSV_HEADER)} integer fields"
+                ) from None
         return cls(tuple(records))
 
     def to_csv(self, path: str) -> None:

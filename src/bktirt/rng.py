@@ -30,6 +30,3 @@ class RngKey:
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.seed, spawn_key=self.path)
         return np.random.Generator(np.random.Philox(seq))
-
-    def describe(self) -> str:
-        return f"philox(seed={self.seed}, path={list(self.path)})"

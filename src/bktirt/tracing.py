@@ -7,12 +7,19 @@ probabilities from a response panel, optionally under the classic
 complete-data likelihood separates per parameter, clamping each M-step
 estimate to its constraint interval is the exact constrained M-step, so the
 log-likelihood trace stays non-decreasing.
+
+Filter, log-likelihood and E-step share one scaled forward pass and one
+backward pass (Rabiner 1989) over a packed block of sequences: sorted
+longest first, step t holds attempt t of the first sizes[t] sequences,
+stored contiguously in time-major order. Each attempt is one vector step
+over that active prefix, with no padding and no mask.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,6 +36,127 @@ from .params import BktParams, ResponsePanel, validate_bkt
 # E-step so no realized response ever has exactly zero probability.
 _BOUND = 1e-9
 _IDENTIFIED_CAP = 0.5 - 1e-6
+
+
+def _pack(sequences: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Packed layout of 0/1 response sequences: (x, sizes).
+
+    Sequences are sorted by length, longest first (ties keep their order).
+    sizes[t] is the number of sequences with an attempt t, and x holds those
+    attempts of the first sizes[t] sequences, step after step.
+    """
+    lengths = np.array([len(seq) for seq in sequences])
+    order = np.argsort(-lengths, kind="stable")
+    lengths = lengths[order]
+    flat = np.fromiter(
+        itertools.chain.from_iterable(sequences[i] for i in order),
+        dtype=np.int8,
+        count=int(lengths.sum()),
+    )
+    step = np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return flat[np.argsort(step, kind="stable")], np.bincount(step)
+
+
+def _emissions(params: BktParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P(x | mastered) and P(x | unmastered) per packed response."""
+    correct = x == 1
+    return (
+        np.where(correct, 1.0 - params.p_slip, params.p_slip),
+        np.where(correct, params.p_guess, 1.0 - params.p_guess),
+    )
+
+
+def _predict(params: BktParams, m, u):
+    """One transition of the (mastered, unmastered) probabilities."""
+    return (
+        m * (1.0 - params.p_forget) + u * params.p_learn,
+        m * params.p_forget + u * (1.0 - params.p_learn),
+    )
+
+
+def _forward(params: BktParams, x: np.ndarray, sizes: np.ndarray):
+    """Scaled forward pass over a packed block.
+
+    Returns, per response, the filtered mastered and unmastered
+    probabilities, each its joint term over their sum, and the realized
+    probability of the response given the attempts before it.
+    """
+    emit_m, emit_u = _emissions(params, x)
+    alpha_m, alpha_u, realized = np.empty(x.size), np.empty(x.size), np.empty(x.size)
+    prior_m = np.full(sizes[0], params.p_init)
+    prior_u = np.full(sizes[0], 1.0 - params.p_init)
+    lo = 0
+    # A zero realized probability poisons only its own sequence; it is
+    # reported after the pass, at the earliest attempt it occurs.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for n in sizes.tolist():
+            hi = lo + n
+            mass_m = prior_m[:n] * emit_m[lo:hi]
+            mass_u = prior_u[:n] * emit_u[lo:hi]
+            total = np.add(mass_m, mass_u, out=realized[lo:hi])
+            m = np.divide(mass_m, total, out=alpha_m[lo:hi])
+            u = np.divide(mass_u, total, out=alpha_u[lo:hi])
+            prior_m, prior_u = _predict(params, m, u)
+            lo = hi
+    impossible = ~(realized > 0.0)
+    if impossible.any():
+        k = int(np.argmax(impossible))
+        attempt = int(np.searchsorted(np.cumsum(sizes), k, side="right")) + 1
+        raise ZeroLikelihood(
+            f"response {int(x[k])} at attempt {attempt} has probability 0 under "
+            "the given parameters"
+        )
+    return alpha_m, alpha_u, realized
+
+
+def _backward(params: BktParams, w_m: np.ndarray, w_u: np.ndarray, sizes: np.ndarray):
+    """Scaled backward pass over a packed block; w is emission / realized.
+
+    beta is 1 at each sequence's last attempt.
+    """
+    beta_m, beta_u = np.ones(w_m.size), np.ones(w_m.size)
+    starts = (np.cumsum(sizes) - sizes).tolist()
+    for t in range(len(starts) - 2, -1, -1):
+        n, lo, nxt = int(sizes[t + 1]), starts[t], starts[t + 1]
+        msg_m = w_m[nxt : nxt + n] * beta_m[nxt : nxt + n]
+        msg_u = w_u[nxt : nxt + n] * beta_u[nxt : nxt + n]
+        beta_m[lo : lo + n] = params.p_forget * msg_u + (1.0 - params.p_forget) * msg_m
+        beta_u[lo : lo + n] = (1.0 - params.p_learn) * msg_u + params.p_learn * msg_m
+    return beta_m, beta_u
+
+
+def _estep(params: BktParams, x: np.ndarray, sizes: np.ndarray):
+    """Log-likelihood and expected counts of a packed block.
+
+    The counts map each parameter to (numerator, denominator) of its
+    M-step ratio.
+    """
+    alpha_m, alpha_u, realized = _forward(params, x, sizes)
+    loglik = float(np.log(realized).sum())
+    w_m, w_u = _emissions(params, x)
+    w_m /= realized
+    w_u /= realized
+    del realized
+    beta_m, beta_u = _backward(params, w_m, w_u, sizes)
+
+    # Response k >= sizes[0] follows response prev[k - sizes[0]] of its
+    # sequence; w * beta there is the message the transition carries.
+    first = int(sizes[0])
+    prev = np.arange(first, x.size) - np.repeat(sizes[:-1], sizes[1:])
+    w_m *= beta_m
+    w_u *= beta_u
+    xi01 = params.p_learn * float(np.dot(alpha_u[prev], w_m[first:]))
+    xi10 = params.p_forget * float(np.dot(alpha_m[prev], w_u[first:]))
+    gamma_m = np.multiply(alpha_m, beta_m, out=beta_m)
+    gamma_u = np.multiply(alpha_u, beta_u, out=beta_u)
+    correct = x == 1
+    return loglik, {
+        "p_init": (float(gamma_m[:first].sum()), first),
+        "p_learn": (xi01, float(gamma_u[prev].sum())),
+        "p_forget": (xi10, float(gamma_m[prev].sum())),
+        "p_slip": (float(gamma_m[~correct].sum()), float(gamma_m.sum())),
+        "p_guess": (float(gamma_u[correct].sum()), float(gamma_u.sum())),
+    }
 
 
 @dataclass(frozen=True)
@@ -59,39 +187,26 @@ def forward_filter(params: BktParams, responses) -> FilterResult:
     for t, x in enumerate(responses):
         if x not in (0, 1):
             raise OutOfRange(f"response {x!r} at attempt {t + 1} is not 0 or 1")
-    p_correct_m, p_correct_u = 1.0 - params.p_slip, params.p_guess
-    posterior = np.empty(len(responses))
-    predictive = np.empty(len(responses))
-    log_likelihood = 0.0
-    m, u = params.p_init, 1.0 - params.p_init
-    for t, x in enumerate(responses):
-        predictive[t] = m * p_correct_m + u * p_correct_u
-        if x == 1:
-            mass_m, mass_u = m * p_correct_m, u * p_correct_u
-        else:
-            mass_m, mass_u = m * params.p_slip, u * (1.0 - params.p_guess)
-        realized = mass_m + mass_u
-        if realized <= 0.0:
-            raise ZeroLikelihood(
-                f"response {x} at attempt {t + 1} has probability 0 under "
-                "the given parameters"
-            )
-        m_post, u_post = mass_m / realized, mass_u / realized
-        posterior[t] = m_post
-        log_likelihood += float(np.log(realized))
-        m = m_post * (1.0 - params.p_forget) + u_post * params.p_learn
-        u = m_post * params.p_forget + u_post * (1.0 - params.p_learn)
-    return FilterResult(posterior, predictive, log_likelihood)
+    alpha_m, alpha_u, realized = _forward(params, *_pack([responses]))
+    prior_m, prior_u = _predict(params, alpha_m[:-1], alpha_u[:-1])
+    predictive = (
+        np.concatenate(([params.p_init], prior_m)) * (1.0 - params.p_slip)
+        + np.concatenate(([1.0 - params.p_init], prior_u)) * params.p_guess
+    )
+    return FilterResult(alpha_m, predictive, float(np.log(realized).sum()))
 
 
-def sequence_loglik(params: BktParams, panel: ResponsePanel, skill_id: int) -> float:
-    """Sum of filter log-likelihoods over every person's sequence for a skill."""
+def _skill_sequences(panel: ResponsePanel, skill_id: int) -> list[list[int]]:
     sequences = panel.sequences(skill_id)
     if not sequences:
         raise UnknownSkill(f"panel holds no records for skill {skill_id}")
-    return sum(
-        forward_filter(params, seq).log_likelihood for seq in sequences.values()
-    )
+    return list(sequences.values())
+
+
+def sequence_loglik(params: BktParams, panel: ResponsePanel, skill_id: int) -> float:
+    """Log-likelihood of every person's sequence for a skill."""
+    _, _, realized = _forward(params, *_pack(_skill_sequences(panel, skill_id)))
+    return float(np.log(realized).sum())
 
 
 @dataclass(frozen=True)
@@ -120,116 +235,31 @@ class FitReport:
         )
 
 
-class _Stats:
-    """Accumulated expected counts from one E-step pass."""
+def _nudged(values: dict[str, float], classic: bool) -> BktParams:
+    """Parameters with every estimate nudged into [_BOUND, 1 - _BOUND].
 
-    __slots__ = (
-        "n_seq",
-        "init1",
-        "from0",
-        "xi01",
-        "from1",
-        "xi10",
-        "occ0",
-        "correct0",
-        "occ1",
-        "wrong1",
-        "loglik",
-    )
-
-    def __init__(self) -> None:
-        for name in self.__slots__:
-            setattr(self, name, 0.0)
-
-
-def _bucket_estep(params: BktParams, x: np.ndarray, stats: _Stats) -> None:
-    """Scaled forward-backward over one (n_sequences, length) response block."""
-    n, t_len = x.shape
-    is_correct = x == 1
-    b0 = np.where(is_correct, params.p_guess, 1.0 - params.p_guess).T
-    b1 = np.where(is_correct, 1.0 - params.p_slip, params.p_slip).T
-    a00, a01 = 1.0 - params.p_learn, params.p_learn
-    a10, a11 = params.p_forget, 1.0 - params.p_forget
-
-    alpha = np.empty((t_len, n, 2))
-    cnorm = np.empty((t_len, n))
-    prior0 = np.full(n, 1.0 - params.p_init)
-    prior1 = np.full(n, params.p_init)
-    for t in range(t_len):
-        un0 = prior0 * b0[t]
-        un1 = prior1 * b1[t]
-        c = un0 + un1
-        if not np.all(c > 0.0):
-            raise ZeroLikelihood(
-                "a realized response has probability 0 under the current "
-                "parameters"
-            )
-        alpha[t, :, 0] = un0 / c
-        alpha[t, :, 1] = un1 / c
-        cnorm[t] = c
-        prior0 = alpha[t, :, 0] * a00 + alpha[t, :, 1] * a10
-        prior1 = alpha[t, :, 0] * a01 + alpha[t, :, 1] * a11
-    stats.loglik += float(np.log(cnorm).sum())
-
-    beta = np.empty((t_len, n, 2))
-    beta[t_len - 1] = 1.0
-    for t in range(t_len - 2, -1, -1):
-        m0 = b0[t + 1] * beta[t + 1, :, 0]
-        m1 = b1[t + 1] * beta[t + 1, :, 1]
-        beta[t, :, 0] = (a00 * m0 + a01 * m1) / cnorm[t + 1]
-        beta[t, :, 1] = (a10 * m0 + a11 * m1) / cnorm[t + 1]
-
-    gamma = alpha * beta
-    stats.n_seq += n
-    stats.init1 += float(gamma[0, :, 1].sum())
-    stats.occ0 += float(gamma[:, :, 0].sum())
-    stats.occ1 += float(gamma[:, :, 1].sum())
-    stats.correct0 += float((gamma[:, :, 0] * is_correct.T).sum())
-    stats.wrong1 += float((gamma[:, :, 1] * (~is_correct).T).sum())
-    if t_len > 1:
-        stats.from0 += float(gamma[:-1, :, 0].sum())
-        stats.from1 += float(gamma[:-1, :, 1].sum())
-        stats.xi01 += float(
-            (alpha[:-1, :, 0] * a01 * b1[1:] * beta[1:, :, 1] / cnorm[1:]).sum()
-        )
-        stats.xi10 += float(
-            (alpha[:-1, :, 1] * a10 * b0[1:] * beta[1:, :, 0] / cnorm[1:]).sum()
-        )
-
-
-def _estep(params: BktParams, buckets: dict[int, np.ndarray]) -> _Stats:
-    stats = _Stats()
-    for t_len in sorted(buckets):
-        _bucket_estep(params, buckets[t_len], stats)
-    return stats
-
-
-def _ratio(num: float, den: float, fallback: float) -> float:
-    return num / den if den > 0.0 else fallback
-
-
-def _nudge(value: float) -> float:
-    return min(max(value, _BOUND), 1.0 - _BOUND)
-
-
-def _mstep(stats: _Stats, current: BktParams, classic: bool, identified: bool) -> BktParams:
-    p_init = _ratio(stats.init1, stats.n_seq, current.p_init)
-    p_learn = _ratio(stats.xi01, stats.from0, current.p_learn)
-    # Under classic the forgetting transition is structurally zero: the
-    # E-step already assigns it no expected count and it is not re-estimated.
-    p_forget = 0.0 if classic else _ratio(stats.xi10, stats.from1, current.p_forget)
-    p_guess = _ratio(stats.correct0, stats.occ0, current.p_guess)
-    p_slip = _ratio(stats.wrong1, stats.occ1, current.p_slip)
-    if identified:
-        p_guess = min(p_guess, _IDENTIFIED_CAP)
-        p_slip = min(p_slip, _IDENTIFIED_CAP)
+    Under classic the forgetting transition is structurally zero: the
+    E-step assigns it no expected count and it stays 0.
+    """
     return BktParams(
-        p_init=_nudge(p_init),
-        p_learn=_nudge(p_learn),
-        p_forget=p_forget if classic else _nudge(p_forget),
-        p_slip=_nudge(p_slip),
-        p_guess=_nudge(p_guess),
+        **{
+            name: 0.0
+            if classic and name == "p_forget"
+            else min(max(value, _BOUND), 1.0 - _BOUND)
+            for name, value in values.items()
+        }
     )
+
+
+def _mstep(counts: dict, current: BktParams, classic: bool, identified: bool) -> BktParams:
+    estimates = {
+        name: num / den if den > 0.0 else getattr(current, name)
+        for name, (num, den) in counts.items()
+    }
+    if identified:
+        for name in ("p_guess", "p_slip"):
+            estimates[name] = min(estimates[name], _IDENTIFIED_CAP)
+    return _nudged(estimates, classic)
 
 
 def fit_baum_welch(
@@ -256,33 +286,22 @@ def fit_baum_welch(
         validate_bkt(init, classic=classic, identified=identified)
     except DomainError as exc:
         raise InvalidInit(f"init violates the requested constraints: {exc}") from exc
-    sequences = panel.sequences(skill_id)
-    if not sequences:
-        raise UnknownSkill(f"panel holds no records for skill {skill_id}")
-
-    by_len: dict[int, list[list[int]]] = {}
-    for seq in sequences.values():
-        by_len.setdefault(len(seq), []).append(seq)
-    buckets = {
-        t_len: np.array(rows, dtype=np.int8) for t_len, rows in by_len.items()
-    }
-
-    flat = [x for seq in sequences.values() for x in seq]
-    degenerate = len(set(flat)) == 1 and not classic and not identified
+    x, sizes = _pack(_skill_sequences(panel, skill_id))
+    degenerate = bool(x.min() == x.max()) and not classic and not identified
 
     constraint_set = tuple(
         name for name, flag in (("classic", classic), ("identified", identified)) if flag
     )
     # The nudged init is what the first E-step actually sees.
-    current = _mstep_nudge_init(init, classic)
-    stats = _estep(current, buckets)
-    trace = [stats.loglik]
+    current = _nudged(asdict(init), classic)
+    loglik, counts = _estep(current, x, sizes)
+    trace = [loglik]
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        current = _mstep(stats, current, classic, identified)
-        stats = _estep(current, buckets)
-        trace.append(stats.loglik)
+        current = _mstep(counts, current, classic, identified)
+        loglik, counts = _estep(current, x, sizes)
+        trace.append(loglik)
         if abs(trace[-1] - trace[-2]) / (1.0 + abs(trace[-1])) < tol:
             converged = True
             break
@@ -295,14 +314,4 @@ def fit_baum_welch(
         converged=converged,
         constraint_set=constraint_set,
         degenerate_data=degenerate,
-    )
-
-
-def _mstep_nudge_init(init: BktParams, classic: bool) -> BktParams:
-    return BktParams(
-        p_init=_nudge(init.p_init),
-        p_learn=_nudge(init.p_learn),
-        p_forget=init.p_forget if classic else _nudge(init.p_forget),
-        p_slip=_nudge(init.p_slip),
-        p_guess=_nudge(init.p_guess),
     )

@@ -75,6 +75,24 @@ class TestArgumentErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--seed", ["experiment", "--seed", "-5", "--out", "e.csv"]),
+            ("--iters", ["experiment", "--iters", "2,x", "--out", "e.csv"]),
+            ("--responses", ["filter", "--params", "p.json", "--responses", "1,x"]),
+        ],
+    )
+    def test_malformed_flag_value_names_the_flag(
+        self, capsys, tmp_path, monkeypatch, flag, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err
+        assert "io_error" not in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSimulate:
     def test_writes_csv_and_manifest(self, tmp_path):
@@ -155,6 +173,17 @@ class TestFitCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("UnknownSkill:")
 
+    @pytest.mark.parametrize("row", ["0,0,7,1", "0,0,7,1,1,9"])
+    def test_row_with_wrong_column_count_exits_one(self, tmp_path, capsys, row):
+        panel = tmp_path / "short.csv"
+        panel.write_text(
+            "person_id,item_id,skill_id,attempt,correct\n0,0,7,1,1\n" + row + "\n"
+        )
+        assert dispatch(["fit-bkt", "--panel", str(panel), "--skill", "7"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("InvalidPanel: line 3:")
+        assert len(err.splitlines()) == 1
+
 
 class TestBridgeCommand:
     def test_matches_library_map(self, capsys, params_file):
@@ -226,6 +255,13 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert err.startswith("usage_error:") and len(err.splitlines()) == 1
 
+    def test_rejected_summary_leaves_no_files(self, tmp_path, capsys):
+        argv = ["experiment", "--people", "3", "--items", "2", "--reps", "2",
+                "--min-count", "100000000", "--out", str(tmp_path / "o.csv")]
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err.startswith("InsufficientData:")
+        assert list(tmp_path.iterdir()) == []
+
     def test_manifest_reports_phases_and_work(self, tmp_path):
         out = tmp_path / "w.csv"
         argv = ["experiment", "--people", "5", "--items", "4", "--reps", "3",
@@ -289,6 +325,30 @@ class TestIsingCommand:
         freqs = [float(row[1]) for row in rows]
         assert abs(sum(freqs) - 1.0) < 1e-9
         np.testing.assert_allclose(freqs, exact, atol=0.05)
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            {"couplings": [[0, 1, 0.5]]},
+            {"n": 2, "couplings": [[0, 2, 0.5]]},
+            {"n": 2, "couplings": [[-1, 0, 0.5]]},
+            {"n": 2, "couplings": [[1, 1, 0.5]]},
+            {"n": 2.7},
+            {"n": 3, "couplings": [[0, 1.9, 0.5]]},
+        ],
+        ids=["missing-n", "index-past-n", "negative-index", "self-coupling",
+             "fractional-n", "fractional-index"],
+    )
+    def test_malformed_network_exits_one(self, tmp_path, capsys, net):
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(net))
+        out = tmp_path / "freq.csv"
+        code = dispatch(["ising", "--net", str(net_path), "--sweeps", "10",
+                         "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("OutOfRange:") and len(err.splitlines()) == 1
+        assert not out.exists()
 
 
 class TestHelp:

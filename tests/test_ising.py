@@ -268,9 +268,6 @@ class TestSimulateField:
         net = _random_net(2, seed=18)
         trace = simulate_field(net, 50, RngKey(18))
         assert len(trace) == 50
-        state = trace[10]
-        np.testing.assert_array_equal(state.z, trace.latent[10])
-        np.testing.assert_array_equal(state.x, trace.emitted[10])
         indices = trace.state_indices()
         assert indices.shape == (50,)
         np.testing.assert_array_equal(

@@ -318,9 +318,14 @@ class TestFitBaumWelch:
         report = fit_baum_welch(panel, 7, BktParams(0.4, 0.15, 0.1, 0.2, 0.2))
         trace = np.array(report.loglik_trace)
         assert np.all(np.diff(trace) >= -1e-9)
-        # Bucketed E-step must agree with the per-sequence filter.
+        # The E-step's log-likelihood must agree with the forward pass over
+        # the packed block, and that with the filter run per sequence.
         direct = sequence_loglik(report.params, panel, 7)
         assert trace[-1] == pytest.approx(direct, abs=1e-8)
+        per_sequence = sum(
+            forward_filter(report.params, seq).log_likelihood for seq in sequences
+        )
+        assert direct == pytest.approx(per_sequence, abs=1e-8)
 
     def test_report_json_round_trip(self):
         panel = _panel_from_sequences([[1, 0, 1], [0, 1, 1]])
@@ -375,7 +380,7 @@ def _brute_em_step(params, sequences):
 
 
 def test_estep_expected_counts_match_path_enumeration():
-    from bktirt.tracing import _estep, _mstep
+    from bktirt.tracing import _estep, _mstep, _pack
 
     rng = np.random.default_rng(77)
     for _ in range(20):
@@ -384,11 +389,8 @@ def test_estep_expected_counts_match_path_enumeration():
             rng.integers(0, 2, size=int(rng.integers(1, 7))).tolist()
             for _ in range(5)
         ]
-        buckets: dict[int, list[list[int]]] = {}
-        for seq in sequences:
-            buckets.setdefault(len(seq), []).append(seq)
-        arrays = {k: np.array(v, dtype=np.int8) for k, v in buckets.items()}
-        updated = _mstep(_estep(params, arrays), params, classic=False, identified=False)
+        _, counts = _estep(params, *_pack(sequences))
+        updated = _mstep(counts, params, classic=False, identified=False)
         want = _brute_em_step(params, sequences)
         got = (
             updated.p_init,
