@@ -15,6 +15,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import secrets
 import sys
@@ -58,6 +59,24 @@ def _parse_seed(text: str) -> int:
             f"expected a non-negative integer or 'auto', got {text!r}"
         )
     return int(text)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        if (value := int(text)) >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+
+
+def _positive_float(text: str) -> float:
+    try:
+        if math.isfinite(value := float(text)) and value > 0.0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
 
 
 def _int_list(text: str) -> list[int]:
@@ -133,13 +152,21 @@ def _write_manifest(
 
 
 def _emit_json(payload: dict, out: str | None, argv: list[str], seeds: list[int],
-               started: float) -> None:
+               started: float, phases: dict | None = None,
+               work: dict | None = None) -> None:
+    """Print the payload, or write it with a manifest; ``phases`` (if given)
+    gains ``write_s`` and goes into the manifest with ``work``."""
     text = json.dumps(payload, separators=(",", ":"))
     if out is None:
         print(text)
-    else:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-        _write_manifest([Path(out)], argv, seeds, started)
+        return
+    mark = time.perf_counter()
+    Path(out).write_text(text + "\n", encoding="utf-8")
+    extra = None
+    if phases is not None:
+        phases["write_s"] = time.perf_counter() - mark
+        extra = {"phases": phases, "work": work}
+    _write_manifest([Path(out)], argv, seeds, started, extra)
 
 
 def _cmd_stationary(args: argparse.Namespace) -> int:
@@ -200,7 +227,9 @@ def _cmd_filter(args: argparse.Namespace) -> int:
 
 def _cmd_fit_bkt(args: argparse.Namespace) -> int:
     started = time.time()
+    mark = time.perf_counter()
     panel = ResponsePanel.from_csv(args.panel)
+    phases = {"load_s": time.perf_counter() - mark}
     if args.init is not None:
         init = _read_params(args.init)
     else:
@@ -211,6 +240,7 @@ def _cmd_fit_bkt(args: argparse.Namespace) -> int:
             p_slip=0.15,
             p_guess=0.15,
         )
+    mark = time.perf_counter()
     report = fit_baum_welch(
         panel,
         args.skill,
@@ -220,9 +250,17 @@ def _cmd_fit_bkt(args: argparse.Namespace) -> int:
         tol=args.tol,
         max_iters=args.max_iters,
     )
+    phases["fit_s"] = time.perf_counter() - mark
+    _, _, lengths = panel.skill_block(args.skill)
+    work = {
+        "records": len(panel.records),
+        "sequences": int(lengths.size),
+        "responses": int(lengths.sum()),
+        "em_iterations": report.iterations,
+    }
     payload = json.loads(report.to_json())
     payload["format_version"] = FORMAT_VERSION
-    _emit_json(payload, args.out, args._argv, [], started)
+    _emit_json(payload, args.out, args._argv, [], started, phases, work)
     return 0
 
 
@@ -384,10 +422,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classic", action="store_true", help="pin p_forget to 0")
     p.add_argument("--identified", action="store_true",
                    help="constrain guess and slip below 0.5")
-    p.add_argument("--tol", type=float, default=1e-6,
-                   help="relative log-likelihood tolerance (default: 1e-6)")
-    p.add_argument("--max-iters", type=int, default=500,
-                   help="EM iteration cap (default: 500)")
+    p.add_argument("--tol", type=_positive_float, default=1e-6,
+                   help="relative log-likelihood tolerance, finite and > 0 "
+                        "(default: 1e-6)")
+    p.add_argument("--max-iters", type=_positive_int, default=500,
+                   help="EM iteration cap, >= 1 (default: 500)")
     p.add_argument("--out", help="JSON path (default: print to stdout)")
     p.set_defaults(handler=_cmd_fit_bkt)
 

@@ -9,11 +9,14 @@ to share across threads.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+import re
+import warnings
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
+
+import numpy as np
 
 from .errors import (
     ForgettingNonzero,
@@ -169,91 +172,110 @@ class DynamicIrtConfig:
         )
 
 
-class PanelRecord(NamedTuple):
-    person_id: int
-    item_id: int
-    skill_id: int
-    attempt: int
-    correct: int
-
-
 PANEL_CSV_HEADER = ["person_id", "item_id", "skill_id", "attempt", "correct"]
+_PERSON, _SKILL, _ATTEMPT, _CORRECT = 0, 2, 3, 4
+_INT_ROW = re.compile(r"\s*[+-]?[0-9]+\s*(,\s*[+-]?[0-9]+\s*){4}")
 
 
-@dataclass(frozen=True)
+def _first_bad_line(lines: Iterable[str]) -> int | None:
+    """First line after the header that is neither empty nor five int64
+    fields: the first row ``np.loadtxt`` rejects."""
+    for number, line in enumerate(lines, start=1):
+        if number > 1 and line != "\n" and not (_INT_ROW.fullmatch(line) and all(
+                -(2**63) <= int(field) < 2**63 for field in line.split(","))):
+            return number
+    return None
+
+
 class ResponsePanel:
     """Longitudinal records (person, item, skill, attempt index, correct).
 
     Attempt indices per (person, skill) must be consecutive starting at 1 and
     (person, skill, attempt) keys unique, so each person owns one well-ordered
-    response sequence per skill.
+    response sequence per skill. ``records`` is a read-only (N, 5) int64
+    array in the CSV's column order, sorted by (skill, person, attempt); each
+    sequence is a run of rows, and ``_starts`` holds the first row of each.
     """
 
-    records: tuple[PanelRecord, ...]
-
-    def __post_init__(self) -> None:
-        seen: dict[tuple[int, int], list[int]] = {}
-        keys: set[tuple[int, int, int]] = set()
-        for rec in self.records:
-            if rec.attempt < 1:
-                raise InvalidPanel(f"attempt index must be >= 1, got {rec.attempt}")
-            if rec.correct not in (0, 1):
-                raise InvalidPanel(f"correct must be 0 or 1, got {rec.correct}")
-            key = (rec.person_id, rec.skill_id, rec.attempt)
-            if key in keys:
+    def __init__(self, records) -> None:
+        rows = np.asarray(records, dtype=np.int64).reshape(len(records), 5)
+        bad = (rows[:, _CORRECT] != 0) & (rows[:, _CORRECT] != 1)
+        if bad.any():
+            raise InvalidPanel(f"correct must be 0 or 1, got {rows[bad, _CORRECT][0]}")
+        order = np.lexsort((rows[:, _ATTEMPT], rows[:, _PERSON], rows[:, _SKILL]))
+        rows = np.asfortranarray(rows[order])  # each column contiguous
+        rows.flags.writeable = False
+        person, skill, attempt = rows[:, _PERSON], rows[:, _SKILL], rows[:, _ATTEMPT]
+        # Differences wrap around in int64 but are 0 only between equal values.
+        new = (np.diff(skill, prepend=skill[:1] - 1) | np.diff(person, prepend=0)) != 0
+        starts = np.flatnonzero(new)
+        ends = np.append(starts[1:], len(rows))
+        # Each run's attempts must be 1..len, which also rules out attempts below 1.
+        expected = np.arange(1, len(rows) + 1) - np.repeat(starts, ends - starts)
+        if not np.array_equal(attempt, expected):
+            # Sorted, a run first breaks 1..len at a repeated attempt or a gap.
+            k = int(np.argmax(attempt != expected))
+            if not new[k] and attempt[k] == attempt[k - 1]:
+                key = (int(person[k]), int(skill[k]), int(attempt[k]))
                 raise InvalidPanel(f"duplicate (person, skill, attempt) key {key}")
-            keys.add(key)
-            seen.setdefault((rec.person_id, rec.skill_id), []).append(rec.attempt)
-        for (person, skill), attempts in seen.items():
-            attempts.sort()
-            if attempts != list(range(1, len(attempts) + 1)):
-                raise InvalidPanel(
-                    f"attempts for person {person}, skill {skill} are not "
-                    f"consecutive from 1: {attempts}"
-                )
+            run = np.searchsorted(starts, k, "right") - 1
+            raise InvalidPanel(
+                f"attempts for person {person[k]}, skill {skill[k]} are not "
+                f"consecutive from 1: {attempt[starts[run] : ends[run]].tolist()}"
+            )
+        self.records, self._starts = rows, starts
 
     @classmethod
-    def from_records(
-        cls, records: Iterable[tuple[int, int, int, int, int]]
-    ) -> "ResponsePanel":
-        return cls(tuple(PanelRecord(*map(int, rec)) for rec in records))
+    def from_records(cls, records: Iterable[tuple[int, ...]]) -> "ResponsePanel":
+        return cls(list(records))
+
+    def __eq__(self, other: object) -> bool:
+        same = isinstance(other, ResponsePanel)
+        return same and np.array_equal(self.records, other.records)
 
     def skills(self) -> list[int]:
-        return sorted({rec.skill_id for rec in self.records})
+        return np.unique(self.records[:, _SKILL]).tolist()
+
+    def skill_block(self, skill_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One skill's persons (ascending), their responses end to end in
+        attempt order, and the length of each person's sequence."""
+        lo, hi = (np.searchsorted(self.records[:, _SKILL], skill_id, side)
+                  for side in ("left", "right"))
+        starts = self._starts[slice(*np.searchsorted(self._starts, (lo, hi)))]
+        lengths = np.diff(starts, append=hi)
+        return self.records[starts, _PERSON], self.records[lo:hi, _CORRECT], lengths
 
     def sequences(self, skill_id: int) -> dict[int, list[int]]:
         """Responses per person for one skill, ordered by attempt index."""
-        rows: dict[int, list[tuple[int, int]]] = {}
-        for rec in self.records:
-            if rec.skill_id == skill_id:
-                rows.setdefault(rec.person_id, []).append((rec.attempt, rec.correct))
-        return {
-            person: [correct for _, correct in sorted(pairs)]
-            for person, pairs in sorted(rows.items())
-        }
+        persons, responses, lengths = self.skill_block(skill_id)
+        runs = np.split(responses, np.cumsum(lengths)[:-1])
+        return {person: run.tolist() for person, run in zip(persons.tolist(), runs)}
 
     @classmethod
     def from_csv(cls, path: str) -> "ResponsePanel":
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header != PANEL_CSV_HEADER:
-                raise InvalidPanel(
-                    f"expected header {','.join(PANEL_CSV_HEADER)}, got {header}"
-                )
+        """The header, then rows of five unquoted base-10 integers within
+        int64; empty lines are skipped."""
+        with open(path, encoding="utf-8") as handle:
+            header = handle.readline().rstrip("\n").split(",")
+        if header != PANEL_CSV_HEADER:
+            expected = ",".join(PANEL_CSV_HEADER)
+            raise InvalidPanel(f"expected header {expected}, got {header}")
+        with warnings.catch_warnings():
+            # A header-only file is an empty panel, not worth a warning.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             try:
-                records = [PanelRecord(*map(int, row)) for row in reader if row]
-            except (TypeError, ValueError):
-                # TypeError: a row whose column count is not the header's.
-                # The reader's line number is that of the failing row.
-                raise InvalidPanel(
-                    f"line {reader.line_num}: expected "
-                    f"{len(PANEL_CSV_HEADER)} integer fields"
-                ) from None
-        return cls(tuple(records))
+                rows = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2,
+                                  skiprows=1, comments=None, encoding="utf-8")
+            except ValueError:
+                rows = None
+        if rows is None or rows.size and rows.shape[1] != 5:
+            # loadtxt counts only the rows it kept: rescan for the line.
+            with open(path, encoding="utf-8") as handle:
+                line = _first_bad_line(handle)
+            raise InvalidPanel(f"line {line}: expected 5 integer fields")
+        return cls(rows)
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(PANEL_CSV_HEADER)
-            writer.writerows(self.records)
+            handle.write(",".join(PANEL_CSV_HEADER) + "\n")
+            np.savetxt(handle, self.records, fmt="%d", delimiter=",")

@@ -17,8 +17,8 @@ over that active prefix, with no padding and no mask.
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -39,22 +39,25 @@ _IDENTIFIED_CAP = 0.5 - 1e-6
 
 
 def _pack(sequences: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Packed layout of 0/1 response sequences: (x, sizes).
+    """Packed layout of a list of 0/1 response sequences (see _pack_runs)."""
+    return _pack_runs(np.concatenate(sequences), np.array([len(seq) for seq in sequences]))
 
-    Sequences are sorted by length, longest first (ties keep their order).
+
+def _pack_runs(flat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Packed layout of 0/1 response sequences stored end to end: (x, sizes).
+
+    Sequences are ranked by length, longest first (ties keep their order).
     sizes[t] is the number of sequences with an attempt t, and x holds those
     attempts of the first sizes[t] sequences, step after step.
     """
-    lengths = np.array([len(seq) for seq in sequences])
-    order = np.argsort(-lengths, kind="stable")
-    lengths = lengths[order]
-    flat = np.fromiter(
-        itertools.chain.from_iterable(sequences[i] for i in order),
-        dtype=np.int8,
-        count=int(lengths.sum()),
-    )
+    rank = np.empty(lengths.size, dtype=np.intp)
+    rank[np.argsort(-lengths, kind="stable")] = np.arange(lengths.size)
     step = np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return flat[np.argsort(step, kind="stable")], np.bincount(step)
+    sizes = np.bincount(step)
+    # The sequences with an attempt t are the first sizes[t] ranks.
+    x = np.empty(flat.size, dtype=np.int8)
+    x[(np.cumsum(sizes) - sizes)[step] + np.repeat(rank, lengths)] = flat
+    return x, sizes
 
 
 def _emissions(params: BktParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,22 +199,28 @@ def forward_filter(params: BktParams, responses) -> FilterResult:
     return FilterResult(alpha_m, predictive, float(np.log(realized).sum()))
 
 
-def _skill_sequences(panel: ResponsePanel, skill_id: int) -> list[list[int]]:
-    sequences = panel.sequences(skill_id)
-    if not sequences:
+def _skill_block(panel: ResponsePanel, skill_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """One skill's sequences, packed."""
+    _, responses, lengths = panel.skill_block(skill_id)
+    if not lengths.size:
         raise UnknownSkill(f"panel holds no records for skill {skill_id}")
-    return list(sequences.values())
+    return _pack_runs(responses, lengths)
 
 
 def sequence_loglik(params: BktParams, panel: ResponsePanel, skill_id: int) -> float:
     """Log-likelihood of every person's sequence for a skill."""
-    _, _, realized = _forward(params, *_pack(_skill_sequences(panel, skill_id)))
+    _, _, realized = _forward(params, *_skill_block(panel, skill_id))
     return float(np.log(realized).sum())
 
 
 @dataclass(frozen=True)
 class FitReport:
-    """EM fit output; loglik_trace[i] is the log-likelihood after i M-steps."""
+    """EM fit output; loglik_trace[i] is the log-likelihood after i M-steps.
+
+    stop_reason is "tolerance" when the fit converged, "iteration_cap" when
+    it ran out of iterations, and "degenerate" when the data put the
+    maximum on the parameter boundary (then it never counts as converged).
+    """
 
     params: BktParams
     loglik_trace: tuple[float, ...]
@@ -219,6 +228,12 @@ class FitReport:
     converged: bool
     constraint_set: tuple[str, ...]
     degenerate_data: bool = False
+
+    @property
+    def stop_reason(self) -> str:
+        if self.degenerate_data:
+            return "degenerate"
+        return "tolerance" if self.converged else "iteration_cap"
 
     def to_json(self) -> str:
         return json.dumps(
@@ -231,6 +246,7 @@ class FitReport:
                 "converged": self.converged,
                 "constraint_set": list(self.constraint_set),
                 "degenerate_data": self.degenerate_data,
+                "stop_reason": self.stop_reason,
             }
         )
 
@@ -280,13 +296,15 @@ def fit_baum_welch(
     is requested, the likelihood is maximized on the parameter boundary; the
     fit still runs but the report is flagged degenerate and not converged.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     try:
         validate_bkt(init, classic=classic, identified=identified)
     except DomainError as exc:
         raise InvalidInit(f"init violates the requested constraints: {exc}") from exc
-    x, sizes = _pack(_skill_sequences(panel, skill_id))
+    x, sizes = _skill_block(panel, skill_id)
     degenerate = bool(x.min() == x.max()) and not classic and not identified
 
     constraint_set = tuple(

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from bktirt import BktParams, bkt_to_irt, forward_filter
 from bktirt.cli import build_parser, dispatch
@@ -183,6 +190,150 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert err.startswith("InvalidPanel: line 3:")
         assert len(err.splitlines()) == 1
+
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--max-iters", "-3"), ("--max-iters", "0"), ("--tol", "nan"),
+         ("--tol", "inf"), ("--tol", "-1e-6")],
+    )
+    def test_invalid_em_flag_exits_two_naming_it(self, tmp_path, capsys, flag, value):
+        panel = _panel_csv(tmp_path)
+        out = tmp_path / "report.json"
+        code = dispatch(["fit-bkt", "--panel", str(panel), "--skill", "7",
+                         f"{flag}={value}", "--out", str(out)])
+        assert code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_reports_phases_and_work(self, tmp_path):
+        # Skill 7: persons 0, 1, 2 with 3, 1 and 2 attempts; skill 8 is
+        # another person's, so records (8) and responses (6) differ.
+        panel = tmp_path / "panel.csv"
+        rows = [(2, 7, 1, 1), (0, 7, 1, 0), (0, 7, 3, 1), (1, 7, 1, 1),
+                (0, 7, 2, 1), (2, 7, 2, 0), (5, 8, 1, 1), (5, 8, 2, 0)]
+        panel.write_text("person_id,item_id,skill_id,attempt,correct\n" + "".join(
+            f"{person},0,{skill},{attempt},{correct}\n"
+            for person, skill, attempt, correct in rows
+        ))
+        out = tmp_path / "report.json"
+        assert dispatch(["fit-bkt", "--panel", str(panel), "--skill", "7",
+                         "--max-iters", "4", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        manifest = json.loads((tmp_path / "report.manifest.json").read_text())
+        assert manifest["work"] == {
+            "records": 8, "sequences": 3, "responses": 6,
+            "em_iterations": report["iterations"],
+        }
+        assert set(manifest["phases"]) == {"load_s", "fit_s", "write_s"}
+        assert all(value >= 0.0 for value in manifest["phases"].values())
+        assert report["stop_reason"] in ("tolerance", "iteration_cap", "degenerate")
+
+
+_HEADER = "person_id,item_id,skill_id,attempt,correct\n"
+_INT_FIELD = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _first_bad_line(text: str) -> int | None:
+    """Line number of the first row that is neither empty nor five unquoted
+    base-10 integers within int64 (line 1 is the header)."""
+    for number, line in enumerate(re.split(r"\r\n|\r|\n", text)[1:], start=2):
+        fields = line.split(",")
+        if line and not (len(fields) == 5 and all(
+            _INT_FIELD.fullmatch(f) and -(2**63) <= int(f) < 2**63 for f in fields
+        )):
+            return number
+    return None
+
+
+def _run_fit(data: bytes, tmp: str) -> tuple[int, str]:
+    path = os.path.join(tmp, "panel.csv")
+    with open(path, "wb") as handle:
+        handle.write(data)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = dispatch(["fit-bkt", "--panel", path, "--skill", "7", "--max-iters", "5"])
+    return code, err.getvalue()
+
+
+_TOKENS = ["0", "1", "2", "7", "-1", " 1", "1 ", "\t1", "+1", '"1"', "1_0", "3.0",
+           "", " ", "#1", "0x1", "1e3", "9223372036854775807", "-9223372036854775808",
+           "9223372036854775808", "99999999999999999999"]
+
+
+@st.composite
+def _panel_bytes(draw):
+    """A valid skill-7 panel, then up to three edits: a field replaced by a
+    token, a field dropped or added, or an empty line inserted."""
+    rows = [
+        [str(person), "0", "7", str(attempt), draw(st.sampled_from(["0", "1"]))]
+        for person in range(draw(st.integers(0, 3)))
+        for attempt in range(1, draw(st.integers(1, 3)) + 1)
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(rows)))
+        edit = draw(st.sampled_from(["token", "drop", "add", "empty"]))
+        if edit == "empty" or k == len(rows):
+            rows.insert(k, [])
+        elif edit == "token" and rows[k]:
+            rows[k][draw(st.integers(0, len(rows[k]) - 1))] = draw(st.sampled_from(_TOKENS))
+        elif edit == "drop" and rows[k]:
+            del rows[k][-1]
+        else:
+            rows[k].append(draw(st.sampled_from(_TOKENS)))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [_HEADER.rstrip("\n")] + [",".join(row) for row in rows]
+    return "".join(line + ending for line in lines).encode()
+
+
+class TestMalformedPanelFiles:
+    BODY = "0,0,7,1,1\n0,3,7,2,0\n1,2,7,1,1\n"
+
+    @pytest.mark.parametrize(
+        "data, code, err",
+        [
+            (_HEADER + "0,0,7,1,1\n0,0,7,1\n", 1, "InvalidPanel: line 3:"),
+            (_HEADER + "0,0,7,1,1,0\n", 1, "InvalidPanel: line 2:"),
+            (_HEADER + "0,0,7,1,1\n\n\n0,3,7,2,0\n", 0, ""),
+            ((_HEADER + BODY).replace("\n", "\r\n"), 0, ""),
+            (_HEADER + BODY.replace(",", " , "), 0, ""),
+            (_HEADER, 1, "UnknownSkill:"),
+            ("", 1, "InvalidPanel: expected header"),
+            (_HEADER + '"0",0,7,1,1\n', 1, "InvalidPanel: line 2:"),
+            (_HEADER + BODY + "1_0,0,7,1,1\n", 1, "InvalidPanel: line 5:"),
+            (_HEADER + "3.0,0,7,1,1\n", 1, "InvalidPanel: line 2:"),
+            (_HEADER + "99999999999999999999,0,7,1,1\n", 1, "InvalidPanel: line 2:"),
+            (_HEADER + "9223372036854775807,0,7,1,1\n", 0, ""),
+            (_HEADER + "0,0,7,1,1\n   \n", 1, "InvalidPanel: line 3:"),
+            (_HEADER + "# note\n0,0,7,1,1\n", 1, "InvalidPanel: line 2:"),
+            (_HEADER + "0,0,7,1,1\n0,0,7,1,0\n", 1, "InvalidPanel: duplicate"),
+            (_HEADER.encode() + b"0,0,7,1,\xff\n", 2, "io_error:"),
+        ],
+        ids=["four-columns", "six-columns", "blank-lines", "crlf", "padded",
+             "header-only", "empty-file", "quoted", "underscore", "float",
+             "beyond-int64", "int64-max", "whitespace-line", "comment",
+             "duplicate", "not-utf8"],
+    )
+    def test_exit_code_and_single_line(self, tmp_path, data, code, err):
+        data = data if isinstance(data, bytes) else data.encode()
+        got, stderr = _run_fit(data, str(tmp_path))
+        assert got == code
+        assert stderr.startswith(err)
+        assert len(stderr.splitlines()) == (1 if code else 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_panel_bytes())
+    def test_fuzzed_panels_end_cleanly(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, stderr = _run_fit(data, tmp)
+        assert code in (0, 1)
+        assert len(stderr.splitlines()) == (1 if code else 0)
+        bad = _first_bad_line(data.decode())
+        event(f"exit {code}, {'bad line' if bad else 'rows parse'}")
+        if bad is not None:
+            assert stderr.startswith(f"InvalidPanel: line {bad}:")
+        else:
+            assert not stderr.startswith("InvalidPanel: line")
 
 
 class TestBridgeCommand:

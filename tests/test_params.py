@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bktirt import BktParams, DynamicIrtConfig, Irf4pl, MirtIrf, ResponsePanel, validate_bkt
 from bktirt.errors import (
@@ -145,3 +150,107 @@ class TestResponsePanel:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(InvalidPanel):
             ResponsePanel.from_csv(str(path))
+
+
+def _reference_panel(records):
+    """The record-by-record panel check the columnar one replaced.
+
+    Returns (skills, {skill: {person: responses}}) or raises InvalidPanel.
+    """
+    seen: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    keys: set[tuple[int, int, int]] = set()
+    for person, _, skill, attempt, correct in records:
+        if attempt < 1:
+            raise InvalidPanel(f"attempt index must be >= 1, got {attempt}")
+        if correct not in (0, 1):
+            raise InvalidPanel(f"correct must be 0 or 1, got {correct}")
+        if (person, skill, attempt) in keys:
+            raise InvalidPanel(f"duplicate key {(person, skill, attempt)}")
+        keys.add((person, skill, attempt))
+        seen.setdefault((skill, person), []).append((attempt, correct))
+    sequences: dict[int, dict[int, list[int]]] = {}
+    for (skill, person), pairs in sorted(seen.items()):
+        pairs.sort()
+        if [a for a, _ in pairs] != list(range(1, len(pairs) + 1)):
+            raise InvalidPanel(f"attempts for person {person} are not consecutive")
+        sequences.setdefault(skill, {})[person] = [c for _, c in pairs]
+    return sorted(sequences), sequences
+
+
+@st.composite
+def _panels(draw):
+    """Small panels: valid sequences, then shuffled rows and at most a few
+    of duplicates, dropped rows (gaps), shifted attempts and bad responses."""
+    records = []
+    for person in range(draw(st.integers(0, 4))):
+        for skill in draw(st.sets(st.integers(-1, 2), max_size=3)):
+            length = draw(st.integers(1, 4))
+            records += [
+                [person, draw(st.integers(0, 3)), skill, attempt, draw(st.integers(0, 1))]
+                for attempt in range(1, length + 1)
+            ]
+    for _ in range(draw(st.integers(0, 2))):
+        if not records:
+            break
+        k = draw(st.integers(0, len(records) - 1))
+        fault = draw(st.sampled_from(["duplicate", "drop", "shift", "correct"]))
+        if fault == "duplicate":
+            records.append(list(records[k]))
+        elif fault == "drop":
+            del records[k]
+        elif fault == "shift":
+            records[k][3] += draw(st.sampled_from([-1, 1]))
+        else:
+            records[k][4] = draw(st.sampled_from([2, -1]))
+    return [tuple(rec) for rec in draw(st.permutations(records))]
+
+
+class TestColumnarPanelAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_panels())
+    def test_accepts_rejects_and_groups_like_the_reference(self, records):
+        try:
+            want_skills, want = _reference_panel(records)
+        except InvalidPanel:
+            with pytest.raises(InvalidPanel):
+                ResponsePanel.from_records(records)
+            return
+        panel = ResponsePanel.from_records(records)
+        assert len(panel.records) == len(records)
+        assert panel.skills() == want_skills
+        for skill in want_skills + [99]:
+            assert panel.sequences(skill) == want.get(skill, {})
+            persons, responses, lengths = panel.skill_block(skill)
+            expected = want.get(skill, {})
+            assert persons.tolist() == list(expected)
+            assert lengths.tolist() == [len(seq) for seq in expected.values()]
+            assert responses.tolist() == [x for seq in expected.values() for x in seq]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "panel.csv")
+            panel.to_csv(path)
+            again = ResponsePanel.from_csv(path)
+        assert again == panel
+        assert again.skills() == want_skills
+        assert all(again.sequences(skill) == want[skill] for skill in want_skills)
+
+    def test_duplicate_named_by_its_key(self):
+        with pytest.raises(InvalidPanel, match=r"duplicate .* key \(1, 7, 2\)"):
+            ResponsePanel.from_records(
+                [(1, 10, 7, 2, 1), (1, 10, 7, 1, 1), (1, 12, 7, 2, 0)]
+            )
+
+    def test_records_are_sorted_and_read_only(self):
+        panel = ResponsePanel.from_records([(2, 0, 7, 1, 1), (1, 5, 8, 1, 0), (1, 4, 7, 1, 0)])
+        assert panel.records.tolist() == [[1, 4, 7, 1, 0], [2, 0, 7, 1, 1], [1, 5, 8, 1, 0]]
+        with pytest.raises(ValueError):
+            panel.records[0, 4] = 1
+
+    @pytest.mark.parametrize("records", [[(1, 2, 3, 4)], [(1, 2, 3, 4, 1, 0)] * 5])
+    def test_rows_of_other_widths_rejected(self, records):
+        with pytest.raises(ValueError):
+            ResponsePanel.from_records(records)
+
+    def test_empty_panel_has_no_skills(self):
+        panel = ResponsePanel.from_records([])
+        assert panel.skills() == []
+        assert panel.sequences(7) == {}

@@ -199,6 +199,36 @@ class TestFitBaumWelch:
         with pytest.raises(ValueError):
             fit_baum_welch(panel, 7, BktParams(0.2, 0.3, 0.0, 0.1, 0.2), tol=0.0)
 
+    @pytest.mark.parametrize(
+        "bad", [{"max_iters": -3}, {"max_iters": 0}, {"tol": math.nan},
+                {"tol": math.inf}, {"tol": -1e-6}]
+    )
+    def test_invalid_em_arguments_rejected(self, bad):
+        panel = _panel_from_sequences([[1, 0, 1]])
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            fit_baum_welch(panel, 7, BktParams(0.2, 0.3, 0.0, 0.1, 0.2), **bad)
+
+    def test_stop_reason_tolerance(self):
+        panel = _simulated_panel(BktParams(0.3, 0.25, 0.05, 0.1, 0.15), 40, 12, seed=60)
+        report = fit_baum_welch(panel, 7, BktParams(0.5, 0.1, 0.2, 0.3, 0.3), tol=1e-4)
+        assert report.converged and report.iterations < 500
+        assert report.stop_reason == "tolerance"
+        assert json.loads(report.to_json())["stop_reason"] == "tolerance"
+
+    def test_stop_reason_iteration_cap(self):
+        panel = _simulated_panel(BktParams(0.3, 0.25, 0.05, 0.1, 0.15), 40, 12, seed=60)
+        report = fit_baum_welch(
+            panel, 7, BktParams(0.5, 0.1, 0.2, 0.3, 0.3), tol=1e-300, max_iters=3
+        )
+        assert not report.converged and report.iterations == 3
+        assert report.stop_reason == "iteration_cap"
+
+    def test_stop_reason_degenerate(self):
+        panel = _panel_from_sequences([[1] * 8 for _ in range(10)])
+        report = fit_baum_welch(panel, 7, BktParams(0.3, 0.2, 0.1, 0.2, 0.2))
+        assert report.stop_reason == "degenerate"
+        assert json.loads(report.to_json())["stop_reason"] == "degenerate"
+
     def test_unknown_skill_rejected(self):
         panel = _panel_from_sequences([[1, 0, 1]])
         with pytest.raises(UnknownSkill):
