@@ -39,7 +39,13 @@ from .experiment import (
     write_summary_json,
 )
 from .irt import irf_4pl
-from .ising import IsingNetwork, boltzmann_exact, empirical_state_frequencies, simulate_field
+from .ising import (
+    IsingNetwork,
+    boltzmann_exact,
+    empirical_state_frequencies,
+    simulate_field,
+    uniforms_per_sweep,
+)
 from .params import BktParams, Irf4pl, ResponsePanel
 from .rng import DEFAULT_SEED, RngKey
 from .tracing import fit_baum_welch, forward_filter
@@ -61,13 +67,18 @@ def _parse_seed(text: str) -> int:
     return int(text)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        if (value := int(text)) >= 1:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+def _int_at_least(low: int):
+    """argparse converter for an integer >= ``low``."""
+
+    def convert(text: str) -> int:
+        try:
+            if (value := int(text)) >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+
+    return convert
 
 
 def _positive_float(text: str) -> float:
@@ -368,12 +379,25 @@ def _cmd_irf(args: argparse.Namespace) -> int:
 
 def _cmd_ising(args: argparse.Namespace) -> int:
     started = time.time()
+    mark = time.perf_counter()
     net = IsingNetwork.from_json_file(args.net)
+    phases = {"load_s": time.perf_counter() - mark}
+
+    mark = time.perf_counter()
     trace = simulate_field(
         net, args.sweeps, RngKey(args.seed), dynamics=args.dynamics, scan=args.scan
     )
+    phases["simulate_s"] = time.perf_counter() - mark
+
+    mark = time.perf_counter()
     freqs = empirical_state_frequencies(trace, burn_in=args.burn_in)
+    phases["frequencies_s"] = time.perf_counter() - mark
+
+    mark = time.perf_counter()
     exact = boltzmann_exact(net) if args.exact else None
+    phases["exact_s"] = time.perf_counter() - mark
+
+    mark = time.perf_counter()
     out = Path(args.out)
     with open(out, "w", newline="", encoding="utf-8") as handle:
         handle.write("# format_version=1\n")
@@ -385,7 +409,17 @@ def _cmd_ising(args: argparse.Namespace) -> int:
             if exact is not None:
                 row.append(repr(float(exact[idx])))
             writer.writerow(row)
-    _write_manifest([out], args._argv, [args.seed], started)
+    phases["write_s"] = time.perf_counter() - mark
+    work = {
+        "sweeps": args.sweeps,
+        "site_updates": args.sweeps * net.n_nodes,
+        "uniforms_drawn": args.sweeps * uniforms_per_sweep(net.n_nodes, args.scan),
+    }
+    _write_manifest(
+        [out], args._argv, [args.seed], started,
+        {"phases": phases, "work": work,
+         "diagnostics": {"flip_rate": trace.flip_rate()}},
+    )
     return 0
 
 
@@ -425,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_positive_float, default=1e-6,
                    help="relative log-likelihood tolerance, finite and > 0 "
                         "(default: 1e-6)")
-    p.add_argument("--max-iters", type=_positive_int, default=500,
+    p.add_argument("--max-iters", type=_int_at_least(1), default=500,
                    help="EM iteration cap, >= 1 (default: 500)")
     p.add_argument("--out", help="JSON path (default: print to stdout)")
     p.set_defaults(handler=_cmd_fit_bkt)
@@ -476,14 +510,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ising", help="sample an interacting mastery network")
     p.add_argument("--net", required=True, help="network JSON file")
-    p.add_argument("--sweeps", type=int, default=10000,
-                   help="full-network update sweeps (default: 10000)")
+    p.add_argument("--sweeps", type=_int_at_least(1), default=10000,
+                   help="full-network update sweeps, >= 1 (default: 10000)")
     p.add_argument("--dynamics", choices=["glauber", "metropolis"],
                    default="glauber", help="single-site dynamics (default: glauber)")
     p.add_argument("--scan", choices=["fixed", "random"], default="fixed",
                    help="site update order (default: fixed)")
-    p.add_argument("--burn-in", type=int, default=0,
-                   help="sweeps dropped before counting (default: 0)")
+    p.add_argument("--burn-in", type=_int_at_least(0), default=0,
+                   help="sweeps dropped before counting, >= 0 and below "
+                        "--sweeps (default: 0)")
     _add_seed(p)
     p.add_argument("--exact", action="store_true",
                    help="add the exact Boltzmann column (n <= 20)")

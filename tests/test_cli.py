@@ -17,7 +17,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from bktirt import BktParams, bkt_to_irt, forward_filter
+from bktirt import BktParams, RngKey, bkt_to_irt, forward_filter
 from bktirt.cli import build_parser, dispatch
 
 
@@ -448,6 +448,13 @@ class TestIrfCommand:
         assert capsys.readouterr().err.startswith("OutOfRange:")
 
 
+def _ising_net(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"n": 2, "couplings": [[0, 1, 0.5]],
+                                "fields": [0.2, -0.1]}))
+    return path
+
+
 class TestIsingCommand:
     def test_state_frequency_csv_with_exact_column(self, tmp_path):
         net_path = tmp_path / "net.json"
@@ -476,6 +483,61 @@ class TestIsingCommand:
         freqs = [float(row[1]) for row in rows]
         assert abs(sum(freqs) - 1.0) < 1e-9
         np.testing.assert_allclose(freqs, exact, atol=0.05)
+
+    @pytest.mark.parametrize("scan", ["fixed", "random"])
+    def test_manifest_reports_phases_work_and_flip_rate(self, tmp_path, monkeypatch,
+                                                         scan):
+        drawn = []
+
+        class Counting:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def random(self, size=None):
+                drawn.append(1 if size is None else int(np.prod(size)))
+                return self.gen.random(size)
+
+        original = RngKey.generator
+        monkeypatch.setattr(RngKey, "generator", lambda key: Counting(original(key)))
+        out = tmp_path / "freq.csv"
+        code = dispatch(["ising", "--net", str(_ising_net(tmp_path)), "--sweeps", "300",
+                         "--scan", scan, "--out", str(out)])
+        assert code == 0
+        manifest = json.loads((tmp_path / "freq.manifest.json").read_text())
+        assert manifest["work"] == {
+            "sweeps": 300, "site_updates": 600, "uniforms_drawn": sum(drawn),
+        }
+        assert set(manifest["phases"]) == {
+            "load_s", "simulate_s", "frequencies_s", "exact_s", "write_s",
+        }
+        assert all(value >= 0.0 for value in manifest["phases"].values())
+        assert 0.0 < manifest["diagnostics"]["flip_rate"] < 1.0
+
+    def test_zero_sweeps_exit_two_naming_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "freq.csv"
+        code = dispatch(["ising", "--net", str(_ising_net(tmp_path)), "--sweeps", "0",
+                         "--out", str(out)])
+        assert code == 2
+        assert "argument --sweeps: expected an integer >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_burn_in_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "freq.csv"
+        code = dispatch(["ising", "--net", str(_ising_net(tmp_path)), "--sweeps", "50",
+                         "--burn-in", "-3", "--out", str(out)])
+        assert code == 2
+        assert "argument --burn-in: expected an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_burn_in_covering_every_sweep_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "freq.csv"
+        code = dispatch(["ising", "--net", str(_ising_net(tmp_path)), "--sweeps", "100",
+                         "--burn-in", "100", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("InsufficientData:") and len(err.splitlines()) == 1
+        assert not out.exists()
+        assert not (tmp_path / "freq.manifest.json").exists()
 
     @pytest.mark.parametrize(
         "net",

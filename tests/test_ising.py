@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2 as chi2_dist
 
 import bktirt.ising as ising_mod
 from bktirt import (
@@ -21,7 +22,7 @@ from bktirt import (
     metropolis_step,
     simulate_field,
 )
-from bktirt.errors import OutOfRange, TooLarge
+from bktirt.errors import InsufficientData, OutOfRange, TooLarge
 
 
 def _net(couplings, fields, guess=None, slip=None):
@@ -212,12 +213,34 @@ class TestSimulateField:
     def test_table_and_reference_paths_identical(self, monkeypatch):
         net = _random_net(3, seed=12)
         for dynamics in ("glauber", "metropolis"):
-            fast = simulate_field(net, 300, RngKey(12), dynamics=dynamics)
-            monkeypatch.setattr(ising_mod, "_TABLE_MAX_NODES", 0)
-            slow = simulate_field(net, 300, RngKey(12), dynamics=dynamics)
-            monkeypatch.undo()
-            np.testing.assert_array_equal(fast.latent, slow.latent)
-            np.testing.assert_array_equal(fast.emitted, slow.emitted)
+            for scan in ("fixed", "random"):
+                key = RngKey(12)
+                fast = simulate_field(net, 300, key, dynamics=dynamics, scan=scan)
+                monkeypatch.setattr(ising_mod, "_TABLE_MAX_NODES", 0)
+                slow = simulate_field(net, 300, key, dynamics=dynamics, scan=scan)
+                monkeypatch.undo()
+                np.testing.assert_array_equal(fast.latent, slow.latent)
+                np.testing.assert_array_equal(fast.emitted, slow.emitted)
+
+    @pytest.mark.parametrize("scan", ["fixed", "random"])
+    def test_flip_rate_is_metropolis_acceptance_rate(self, scan):
+        n, sweeps = 4, 400
+        net = _random_net(n, seed=19, field_span=1.0)
+        trace = simulate_field(net, sweeps, RngKey(19), dynamics="metropolis", scan=scan)
+        gen = RngKey(19).generator()
+        z = np.zeros(n, dtype=np.uint8)
+        accepted = 0
+        for _ in range(sweeps):
+            if scan == "fixed":
+                order = range(n)
+            else:
+                order = np.argsort(gen.random(n), kind="stable")
+            for j in order:
+                new = metropolis_step(net, z, int(j), gen)
+                accepted += int(new[j] != z[j])
+                z = new
+            gen.random(n)  # emission draws
+        assert trace.flip_rate() == accepted / (sweeps * n)
 
     def test_random_scan_runs_and_differs(self):
         net = _random_net(3, seed=13)
@@ -263,6 +286,33 @@ class TestSimulateField:
             trace = simulate_field(net, 200000, RngKey(17), dynamics=dynamics)
             freqs = empirical_state_frequencies(trace, burn_in=1000, thin=10)
             assert np.max(np.abs(freqs - exact)) < 0.01
+
+    @pytest.mark.parametrize("dynamics", ["glauber", "metropolis"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_random_scan_frequencies_pass_chi_square(self, n, dynamics):
+        # The all-pairs networks of acceptance criterion 10, on random scan.
+        net = _random_net(n, seed=110 + n, high=0.7)
+        exact = boltzmann_exact(net)
+        sweeps, burn_in, thin = 200000, 1000, 10
+        which = ("glauber", "metropolis").index(dynamics)
+        trace = simulate_field(
+            net, sweeps, RngKey(210, (n, which)), dynamics=dynamics, scan="random"
+        )
+        freqs = empirical_state_frequencies(trace, burn_in=burn_in, thin=thin)
+        m = len(range(burn_in, sweeps, thin))
+        statistic = float(np.sum((freqs - exact) ** 2 * m / exact))
+        assert statistic < chi2_dist.ppf(1.0 - 0.001, df=2**n - 1)
+
+    def test_frequencies_reject_bad_window(self):
+        trace = simulate_field(_random_net(2, seed=21), 10, RngKey(21))
+        with pytest.raises(ValueError, match="burn_in"):
+            empirical_state_frequencies(trace, burn_in=-3)
+        with pytest.raises(ValueError, match="thin"):
+            empirical_state_frequencies(trace, thin=0)
+        for burn_in in (10, 11):
+            with pytest.raises(InsufficientData):
+                empirical_state_frequencies(trace, burn_in=burn_in)
+        assert empirical_state_frequencies(trace, burn_in=9).sum() == 1.0
 
     def test_trace_indexing(self):
         net = _random_net(2, seed=18)
