@@ -16,7 +16,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import secrets
 import sys
 import time
@@ -54,7 +53,15 @@ FORMAT_VERSION = 1
 
 
 class UsageError(Exception):
-    """Flags or environment that make no valid invocation (exit code 2)."""
+    """Flags that make no valid invocation (exit code 2)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one stderr line, without the
+    usage block; subcommand parsers inherit it."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _parse_seed(text: str) -> int:
@@ -291,22 +298,6 @@ def _cmd_bridge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_threads(value: int | None) -> int:
-    """Requested worker threads: BKT_IRT_THREADS, else --threads, else the
-    core count. The experiment caps the request (``worker_count``)."""
-    env = os.environ.get("BKT_IRT_THREADS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise UsageError(f"BKT_IRT_THREADS must be an integer, got {env!r}") from None
-    if value is None:
-        return os.cpu_count() or 1
-    if value < 1:
-        raise UsageError(f"thread count must be >= 1, got {value}")
-    return value
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
     started = time.time()
     # Sizes left unset take SimConfig's full-scale defaults.
@@ -319,7 +310,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.desk and sizes:
         given = ", ".join(flags[name][0] for name in sizes)
         raise UsageError(f"--desk fixes the run size; drop {given}")
-    threads = _resolve_threads(args.threads)
     config = (SimConfig.desk if args.desk else SimConfig)(
         **sizes,
         iteration_counts=args.iters,
@@ -335,7 +325,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     phases["population_s"] = time.perf_counter() - mark
 
     mark = time.perf_counter()
-    curves = run_equilibrium_experiment(config, threads=threads)
+    curves = run_equilibrium_experiment(config)
     phases["simulate_s"] = time.perf_counter() - mark
 
     mark = time.perf_counter()
@@ -424,7 +414,7 @@ def _cmd_ising(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bktirt",
         description="Mastery-chain and item-response toolkit",
     )
@@ -437,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="sample a latent/response trajectory")
     _bkt_flags(p, with_init=True)
-    p.add_argument("--steps", type=int, default=100, help="trajectory length (default: 100)")
+    p.add_argument("--steps", type=_int_at_least(1), default=100,
+                   help="trajectory length, >= 1 (default: 100)")
     _add_seed(p)
     p.add_argument("--out", help="CSV path (default: print to stdout)")
     p.set_defaults(handler=_cmd_simulate)
@@ -488,9 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(excludes --people, --items, --reps)")
     p.add_argument("--min-count", type=int, default=200,
                    help="bin count threshold for the deviation summary (default: 200)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads, capped at the core and person counts "
-                        "(default: available cores; BKT_IRT_THREADS overrides)")
     p.add_argument("--out", required=True, help="curve CSV path")
     p.set_defaults(handler=_cmd_experiment)
 
@@ -503,8 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="curve start (default: -8.0)")
     p.add_argument("--theta-max", type=float, default=8.0,
                    help="curve end (default: 8.0)")
-    p.add_argument("--points", type=int, default=161,
-                   help="number of samples (default: 161)")
+    p.add_argument("--points", type=_int_at_least(1), default=161,
+                   help="number of samples, >= 1 (default: 161)")
     p.add_argument("--out", help="CSV path (default: print to stdout)")
     p.set_defaults(handler=_cmd_irf)
 

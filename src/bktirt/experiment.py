@@ -13,8 +13,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,19 +31,19 @@ _EDGE = 1e-12
 # extreme bins.
 _BIN_SPAN = 8.0
 
-# Pairs per block in expected_curves: 8192 doubles (64 KiB) per temporary.
-# Full-grid temporaries would add about 3.5 MB to the peak RSS of a
-# 1000 x 100 run, more than the simulation itself needs.
-_EXPECTED_BLOCK_PAIRS = 8192
+# Pairs per block of persons, in the sampler and in expected_curves: 8192
+# values (64 KiB) per temporary. Full-grid temporaries would add about 3.5 MB
+# to the peak RSS of a 1000 x 100 run, more than the simulation itself needs.
+_BLOCK_PAIRS = 8192
 
 # Stream layout: child(0) draws the population (people's learning rates, then
-# items' forgetting rates); child(1, person) draws one uniform block of shape
-# (checkpoints, 2, items, replications) per person. Slice [k, 0] draws every
-# latent state at checkpoint k, jumping the whole gap since checkpoint k - 1
-# (or the unmastered start) through the closed-form multi-step law; slice
-# [k, 1] draws the responses emitted there.
+# items' forgetting rates); child(1, j) for j = 0..3 draws the stay, gain,
+# slip and guess binomials of run_equilibrium_experiment, each stream in
+# (checkpoint, person, item) order. No stream depends on the person blocks,
+# so the output does not either.
 _POPULATION_STREAM = 0
-_PAIR_STREAM = 1
+_COUNT_STREAM = 1
+_COUNT_STREAMS = 4
 
 
 @dataclass(frozen=True)
@@ -147,105 +145,67 @@ def _pair_bins(pop: Population, width: float) -> tuple[np.ndarray, np.ndarray]:
     return idx, centers
 
 
-def worker_count(requested: int, n_people: int, cpu_count: int | None) -> int:
-    """Threads a run uses: the request, capped at one per core and one per
-    person (persons are the unit of work), and at least one."""
-    return max(1, min(requested, cpu_count or 1, n_people))
+def _person_blocks(n_people: int, n_items: int) -> list[slice]:
+    """Contiguous person ranges holding about ``_BLOCK_PAIRS`` pairs each."""
+    rows = max(1, _BLOCK_PAIRS // n_items)
+    return [slice(start, start + rows) for start in range(0, n_people, rows)]
 
 
 def work_counts(config: SimConfig) -> dict[str, int]:
     """Work a run does under the stream layout above: (person, item) pairs,
-    keyed generators created, and uniforms drawn."""
+    keyed generators created, and binomial draws (four per pair and
+    checkpoint)."""
     pairs = config.n_people * config.n_items
-    n_check = len(set(config.iteration_counts))
     return {
         "pairs": pairs,
-        "keyed_streams": 1 + config.n_people,
-        "uniforms_drawn": config.n_people
-        + config.n_items
-        + 2 * n_check * pairs * config.replications,
+        "keyed_streams": 1 + _COUNT_STREAMS,
+        "binomial_draws": _COUNT_STREAMS * pairs * len(set(config.iteration_counts)),
     }
 
 
-def _simulate_person_block(
-    people: range,
-    config: SimConfig,
-    pop: Population,
-    key: RngKey,
-    checkpoints: list[int],
-    pair_bin: np.ndarray,
-    n_bins: int,
-) -> np.ndarray:
-    """Correct-response counts by (checkpoint, bin) for a contiguous person
-    range.
-
-    Each person draws one uniform block of shape (checkpoints, 2, items,
-    replications) from its own stream, one checkpoint slice at a time so
-    only that slice is held. Between checkpoints the latent state of every
-    (item, replication) chain jumps the whole gap at once through the
-    closed-form multi-step law, which keeps the joint law of the states at
-    the checkpoints exact; one response is then emitted per checkpoint.
-    """
-    gaps = np.diff(checkpoints, prepend=0).tolist()
-    shape = (2, config.n_items, config.replications)
-    p_correct_mastered = 1.0 - config.p_slip
-    p_correct_unmastered = config.p_guess
-    p_forget = pop.p_forget[:, None]
-    correct = np.zeros((len(checkpoints), n_bins), dtype=np.int64)
-    for person in people:
-        p_learn = pop.p_learn[person]
-        gen = key.child(_PAIR_STREAM, person).generator()
-        z = np.zeros(shape[1:], dtype=bool)
-        for ci, gap in enumerate(gaps):
-            u_state, u_emit = gen.random(shape)
-            up = np.where(
-                z,
-                mastered_after(p_learn, p_forget, 1, gap),
-                mastered_after(p_learn, p_forget, 0, gap),
-            )
-            z = u_state < up
-            responses = u_emit < np.where(
-                z, p_correct_mastered, p_correct_unmastered
-            )
-            np.add.at(
-                correct[ci], pair_bin[person], np.count_nonzero(responses, axis=1)
-            )
-    return correct
-
-
-def run_equilibrium_experiment(
-    config: SimConfig, threads: int = 1
-) -> dict[int, BinnedCurve]:
+def run_equilibrium_experiment(config: SimConfig) -> dict[int, BinnedCurve]:
     """Run the full population x item bank simulation; one curve per count.
 
     The population is the config's own draw (``draw_population(config)``).
-    Latent chains are sampled at every requested count, with an independent
-    emission per checkpoint. Persons are split into contiguous blocks over
-    ``worker_count`` threads. Results are bit-identical for a given config
-    regardless of thread count: every person owns its key-derived stream and
-    all pooling is integer summation.
+    The R replications of a pair are i.i.d. chains started unmastered, and
+    only their pooled counts are kept, so each pair is sampled at count
+    level. Its mastered count jumps from one checkpoint to the next, a gap
+    of d steps, as M_k = Bin(M_{k-1}, stay) + Bin(R - M_{k-1}, gain), with
+    stay and gain the closed-form d-step mastery laws from the mastered and
+    unmastered states; its correct count is C_k = Bin(M_k, 1 - slip) +
+    Bin(R - M_k, guess). That is the joint law of the replicated chains at
+    the checkpoints, with an independent emission per checkpoint, at four
+    draws per pair and checkpoint whatever R is. The mastered counts are
+    held for the whole grid; other temporaries span one person block.
     """
-    key = RngKey(config.seed)
     pop = draw_population(config)
     checkpoints = sorted(set(config.iteration_counts))
     pair_bin, centers = _pair_bins(pop, config.bin_width)
     n_bins = centers.size
-
-    threads = worker_count(int(threads), config.n_people, os.cpu_count())
-    block_size = -(-config.n_people // threads)
-    blocks = [
-        range(start, min(start + block_size, config.n_people))
-        for start in range(0, config.n_people, block_size)
-    ]
-
-    def simulate(block: range) -> np.ndarray:
-        return _simulate_person_block(
-            block, config, pop, key, checkpoints, pair_bin, n_bins
-        )
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        correct = np.sum(list(pool.map(simulate, blocks)), axis=0)
-    observed = config.replications * np.bincount(pair_bin.ravel(), minlength=n_bins)
+    reps = config.replications
+    stay_gen, gain_gen, slip_gen, guess_gen = (
+        RngKey(config.seed, (_COUNT_STREAM, j)).generator() for j in range(_COUNT_STREAMS)
+    )
+    forget = pop.p_forget[None, :]
+    mastered = np.zeros(pair_bin.shape, dtype=np.int64)
+    correct = np.zeros((len(checkpoints), n_bins), dtype=np.int64)
+    blocks = _person_blocks(*pair_bin.shape)
+    for ci, gap in enumerate(np.diff(checkpoints, prepend=0).tolist()):
+        for rows in blocks:
+            learn = pop.p_learn[rows, None]
+            # The closed form can round just past 0 or 1 when r < 0.
+            stay = np.clip(mastered_after(learn, forget, 1, gap), 0.0, 1.0)
+            gain = np.clip(mastered_after(learn, forget, 0, gap), 0.0, 1.0)
+            m = mastered[rows]
+            m = stay_gen.binomial(m, stay) + gain_gen.binomial(reps - m, gain)
+            mastered[rows] = m
+            hits = slip_gen.binomial(m, 1.0 - config.p_slip) + guess_gen.binomial(
+                reps - m, config.p_guess
+            )
+            correct[ci] += np.bincount(
+                pair_bin[rows].ravel(), weights=hits.ravel(), minlength=n_bins
+            ).astype(np.int64)
+    observed = reps * np.bincount(pair_bin.ravel(), minlength=n_bins)
     mask = observed > 0
 
     return {
@@ -267,9 +227,8 @@ def expected_curves(config: SimConfig, population: Population) -> dict[int, Binn
     answers correctly with probability g + (1 - s - g) * lambda1 * (1 - r^t).
     Every pair of a bin is replicated equally often, so a bin's expected
     proportion is the mean of that probability over its pairs. The layout
-    (bins, n_obs) is the one the simulation produces. Pairs are summed in
-    blocks of persons holding about ``_EXPECTED_BLOCK_PAIRS`` pairs, so no
-    temporary spans the whole pair grid.
+    (bins, n_obs) is the one the simulation produces. Pairs are summed over
+    the simulation's person blocks, so no temporary spans the whole grid.
     """
     pair_bin, centers = _pair_bins(population, config.bin_width)
     pairs = np.bincount(pair_bin.ravel(), minlength=centers.size)
@@ -278,11 +237,9 @@ def expected_curves(config: SimConfig, population: Population) -> dict[int, Binn
     forget = population.p_forget[None, :]
     spread = 1.0 - config.p_slip - config.p_guess
     sums = np.zeros((len(checkpoints), centers.size))
-    n_people, n_items = pair_bin.shape
-    rows = max(1, _EXPECTED_BLOCK_PAIRS // n_items)
-    for start in range(0, n_people, rows):
-        learn = population.p_learn[start : start + rows, None]
-        bins = pair_bin[start : start + rows].ravel()
+    for rows in _person_blocks(*pair_bin.shape):
+        learn = population.p_learn[rows, None]
+        bins = pair_bin[rows].ravel()
         lam1 = learn / (learn + forget)
         r = 1.0 - learn - forget
         for ci, t in enumerate(checkpoints):

@@ -10,6 +10,7 @@ the Boltzmann law is provided for small networks as the convergence oracle.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass
@@ -50,9 +51,13 @@ class IsingNetwork:
             raise OutOfRange("couplings must be symmetric within 1e-12")
         if p_guess.shape != (n,) or p_slip.shape != (n,):
             raise OutOfRange("one guess and one slip probability per node required")
+        for name, arr in (("couplings", couplings), ("fields", fields)):
+            if not np.all(np.isfinite(arr)):
+                raise OutOfRange(f"{name} entries must be finite")
         for name, arr in (("p_guess", p_guess), ("p_slip", p_slip)):
-            if np.any((arr < 0) | (arr > 1) | np.isnan(arr)):
-                raise OutOfRange(f"{name} entries must lie in [0, 1]")
+            bad = np.flatnonzero((arr < 0) | (arr > 1) | np.isnan(arr))
+            if bad.size:
+                raise OutOfRange(f"{name}[{bad[0]}] must lie in [0, 1], got {arr[bad[0]]}")
         for name, arr in (
             ("couplings", couplings),
             ("fields", fields),
@@ -68,26 +73,43 @@ class IsingNetwork:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "IsingNetwork":
+        """Network from its JSON form: an integer "n" >= 1, then optional
+        "couplings" ([i, j, sigma] entries; default none), "fields" (n
+        numbers; default 0) and "emissions" (n [guess, slip] pairs; default
+        noiseless). A malformed entry raises OutOfRange naming its key and
+        index. A network file is read only to list its 2^n states, so "n"
+        above 20 raises TooLarge before anything is allocated."""
         n = raw.get("n") if isinstance(raw, dict) else None
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise OutOfRange(
                 f'network needs an integer node count "n" >= 1, got {n!r}'
             )
+        require_enumerable(n)
         couplings = np.zeros((n, n))
-        for i, j, sigma in raw.get("couplings", []):
-            if not all(isinstance(k, int) and 0 <= k < n for k in (i, j)) or i == j:
+        for idx, entry in enumerate(_json_list(raw, "couplings", [])):
+            if not isinstance(entry, list) or len(entry) != 3:
+                raise OutOfRange(f"couplings[{idx}] must be [i, j, sigma], got {entry!r}")
+            i, j, sigma = entry
+            if not all(type(k) is int and 0 <= k < n for k in (i, j)) or i == j:
                 raise OutOfRange(
-                    f"coupling ({i!r}, {j!r}) must join two distinct nodes in [0, {n})"
+                    f"couplings[{idx}] ({i!r}, {j!r}) must join two distinct "
+                    f"nodes in [0, {n})"
                 )
-            couplings[i, j] = float(sigma)
-            couplings[j, i] = float(sigma)
-        emissions = raw.get("emissions", [[0.0, 0.0]] * n)
-        return cls(
-            couplings=couplings,
-            fields=np.asarray(raw.get("fields", [0.0] * n), dtype=float),
-            p_guess=np.array([float(e[0]) for e in emissions]),
-            p_slip=np.array([float(e[1]) for e in emissions]),
-        )
+            couplings[i, j] = couplings[j, i] = _number(sigma, f"couplings[{idx}][2]")
+        fields = [
+            _number(h, f"fields[{idx}]")
+            for idx, h in enumerate(_json_list(raw, "fields", [0.0] * n))
+        ]
+        emissions = []
+        for idx, entry in enumerate(_json_list(raw, "emissions", [[0.0, 0.0]] * n)):
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise OutOfRange(f"emissions[{idx}] must be [guess, slip], got {entry!r}")
+            emissions.append([_number(x, f"emissions[{idx}][{k}]") for k, x in enumerate(entry)])
+        for key, values in (("fields", fields), ("emissions", emissions)):
+            if len(values) != n:
+                raise OutOfRange(f'"{key}" must hold {n} entries, one per node, got {len(values)}')
+        p_guess, p_slip = np.array(emissions).reshape(n, 2).T
+        return cls(couplings=couplings, fields=np.array(fields), p_guess=p_guess, p_slip=p_slip)
 
     def to_dict(self) -> dict:
         n = self.n_nodes
@@ -112,6 +134,33 @@ class IsingNetwork:
             return cls.from_dict(json.load(handle))
 
 
+def _json_list(raw: dict, key: str, default: list) -> list:
+    """raw[key], or the default when absent, which must be a list."""
+    value = raw.get(key, default)
+    if not isinstance(value, list):
+        raise OutOfRange(f'"{key}" must be a list, got {type(value).__name__}')
+    return value
+
+
+def _number(value, where: str) -> float:
+    """A finite JSON number (a bool is not one), else OutOfRange naming
+    ``where``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):
+            if math.isfinite(number := float(value)):
+                return number
+    raise OutOfRange(f"{where} must be a finite number, got {value!r}")
+
+
+def require_enumerable(n_nodes: int) -> None:
+    """Raise TooLarge past 20 nodes, where listing all 2^n states (the exact
+    law, the state frequencies) stops being practical."""
+    if n_nodes > _EXACT_MAX_NODES:
+        raise TooLarge(
+            f"state enumeration capped at {_EXACT_MAX_NODES} nodes, got {n_nodes}"
+        )
+
+
 def energy(net: IsingNetwork, z) -> float:
     """E(z) = -(sum_{i<j} sigma_ij z_i z_j + sum_i h_i z_i)."""
     z = np.asarray(z, dtype=float)
@@ -129,10 +178,7 @@ def boltzmann_exact(net: IsingNetwork) -> np.ndarray:
     Full enumeration; refuses networks beyond 20 nodes.
     """
     n = net.n_nodes
-    if n > _EXACT_MAX_NODES:
-        raise TooLarge(
-            f"exact enumeration capped at {_EXACT_MAX_NODES} nodes, got {n}"
-        )
+    require_enumerable(n)
     states = _state_bits(n).astype(float)
     energies = -(
         0.5 * np.einsum("si,ij,sj->s", states, net.couplings, states)
@@ -330,8 +376,9 @@ def empirical_state_frequencies(
 ) -> np.ndarray:
     """Relative visit frequencies over all 2^n states, after burn-in/thinning.
 
-    Raises ValueError for a negative burn-in or a thinning step below 1, and
-    InsufficientData when the burn-in leaves no sweep to count.
+    Raises ValueError for a negative burn-in or a thinning step below 1,
+    InsufficientData when the burn-in leaves no sweep to count, and TooLarge
+    beyond 20 nodes.
     """
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
@@ -342,6 +389,7 @@ def empirical_state_frequencies(
             f"burn-in of {burn_in} sweeps leaves none of {len(trace)} to count"
         )
     n = trace.latent.shape[1]
+    require_enumerable(n)
     indices = trace.state_indices()[burn_in::thin]
     counts = np.bincount(indices, minlength=2**n).astype(float)
     return counts / counts.sum()

@@ -88,6 +88,9 @@ class TestArgumentErrors:
             ("--seed", ["experiment", "--seed", "-5", "--out", "e.csv"]),
             ("--iters", ["experiment", "--iters", "2,x", "--out", "e.csv"]),
             ("--responses", ["filter", "--params", "p.json", "--responses", "1,x"]),
+            ("--steps", ["simulate", "--p-learn", "0.3", "--steps", "0", "--out", "s.csv"]),
+            ("--points", ["irf", "--points", "-1", "--out", "c.csv"]),
+            ("--points", ["irf", "--points", "0", "--out", "c.csv"]),
         ],
     )
     def test_malformed_flag_value_names_the_flag(
@@ -96,7 +99,7 @@ class TestArgumentErrors:
         monkeypatch.chdir(tmp_path)
         assert dispatch(argv) == 2
         err = capsys.readouterr().err
-        assert f"argument {flag}:" in err
+        assert f"argument {flag}:" in err and len(err.splitlines()) == 1
         assert "io_error" not in err
         assert list(tmp_path.iterdir()) == []
 
@@ -355,7 +358,7 @@ class TestExperimentCommand:
     def test_writes_curves_summary_manifest_reproducibly(self, tmp_path):
         argv = [
             "experiment", "--people", "20", "--items", "10", "--reps", "15",
-            "--iters", "1,3", "--seed", "42", "--min-count", "1", "--threads", "2",
+            "--iters", "1,3", "--seed", "42", "--min-count", "1",
         ]
         first = tmp_path / "one.csv"
         second = tmp_path / "two.csv"
@@ -374,18 +377,12 @@ class TestExperimentCommand:
         digests_two = [entry["sha256"] for entry in manifest_two["outputs"]]
         assert digests_one == digests_two
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        argv = [
-            "experiment", "--people", "12", "--items", "6", "--reps", "10",
-            "--iters", "2", "--seed", "7", "--min-count", "1",
-        ]
-        one, two = tmp_path / "t1.csv", tmp_path / "t8.csv"
-        monkeypatch.setenv("BKT_IRT_THREADS", "1")
-        assert dispatch(argv + ["--out", str(one)]) == 0
-        monkeypatch.setenv("BKT_IRT_THREADS", "8")
-        assert dispatch(argv + ["--out", str(two)]) == 0
-        assert one.read_bytes() == two.read_bytes()
-
+    def test_threads_flag_is_gone(self, tmp_path, capsys):
+        argv = ["experiment", "--desk", "--threads", "2", "--out", str(tmp_path / "e.csv")]
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --threads 2" in err and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "extra", [["--people", "5"], ["--items", "3"], ["--reps", "2", "--people", "4"]]
@@ -397,15 +394,6 @@ class TestExperimentCommand:
         assert err.startswith("usage_error:") and len(err.splitlines()) == 1
         assert not (tmp_path / "d.csv").exists()
 
-    @pytest.mark.parametrize("value", ["two", "", "1.5", "0"])
-    def test_bad_thread_env_is_usage_error(self, tmp_path, capsys, monkeypatch, value):
-        monkeypatch.setenv("BKT_IRT_THREADS", value)
-        argv = ["experiment", "--people", "2", "--items", "2", "--reps", "2",
-                "--out", str(tmp_path / "e.csv")]
-        assert dispatch(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage_error:") and len(err.splitlines()) == 1
-
     def test_rejected_summary_leaves_no_files(self, tmp_path, capsys):
         argv = ["experiment", "--people", "3", "--items", "2", "--reps", "2",
                 "--min-count", "100000000", "--out", str(tmp_path / "o.csv")]
@@ -413,7 +401,23 @@ class TestExperimentCommand:
         assert capsys.readouterr().err.startswith("InsufficientData:")
         assert list(tmp_path.iterdir()) == []
 
-    def test_manifest_reports_phases_and_work(self, tmp_path):
+    def test_manifest_reports_phases_and_work(self, tmp_path, monkeypatch):
+        drawn = []
+
+        class Counting:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def random(self, size=None):
+                return self.gen.random(size)
+
+            def binomial(self, n, p):
+                draws = self.gen.binomial(n, p)
+                drawn.append(draws.size)
+                return draws
+
+        original = RngKey.generator
+        monkeypatch.setattr(RngKey, "generator", lambda key: Counting(original(key)))
         out = tmp_path / "w.csv"
         argv = ["experiment", "--people", "5", "--items", "4", "--reps", "3",
                 "--iters", "1,2", "--min-count", "1", "--out", str(out)]
@@ -422,8 +426,9 @@ class TestExperimentCommand:
         assert set(manifest["phases"]) == {"population_s", "simulate_s", "write_s"}
         assert all(value >= 0.0 for value in manifest["phases"].values())
         assert manifest["work"] == {
-            "pairs": 20, "keyed_streams": 6, "uniforms_drawn": 5 + 4 + 2 * 2 * 20 * 3,
+            "pairs": 20, "keyed_streams": 5, "binomial_draws": sum(drawn),
         }
+        assert sum(drawn) == 4 * 20 * 2
         summary = json.loads((tmp_path / "w.summary.json").read_text())
         assert set(summary["expected_max_abs_dev"]) == {"1", "2"}
 
@@ -540,20 +545,32 @@ class TestIsingCommand:
         assert not (tmp_path / "freq.manifest.json").exists()
 
     @pytest.mark.parametrize(
-        "net",
+        "net, where",
         [
-            {"couplings": [[0, 1, 0.5]]},
-            {"n": 2, "couplings": [[0, 2, 0.5]]},
-            {"n": 2, "couplings": [[-1, 0, 0.5]]},
-            {"n": 2, "couplings": [[1, 1, 0.5]]},
-            {"n": 2.7},
-            {"n": 3, "couplings": [[0, 1.9, 0.5]]},
+            ({"couplings": [[0, 1, 0.5]]}, '"n"'),
+            ({"n": 2, "couplings": [[0, 2, 0.5]]}, "couplings[0]"),
+            ({"n": 2, "couplings": [[-1, 0, 0.5]]}, "couplings[0]"),
+            ({"n": 2, "couplings": [[1, 1, 0.5]]}, "couplings[0]"),
+            ({"n": 2.7}, '"n"'),
+            ({"n": 3, "couplings": [[0, 1, 0.5], [0, 1.9, 0.5]]}, "couplings[1]"),
+            ({"n": 2, "emissions": [[0.1]]}, "emissions[0]"),
+            ({"n": True}, '"n"'),
+            ({"n": 2, "couplings": [[0, 1]]}, "couplings[0]"),
+            ({"n": 2, "couplings": [[0, 1, 0.5], [0, 1, "x"]]}, "couplings[1][2]"),
+            ({"n": 2, "fields": [0.1]}, '"fields"'),
+            ({"n": 2, "couplings": [[0, 1, math.nan]]}, "couplings[0][2]"),
+            ({"n": 2, "fields": [0.0, math.inf]}, "fields[1]"),
+            ({"n": 2, "emissions": [[0.1, 0.1], [0.1, 1.5]]}, "p_slip[1]"),
         ],
         ids=["missing-n", "index-past-n", "negative-index", "self-coupling",
-             "fractional-n", "fractional-index"],
+             "fractional-n", "fractional-index", "short-emission", "bool-n",
+             "short-coupling", "string-coupling", "short-fields", "nan-coupling",
+             "overflowing-field", "emission-above-one"],
     )
-    def test_malformed_network_exits_one(self, tmp_path, capsys, net):
+    def test_malformed_network_exits_one(self, tmp_path, capsys, net, where):
         net_path = tmp_path / "net.json"
+        # json writes non-finite floats as NaN and Infinity and reads them
+        # back; a 1e400 in a file parses to inf the same way.
         net_path.write_text(json.dumps(net))
         out = tmp_path / "freq.csv"
         code = dispatch(["ising", "--net", str(net_path), "--sweeps", "10",
@@ -561,7 +578,24 @@ class TestIsingCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("OutOfRange:") and len(err.splitlines()) == 1
+        assert where in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("n", [21, 10**6])
+    def test_network_past_twenty_nodes_is_refused_before_simulating(
+        self, tmp_path, capsys, monkeypatch, n
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("simulate_field ran")
+
+        monkeypatch.setattr("bktirt.cli.simulate_field", never)
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps({"n": n}))
+        out = tmp_path / "freq.csv"
+        assert dispatch(["ising", "--net", str(net_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("TooLarge:") and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == [net_path]
 
 
 class TestHelp:

@@ -24,11 +24,9 @@ from bktirt import (
 )
 from bktirt.errors import InsufficientData, OutOfRange
 from bktirt.experiment import (
-    _pair_bins,
-    _simulate_person_block,
+    Population,
     summarize_curves,
     work_counts,
-    worker_count,
     write_curves_csv,
 )
 
@@ -151,42 +149,86 @@ class TestRunExperiment:
         sigma = math.sqrt(0.25 / total) + 0.5 / math.sqrt(config.n_people * 8 * 40)
         assert abs(pooled - expect) < 4 * sigma
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic(self):
         config = SimConfig(
             n_people=23, n_items=7, replications=11, iteration_counts=(2, 4), seed=11
         )
-        base = run_equilibrium_experiment(config, threads=1)
-        again = run_equilibrium_experiment(config, threads=1)
-        threaded = run_equilibrium_experiment(config, threads=4)
+        base = run_equilibrium_experiment(config)
+        again = run_equilibrium_experiment(config)
         for t in (2, 4):
             np.testing.assert_array_equal(base[t].bin_centers, again[t].bin_centers)
             np.testing.assert_array_equal(base[t].n_obs, again[t].n_obs)
             np.testing.assert_array_equal(base[t].prop_correct, again[t].prop_correct)
-            np.testing.assert_array_equal(base[t].n_obs, threaded[t].n_obs)
-            np.testing.assert_array_equal(base[t].prop_correct, threaded[t].prop_correct)
 
-    def test_block_split_does_not_change_counts(self):
-        # Each person draws from its own stream, so any partition of the
-        # persons into blocks pools to the same integer counts.
+    def test_block_size_does_not_change_curves(self, monkeypatch, tmp_path):
+        # Each count stream is consumed in (checkpoint, person, item) order,
+        # whatever the person blocks, so every block size writes the same bytes.
+        # With 4 items, 1 and 3 pairs give one person per block, and 12 gives
+        # three persons per block with a short last block.
         config = SimConfig(
             n_people=10, n_items=4, replications=9, iteration_counts=(1, 3, 4), seed=14
         )
-        pop = draw_population(config)
-        pair_bin, centers = _pair_bins(pop, config.bin_width)
-        key = RngKey(config.seed)
 
-        def pooled(splits):
-            edges = [0, *splits, config.n_people]
-            return sum(
-                _simulate_person_block(
-                    range(lo, hi), config, pop, key, [1, 3, 4], pair_bin, centers.size
-                )
-                for lo, hi in zip(edges, edges[1:])
+        def written(block_pairs):
+            monkeypatch.setattr("bktirt.experiment._BLOCK_PAIRS", block_pairs)
+            path = tmp_path / f"{block_pairs}.csv"
+            write_curves_csv(run_equilibrium_experiment(config), config.irf(), str(path))
+            return path.read_bytes()
+
+        whole = written(10**6)
+        for block_pairs in (1, 3, 12):
+            assert written(block_pairs) == whole
+
+    def test_checkpoint_counts_covary_as_one_chain(self, monkeypatch):
+        # One pair with fixed rates, rerun under many seeds. Its correct
+        # counts at two checkpoints come from the same replicated chains, so
+        # Cov(C_j, C_k) = R (1 - s - g)^2 m_j (stay - m_k), with m_t the
+        # mastered mass at t and stay = P(mastered after t_k - t_j steps |
+        # mastered); each count alone is Binomial(R, g + (1 - s - g) m_t).
+        # A sampler that drew each checkpoint afresh would give Cov = 0.
+        learn, forget, reps, checkpoints, seeds = 0.1, 0.05, 50, (2, 5), 1000
+        population = Population(
+            p_learn=np.array([learn]),
+            p_forget=np.array([forget]),
+            theta=np.log([learn]),
+            b=np.log([forget]),
+        )
+        monkeypatch.setattr(
+            "bktirt.experiment.draw_population", lambda config, key=None: population
+        )
+        counts = np.empty((seeds, 2))
+        for seed in range(seeds):
+            config = SimConfig(
+                n_people=1, n_items=1, replications=reps,
+                iteration_counts=checkpoints, seed=seed,
             )
+            curves = run_equilibrium_experiment(config)
+            counts[seed] = [curves[t].prop_correct[0] * reps for t in checkpoints]
 
-        whole = pooled([])
-        for splits in ([1], [3, 4, 9], list(range(1, 10))):
-            np.testing.assert_array_equal(pooled(splits), whole)
+        spread = 1.0 - config.p_slip - config.p_guess
+        lam1, r = learn / (learn + forget), 1.0 - learn - forget
+        mastered = [lam1 * (1.0 - r**t) for t in checkpoints]
+        stay = lam1 + (1.0 - lam1) * r ** (checkpoints[1] - checkpoints[0])
+        p = [config.p_guess + spread * m for m in mastered]
+        dev = counts - reps * np.array(p)
+        moments = {
+            (0, 0): reps * p[0] * (1.0 - p[0]),
+            (1, 1): reps * p[1] * (1.0 - p[1]),
+            (0, 1): reps * spread**2 * mastered[0] * (stay - mastered[1]),
+        }
+        for (j, k), want in moments.items():
+            products = dev[:, j] * dev[:, k]
+            z = (products.mean() - want) / (products.std(ddof=1) / math.sqrt(seeds))
+            assert abs(z) < 4.5, ((j, k), products.mean(), want, z)
+
+    def test_full_scale_fifty_steps_within_sharpened_bound(self):
+        # The default 1000 x 100 x 1000 run: within 0.02 of the equilibrium
+        # curve at 50 steps (the desk gate is 0.05), approached monotonically.
+        config = SimConfig()
+        curves = run_equilibrium_experiment(config)
+        dev = {t: compare_to_irf(curves[t], config.irf(), min_count=200)[0] for t in (2, 5, 50)}
+        assert dev[50] <= 0.02
+        assert dev[2] > dev[5] > dev[50]
 
     def test_observation_budget_conserved(self):
         config = SimConfig(
@@ -247,12 +289,12 @@ class TestExpectedCurves:
         assert "expected_max_abs_dev" not in summarize_curves(curves, self.CONFIG.irf(), 200)
 
 
-class TestWorkAndThreads:
+class TestWorkCounts:
     def test_work_counts_match_the_draws_made(self, monkeypatch):
         config = SimConfig(
             n_people=6, n_items=4, replications=5, iteration_counts=(3, 1, 3), seed=18
         )
-        seen = {"streams": 0, "uniforms": 0}
+        seen = {"streams": 0, "binomials": 0}
         original = RngKey.generator
 
         class Counted:
@@ -260,34 +302,24 @@ class TestWorkAndThreads:
                 self.gen = gen
 
             def random(self, size):
-                seen["uniforms"] += int(np.prod(size))
                 return self.gen.random(size)
+
+            def binomial(self, n, p):
+                draws = self.gen.binomial(n, p)
+                seen["binomials"] += draws.size
+                return draws
 
         def counting(key):
             seen["streams"] += 1
             return Counted(original(key))
 
         monkeypatch.setattr(RngKey, "generator", counting)
-        run_equilibrium_experiment(config, threads=1)
+        run_equilibrium_experiment(config)
         work = work_counts(config)
         assert work["pairs"] == 24
-        assert work["keyed_streams"] == seen["streams"] == 7
-        assert work["uniforms_drawn"] == seen["uniforms"] == 6 + 4 + 2 * 2 * 24 * 5
-
-    @pytest.mark.parametrize(
-        "requested,n_people,cpus,want",
-        [
-            (1, 1000, 2, 1),
-            (2, 1000, 2, 2),
-            (8, 1000, 2, 2),
-            (10**6, 1000, 64, 64),
-            (10**6, 3, 64, 3),
-            (4, 1000, None, 1),
-            (0, 1000, 8, 1),
-        ],
-    )
-    def test_worker_count_is_capped(self, requested, n_people, cpus, want):
-        assert worker_count(requested, n_people, cpus) == want
+        assert work["keyed_streams"] == seen["streams"] == 5
+        assert work["binomial_draws"] == seen["binomials"] == 4 * 24 * 2
+        assert "uniforms_drawn" not in work
 
 
 class TestCompareToIrf:

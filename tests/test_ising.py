@@ -61,6 +61,13 @@ class TestNetworkValidation:
         with pytest.raises(OutOfRange):
             _net([[0.0]], [0.0, 0.0])
 
+    def test_non_finite_entries_rejected(self):
+        # NaN passes the symmetry check (every comparison with it is false).
+        with pytest.raises(OutOfRange, match="couplings"):
+            _net([[0.0, math.nan], [math.nan, 0.0]], [0.0, 0.0])
+        with pytest.raises(OutOfRange, match="fields"):
+            _net([[0.0, 0.2], [0.2, 0.0]], [0.0, math.inf])
+
     def test_dict_round_trip(self):
         net = _random_net(3, seed=1)
         again = IsingNetwork.from_dict(net.to_dict())
