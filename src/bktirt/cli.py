@@ -2,8 +2,9 @@
 
 Subcommands: simulate, filter, fit-bkt, bridge, experiment, irf, ising,
 stationary. Structured single-object output is JSON, curves and traces are
-CSV; every invocation that writes files also writes a run manifest (command
-line, seeds, version, duration, output digests) next to its outputs.
+CSV, printed to stdout or written to ``--out``; every invocation that writes
+files also writes a run manifest (command line, seeds, version, duration,
+output digests, phase wall times, work counters) next to its outputs.
 
 Exit codes: 0 success, 1 domain error (printed as ``code: message``),
 2 I/O or argument errors.
@@ -12,7 +13,9 @@ Exit codes: 0 success, 1 domain error (printed as ``code: message``),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -28,14 +31,13 @@ from .bridge import bkt_to_irt
 from .chain import sample_trajectory, stationary_closed_form
 from .errors import DomainError
 from .experiment import (
+    BinnedCurve,
     SimConfig,
     draw_population,
     expected_curves,
     run_equilibrium_experiment,
     summarize_curves,
     work_counts,
-    write_curves_csv,
-    write_summary_json,
 )
 from .irt import irf_4pl
 from .ising import (
@@ -88,13 +90,20 @@ def _int_at_least(low: int):
     return convert
 
 
-def _positive_float(text: str) -> float:
-    try:
-        if math.isfinite(value := float(text)) and value > 0.0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+def _finite_float(above: float | None = None):
+    """argparse converter for a finite float, > ``above`` if given."""
+    bound = "" if above is None else f" > {above:g}"
+
+    def convert(text: str) -> float:
+        try:
+            value = float(text)
+            if math.isfinite(value) and (above is None or value > above):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected a finite number{bound}, got {text!r}")
+
+    return convert
 
 
 def _int_list(text: str) -> list[int]:
@@ -131,6 +140,11 @@ def _bkt_flags(parser: argparse.ArgumentParser, *, with_init: bool = True) -> No
                             help="correct-while-unmastered probability (default: 0.0)")
 
 
+def _flag_params(args: argparse.Namespace) -> BktParams:
+    """Parameters from the flags ``_bkt_flags`` adds; a flag left out is 0."""
+    return BktParams(**{name: getattr(args, name, 0.0) for name in BktParams._FIELDS})
+
+
 def _read_params(path: str) -> BktParams:
     return BktParams.from_json(Path(path).read_text(encoding="utf-8"))
 
@@ -143,111 +157,141 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(
-    outputs: list[Path],
-    argv: list[str],
-    seeds: list[int],
-    started: float,
-    extra: dict | None = None,
-) -> Path:
-    main = outputs[0]
-    manifest_path = main.parent / (main.stem + ".manifest.json")
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "command": argv,
-        "seeds": seeds,
-        "version": __version__,
-        "duration_s": time.time() - started,
-        "outputs": [
-            {"path": str(path), "sha256": _sha256(path)} for path in outputs
-        ],
-        **(extra or {}),
-    }
-    with open(manifest_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    return manifest_path
+def _open_output(path: str | None):
+    """stdout when ``path`` is None, else the file opened for writing."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", newline="", encoding="utf-8")
 
 
-def _emit_json(payload: dict, out: str | None, argv: list[str], seeds: list[int],
-               started: float, phases: dict | None = None,
-               work: dict | None = None) -> None:
-    """Print the payload, or write it with a manifest; ``phases`` (if given)
-    gains ``write_s`` and goes into the manifest with ``work``."""
-    text = json.dumps(payload, separators=(",", ":"))
-    if out is None:
-        print(text)
-        return
-    mark = time.perf_counter()
-    Path(out).write_text(text + "\n", encoding="utf-8")
-    extra = None
-    if phases is not None:
-        phases["write_s"] = time.perf_counter() - mark
-        extra = {"phases": phases, "work": work}
-    _write_manifest([Path(out)], argv, seeds, started, extra)
+def _write_csv(path: str | None, header: list[str], rows) -> None:
+    """Header and rows as CSV, to stdout or to a file. A file starts with
+    the format line and keeps the csv module's CRLF row ends, which its
+    digest pins; stdout rows end in LF."""
+    with _open_output(path) as handle:
+        if path is not None:
+            handle.write(f"# format_version={FORMAT_VERSION}\n")
+        writer = csv.writer(handle, lineterminator="\n" if path is None else "\r\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(payload: dict, path: str | None, indent: int | None = None) -> None:
+    """One JSON document and a newline, to stdout or to a file: compact, or
+    indented by ``indent``."""
+    separators = (",", ":") if indent is None else None
+    with _open_output(path) as handle:
+        handle.write(json.dumps(payload, indent=indent, separators=separators) + "\n")
+
+
+def write_curves_csv(
+    curves: dict[int, BinnedCurve], item: Irf4pl, path: str
+) -> None:
+    """Plot-ready CSV: one row per (bin, iteration count) with the
+    superimposable equilibrium curve value."""
+    rows = (
+        [repr(center), iterations, repr(prop), n_obs, repr(float(irf_value))]
+        for t in sorted(curves)
+        for (center, iterations, prop, n_obs), irf_value in zip(
+            curves[t].rows(), irf_4pl(curves[t].bin_centers, item)
+        )
+    )
+    header = ["bin_center", "iterations", "prop_correct", "n_obs", "irf_value"]
+    _write_csv(path, header, rows)
+
+
+def write_summary_json(summary: dict, path: str) -> None:
+    _write_json(summary, path, indent=2)
+
+
+class _Run:
+    """Phase wall times, work counters and the manifest of one command."""
+
+    def __init__(self, args: argparse.Namespace, seeds: list[int]) -> None:
+        self.argv = args._argv
+        self.seeds = seeds
+        self.started = time.time()
+        self.phases: dict[str, float] = {}
+        self.work: dict[str, int] = {}
+
+    @contextlib.contextmanager
+    def phase(self, name: str):
+        """Time the block into ``phases[name]``; a phase entered twice adds up."""
+        mark = time.perf_counter()
+        yield
+        self.phases[name] = self.phases.get(name, 0.0) + time.perf_counter() - mark
+
+    def finish(self, *paths: str | Path | None, **extra) -> int:
+        """Write the manifest beside the first output file, listing every
+        output file with its digest; ``extra`` adds top-level keys. A path of
+        None is stdout, and a run with no output file writes no manifest."""
+        outputs = [Path(path) for path in paths if path is not None]
+        if outputs:
+            payload = {
+                "format_version": FORMAT_VERSION,
+                "command": self.argv,
+                "seeds": self.seeds,
+                "version": __version__,
+                "duration_s": time.time() - self.started,
+                "outputs": [{"path": str(out), "sha256": _sha256(out)} for out in outputs],
+                "phases": self.phases,
+                "work": self.work,
+                **extra,
+            }
+            _write_json(payload, str(outputs[0].with_suffix(".manifest.json")), indent=2)
+        return 0
+
+    def csv(self, path: str | None, header: list[str], rows, **extra) -> int:
+        """Write the CSV output as phase ``write_s``, then finish."""
+        with self.phase("write_s"):
+            _write_csv(path, header, rows)
+        return self.finish(path, **extra)
+
+    def json(self, payload: dict, path: str | None) -> int:
+        """Write the JSON output as phase ``write_s``, then finish."""
+        with self.phase("write_s"):
+            _write_json(payload, path)
+        return self.finish(path)
 
 
 def _cmd_stationary(args: argparse.Namespace) -> int:
-    params = BktParams(
-        p_init=0.0,
-        p_learn=args.p_learn,
-        p_forget=args.p_forget,
-        p_slip=0.0,
-        p_guess=0.0,
-    )
-    dist = stationary_closed_form(params)
+    dist = stationary_closed_form(_flag_params(args))
     payload = {"lambda0": dist.lambda0, "lambda1": dist.lambda1}
     if dist.periodic:
         payload["periodic"] = True
-    print(json.dumps(payload, separators=(",", ":")))
+    _write_json(payload, None)
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    started = time.time()
-    params = BktParams(
-        p_init=args.p_init,
-        p_learn=args.p_learn,
-        p_forget=args.p_forget,
-        p_slip=args.p_slip,
-        p_guess=args.p_guess,
-    )
-    trajectory = sample_trajectory(params, args.steps, RngKey(args.seed))
+    run = _Run(args, [args.seed])
+    with run.phase("simulate_s"):
+        trajectory = sample_trajectory(_flag_params(args), args.steps, RngKey(args.seed))
+    run.work["steps"] = args.steps
     rows = zip(range(1, args.steps + 1), trajectory.latent, trajectory.emitted)
-    if args.out is None:
-        print("t,latent,emitted")
-        for t, z, x in rows:
-            print(f"{t},{z},{x}")
-        return 0
-    out = Path(args.out)
-    with open(out, "w", newline="", encoding="utf-8") as handle:
-        handle.write("# format_version=1\n")
-        writer = csv.writer(handle)
-        writer.writerow(["t", "latent", "emitted"])
-        writer.writerows(rows)
-    _write_manifest([out], args._argv, [args.seed], started)
-    return 0
+    return run.csv(args.out, ["t", "latent", "emitted"], rows)
 
 
 def _cmd_filter(args: argparse.Namespace) -> int:
-    started = time.time()
-    params = _read_params(args.params)
-    result = forward_filter(params, args.responses)
+    run = _Run(args, [])
+    with run.phase("load_s"):
+        params = _read_params(args.params)
+    with run.phase("filter_s"):
+        result = forward_filter(params, args.responses)
+    run.work["responses"] = len(args.responses)
     payload = {
         "format_version": FORMAT_VERSION,
         "posterior": result.posterior.tolist(),
         "predictive": result.predictive.tolist(),
         "log_likelihood": result.log_likelihood,
     }
-    _emit_json(payload, args.out, args._argv, [], started)
-    return 0
+    return run.json(payload, args.out)
 
 
 def _cmd_fit_bkt(args: argparse.Namespace) -> int:
-    started = time.time()
-    mark = time.perf_counter()
-    panel = ResponsePanel.from_csv(args.panel)
-    phases = {"load_s": time.perf_counter() - mark}
+    run = _Run(args, [])
+    with run.phase("load_s"):
+        panel = ResponsePanel.from_csv(args.panel)
     if args.init is not None:
         init = _read_params(args.init)
     else:
@@ -258,48 +302,39 @@ def _cmd_fit_bkt(args: argparse.Namespace) -> int:
             p_slip=0.15,
             p_guess=0.15,
         )
-    mark = time.perf_counter()
-    report = fit_baum_welch(
-        panel,
-        args.skill,
-        init,
-        classic=args.classic,
-        identified=args.identified,
-        tol=args.tol,
-        max_iters=args.max_iters,
-    )
-    phases["fit_s"] = time.perf_counter() - mark
+    with run.phase("fit_s"):
+        report = fit_baum_welch(
+            panel,
+            args.skill,
+            init,
+            classic=args.classic,
+            identified=args.identified,
+            tol=args.tol,
+            max_iters=args.max_iters,
+        )
     _, _, lengths = panel.skill_block(args.skill)
-    work = {
-        "records": len(panel.records),
-        "sequences": int(lengths.size),
-        "responses": int(lengths.sum()),
-        "em_iterations": report.iterations,
-    }
-    payload = json.loads(report.to_json())
-    payload["format_version"] = FORMAT_VERSION
-    _emit_json(payload, args.out, args._argv, [], started, phases, work)
-    return 0
+    run.work.update(
+        records=len(panel.records),
+        sequences=int(lengths.size),
+        responses=int(lengths.sum()),
+        em_iterations=report.iterations,
+    )
+    payload = {**json.loads(report.to_json()), "format_version": FORMAT_VERSION}
+    return run.json(payload, args.out)
 
 
 def _cmd_bridge(args: argparse.Namespace) -> int:
-    started = time.time()
-    params = _read_params(args.params)
-    eq = bkt_to_irt(params)
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "theta": eq.theta,
-        "b": eq.b,
-        "c": eq.c,
-        "d": eq.d,
-        "p_correct": eq.p_correct,
-    }
-    _emit_json(payload, args.out, args._argv, [], started)
-    return 0
+    run = _Run(args, [])
+    with run.phase("load_s"):
+        params = _read_params(args.params)
+    with run.phase("bridge_s"):
+        eq = bkt_to_irt(params)
+    payload = {"format_version": FORMAT_VERSION, **dataclasses.asdict(eq)}
+    return run.json(payload, args.out)
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    started = time.time()
+    run = _Run(args, [args.seed])
     # Sizes left unset take SimConfig's full-scale defaults.
     flags = {
         "n_people": ("--people", args.people),
@@ -318,99 +353,58 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         seed=args.seed,
         bin_width=args.bin_width,
     )
-    phases = {}
-    mark = time.perf_counter()
     # The simulate phase redraws this same population from the config's key.
-    population = draw_population(config)
-    phases["population_s"] = time.perf_counter() - mark
-
-    mark = time.perf_counter()
-    curves = run_equilibrium_experiment(config)
-    phases["simulate_s"] = time.perf_counter() - mark
-
-    mark = time.perf_counter()
-    item = config.irf()
-    # Summarize first: it can reject the run, and then no file is written.
-    summary = summarize_curves(
-        curves, item, args.min_count, expected_curves(config, population)
-    )
-    out = Path(args.out)
-    write_curves_csv(curves, item, str(out))
-    summary_path = out.parent / (out.stem + ".summary.json")
-    write_summary_json(summary, str(summary_path))
-    phases["write_s"] = time.perf_counter() - mark
-    _write_manifest(
-        [out, summary_path], args._argv, [config.seed], started,
-        {"phases": phases, "work": work_counts(config)},
-    )
-    return 0
+    with run.phase("population_s"):
+        population = draw_population(config)
+    with run.phase("simulate_s"):
+        curves = run_equilibrium_experiment(config)
+    run.work.update(work_counts(config))
+    summary_path = Path(args.out).with_suffix(".summary.json")
+    with run.phase("write_s"):
+        item = config.irf()
+        # Summarize first: it can reject the run, and then no file is written.
+        summary = summarize_curves(
+            curves, item, args.min_count, expected_curves(config, population)
+        )
+        write_curves_csv(curves, item, args.out)
+        write_summary_json(summary, str(summary_path))
+    return run.finish(args.out, summary_path)
 
 
 def _cmd_irf(args: argparse.Namespace) -> int:
-    started = time.time()
+    run = _Run(args, [])
     item = Irf4pl(a=args.a, b=args.b, c=args.c, d=args.d)
-    thetas = np.linspace(args.theta_min, args.theta_max, args.points)
-    values = irf_4pl(thetas, item)
-    if args.out is None:
-        print("theta,p")
-        for theta, p in zip(thetas, values):
-            print(f"{theta!r},{p!r}")
-        return 0
-    out = Path(args.out)
-    with open(out, "w", newline="", encoding="utf-8") as handle:
-        handle.write("# format_version=1\n")
-        writer = csv.writer(handle)
-        writer.writerow(["theta", "p"])
-        for theta, p in zip(thetas, values):
-            writer.writerow([repr(float(theta)), repr(float(p))])
-    _write_manifest([out], args._argv, [], started)
-    return 0
+    with run.phase("evaluate_s"):
+        thetas = np.linspace(args.theta_min, args.theta_max, args.points)
+        values = irf_4pl(thetas, item)
+    run.work["points"] = args.points
+    rows = ([repr(float(theta)), repr(float(p))] for theta, p in zip(thetas, values))
+    return run.csv(args.out, ["theta", "p"], rows)
 
 
 def _cmd_ising(args: argparse.Namespace) -> int:
-    started = time.time()
-    mark = time.perf_counter()
-    net = IsingNetwork.from_json_file(args.net)
-    phases = {"load_s": time.perf_counter() - mark}
-
-    mark = time.perf_counter()
-    trace = simulate_field(
-        net, args.sweeps, RngKey(args.seed), dynamics=args.dynamics, scan=args.scan
+    run = _Run(args, [args.seed])
+    with run.phase("load_s"):
+        net = IsingNetwork.from_json_file(args.net)
+    with run.phase("simulate_s"):
+        trace = simulate_field(
+            net, args.sweeps, RngKey(args.seed), dynamics=args.dynamics, scan=args.scan
+        )
+    with run.phase("frequencies_s"):
+        freqs = empirical_state_frequencies(trace, burn_in=args.burn_in)
+    with run.phase("exact_s"):
+        exact = boltzmann_exact(net) if args.exact else None
+    run.work.update(
+        sweeps=args.sweeps,
+        site_updates=args.sweeps * net.n_nodes,
+        uniforms_drawn=args.sweeps * uniforms_per_sweep(net.n_nodes, args.scan),
     )
-    phases["simulate_s"] = time.perf_counter() - mark
-
-    mark = time.perf_counter()
-    freqs = empirical_state_frequencies(trace, burn_in=args.burn_in)
-    phases["frequencies_s"] = time.perf_counter() - mark
-
-    mark = time.perf_counter()
-    exact = boltzmann_exact(net) if args.exact else None
-    phases["exact_s"] = time.perf_counter() - mark
-
-    mark = time.perf_counter()
-    out = Path(args.out)
-    with open(out, "w", newline="", encoding="utf-8") as handle:
-        handle.write("# format_version=1\n")
-        writer = csv.writer(handle)
-        header = ["state_index", "frequency"] + (["exact_prob"] if args.exact else [])
-        writer.writerow(header)
-        for idx, freq in enumerate(freqs):
-            row = [idx, repr(float(freq))]
-            if exact is not None:
-                row.append(repr(float(exact[idx])))
-            writer.writerow(row)
-    phases["write_s"] = time.perf_counter() - mark
-    work = {
-        "sweeps": args.sweeps,
-        "site_updates": args.sweeps * net.n_nodes,
-        "uniforms_drawn": args.sweeps * uniforms_per_sweep(net.n_nodes, args.scan),
-    }
-    _write_manifest(
-        [out], args._argv, [args.seed], started,
-        {"phases": phases, "work": work,
-         "diagnostics": {"flip_rate": trace.flip_rate()}},
+    header = ["state_index", "frequency"] + (["exact_prob"] if args.exact else [])
+    rows = (
+        [idx, repr(float(freq))] + ([repr(float(exact[idx]))] if args.exact else [])
+        for idx, freq in enumerate(freqs)
     )
-    return 0
+    return run.csv(args.out, header, rows, diagnostics={"flip_rate": trace.flip_rate()})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -447,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classic", action="store_true", help="pin p_forget to 0")
     p.add_argument("--identified", action="store_true",
                    help="constrain guess and slip below 0.5")
-    p.add_argument("--tol", type=_positive_float, default=1e-6,
+    p.add_argument("--tol", type=_finite_float(above=0.0), default=1e-6,
                    help="relative log-likelihood tolerance, finite and > 0 "
                         "(default: 1e-6)")
     p.add_argument("--max-iters", type=_int_at_least(1), default=500,
@@ -472,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slip", type=float, default=0.1, help="slip probability (default: 0.1)")
     p.add_argument("--guess", type=float, default=0.1, help="guess probability (default: 0.1)")
     _add_seed(p)
-    p.add_argument("--bin-width", type=float, default=0.25,
-                   help="advantage bin width (default: 0.25)")
+    p.add_argument("--bin-width", type=_finite_float(above=0.0), default=0.25,
+                   help="advantage bin width, finite and > 0 (default: 0.25)")
     p.add_argument("--desk", action="store_true",
                    help="reduced preset: 200 people, 50 items, 200 reps "
                         "(excludes --people, --items, --reps)")
@@ -483,13 +477,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_experiment)
 
     p = sub.add_parser("irf", help="sample an item response curve")
-    p.add_argument("--a", type=float, default=1.0, help="discrimination (default: 1.0)")
-    p.add_argument("--b", type=float, default=0.0, help="difficulty (default: 0.0)")
+    p.add_argument("--a", type=_finite_float(), default=1.0,
+                   help="discrimination (default: 1.0)")
+    p.add_argument("--b", type=_finite_float(), default=0.0,
+                   help="difficulty (default: 0.0)")
     p.add_argument("--c", type=float, default=0.0, help="lower asymptote (default: 0.0)")
     p.add_argument("--d", type=float, default=1.0, help="upper asymptote (default: 1.0)")
-    p.add_argument("--theta-min", type=float, default=-8.0,
+    p.add_argument("--theta-min", type=_finite_float(), default=-8.0,
                    help="curve start (default: -8.0)")
-    p.add_argument("--theta-max", type=float, default=8.0,
+    p.add_argument("--theta-max", type=_finite_float(), default=8.0,
                    help="curve end (default: 8.0)")
     p.add_argument("--points", type=_int_at_least(1), default=161,
                    help="number of samples, >= 1 (default: 161)")

@@ -10,8 +10,6 @@ and 1 - p_slip.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -30,6 +28,11 @@ _EDGE = 1e-12
 # Advantage axis covered by the bin grid; pairs outside are pooled into the
 # extreme bins.
 _BIN_SPAN = 8.0
+
+# Bins on that axis (2 * floor(8 / bin_width) + 1) allowed: 2^20 bins hold
+# 8 MiB of counts per step count, while a width near 1e-300 would ask for a
+# grid beyond int64.
+_MAX_BINS = 2**20
 
 # Pairs per block of persons, in the sampler and in expected_curves: 8192
 # values (64 KiB) per temporary. Full-grid temporaries would add about 3.5 MB
@@ -65,8 +68,13 @@ class SimConfig:
             raise OutOfRange("population, item and replication counts must be >= 1")
         if not self.iteration_counts or min(self.iteration_counts) < 1:
             raise OutOfRange("iteration_counts must be non-empty with entries >= 1")
-        if not self.bin_width > 0:
-            raise OutOfRange(f"bin_width must be > 0, got {self.bin_width}")
+        if not (self.bin_width > 0 and math.isfinite(self.bin_width)):
+            raise OutOfRange(f"bin_width must be finite and > 0, got {self.bin_width}")
+        if 2 * math.floor(_BIN_SPAN / self.bin_width) + 1 > _MAX_BINS:
+            raise OutOfRange(
+                f"bin_width {self.bin_width} makes more than {_MAX_BINS} bins "
+                f"over [-{_BIN_SPAN:g}, {_BIN_SPAN:g}]"
+            )
         for name in ("p_slip", "p_guess"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0 or math.isnan(value):
@@ -274,29 +282,6 @@ def compare_to_irf(
     return max_abs, rmse
 
 
-CURVE_CSV_HEADER = ["bin_center", "iterations", "prop_correct", "n_obs", "irf_value"]
-
-
-def write_curves_csv(
-    curves: dict[int, BinnedCurve], item: Irf4pl, path: str
-) -> None:
-    """Plot-ready CSV: one row per (bin, iteration count) with the
-    superimposable equilibrium curve value."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("# format_version=1\n")
-        writer = csv.writer(handle)
-        writer.writerow(CURVE_CSV_HEADER)
-        for t in sorted(curves):
-            curve = curves[t]
-            irf_values = irf_4pl(curve.bin_centers, item)
-            for (center, iterations, prop, n_obs), irf_value in zip(
-                curve.rows(), irf_values
-            ):
-                writer.writerow(
-                    [repr(center), iterations, repr(prop), n_obs, repr(float(irf_value))]
-                )
-
-
 def summarize_curves(
     curves: dict[int, BinnedCurve],
     item: Irf4pl,
@@ -324,9 +309,3 @@ def summarize_curves(
             dev = np.abs(curve.prop_correct[mask] - expected[t].prop_correct[mask])
             summary["expected_max_abs_dev"][str(t)] = float(dev.max())
     return summary
-
-
-def write_summary_json(summary: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2)
-        handle.write("\n")

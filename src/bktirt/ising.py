@@ -77,14 +77,18 @@ class IsingNetwork:
         "couplings" ([i, j, sigma] entries; default none), "fields" (n
         numbers; default 0) and "emissions" (n [guess, slip] pairs; default
         noiseless). A malformed entry raises OutOfRange naming its key and
-        index. A network file is read only to list its 2^n states, so "n"
-        above 20 raises TooLarge before anything is allocated."""
+        index, and so does a key outside these four. A network file is read
+        only to list its 2^n states, so "n" above 20 raises TooLarge before
+        anything is allocated."""
         n = raw.get("n") if isinstance(raw, dict) else None
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise OutOfRange(
                 f'network needs an integer node count "n" >= 1, got {n!r}'
             )
         require_enumerable(n)
+        unknown = [key for key in raw if key not in ("n", "couplings", "fields", "emissions")]
+        if unknown:
+            raise OutOfRange(f"unknown network keys: {unknown}")
         couplings = np.zeros((n, n))
         for idx, entry in enumerate(_json_list(raw, "couplings", [])):
             if not isinstance(entry, list) or len(entry) != 3:

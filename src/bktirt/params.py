@@ -29,7 +29,7 @@ from .errors import (
 def _check_unit(name: str, value: float) -> None:
     # Closed interval, no epsilon slack: exact 0 and 1 are legal and the
     # degenerate chains they produce are handled downstream.
-    if not isinstance(value, (int, float)) or math.isnan(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
         raise OutOfRange(f"{name} must be a number in [0, 1], got {value!r}")
     if not 0.0 <= value <= 1.0:
         raise OutOfRange(f"{name} must lie in [0, 1], got {value!r}")
@@ -64,9 +64,16 @@ class BktParams:
     @classmethod
     def from_json(cls, text: str) -> "BktParams":
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise OutOfRange(
+                f"BKT parameters must be a JSON object, got {type(raw).__name__}"
+            )
         missing = [name for name in cls._FIELDS if name not in raw]
         if missing:
             raise OutOfRange(f"missing BKT parameter keys: {missing}")
+        unknown = [name for name in raw if name not in cls._FIELDS]
+        if unknown:
+            raise OutOfRange(f"unknown BKT parameter keys: {unknown}")
         return cls(**{name: raw[name] for name in cls._FIELDS})
 
 

@@ -91,6 +91,13 @@ class TestArgumentErrors:
             ("--steps", ["simulate", "--p-learn", "0.3", "--steps", "0", "--out", "s.csv"]),
             ("--points", ["irf", "--points", "-1", "--out", "c.csv"]),
             ("--points", ["irf", "--points", "0", "--out", "c.csv"]),
+            ("--bin-width", ["experiment", "--bin-width", "inf", "--out", "e.csv"]),
+            ("--bin-width", ["experiment", "--bin-width", "nan", "--out", "e.csv"]),
+            ("--bin-width", ["experiment", "--bin-width", "-0.5", "--out", "e.csv"]),
+            ("--a", ["irf", "--a", "inf", "--out", "c.csv"]),
+            ("--b", ["irf", "--b", "inf", "--out", "c.csv"]),
+            ("--theta-min", ["irf", "--theta-min", "nan", "--out", "c.csv"]),
+            ("--theta-max", ["irf", "--theta-max", "1e400", "--out", "c.csv"]),
         ],
     )
     def test_malformed_flag_value_names_the_flag(
@@ -133,6 +140,26 @@ class TestSimulate:
         assert dispatch(argv + ["--out", str(one)]) == 0
         assert dispatch(argv + ["--out", str(two)]) == 0
         assert one.read_bytes() == two.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--p-learn", "0.3", "--p-forget", "0.1", "--p-slip", "0.1",
+         "--p-guess", "0.2", "--steps", "40", "--seed", "8"],
+        ["irf", "--a", "1.3", "--b", "0.2", "--c", "0.1", "--d", "0.9", "--points", "9"],
+    ],
+    ids=["simulate", "irf"],
+)
+def test_stdout_is_the_out_file_without_its_format_line(tmp_path, capsys, argv):
+    assert dispatch(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.csv"
+    assert dispatch(argv + ["--out", str(out)]) == 0
+    lines = out.read_text().splitlines(keepends=True)
+    assert lines[0] == "# format_version=1\n"
+    assert "".join(lines[1:]) == printed
+    assert "np." not in printed
 
 
 class TestFilterCommand:
@@ -347,6 +374,31 @@ class TestBridgeCommand:
         assert payload["theta"] == pytest.approx(want.theta)
         assert payload["p_correct"] == pytest.approx(want.p_correct)
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("5", "JSON object"),
+            ('["p_init"]', "JSON object"),
+            ('{"p_init": 0.2, "p_learn": 0.3, "p_forget": 0.1, "p_slip": 0.1, '
+             '"p_guess": 0.2, "p_extra": 0.5}', "p_extra"),
+            ('{"p_init": true, "p_learn": 0.3, "p_forget": 0.1, "p_slip": 0.1, '
+             '"p_guess": 0.2}', "p_init"),
+            ('{"p_init": 0.2, "p_learn": "0.2", "p_forget": 0.1, "p_slip": 0.1, '
+             '"p_guess": 0.2}', "p_learn"),
+            ('{"p_init": 0.2, "p_learn": 0.3}', "p_forget"),
+        ],
+        ids=["number", "list", "unknown-key", "bool", "string", "missing-keys"],
+    )
+    def test_malformed_params_exit_one(self, tmp_path, capsys, text, where):
+        path = tmp_path / "params.json"
+        path.write_text(text)
+        out = tmp_path / "eq.json"
+        assert dispatch(["bridge", "--params", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("OutOfRange:") and len(err.splitlines()) == 1
+        assert where in err
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_nonergodic_exits_one(self, capsys, tmp_path):
         path = tmp_path / "absorbing.json"
         path.write_text(BktParams(0.2, 0.3, 0.0, 0.1, 0.2).to_json())
@@ -393,6 +445,15 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert err.startswith("usage_error:") and len(err.splitlines()) == 1
         assert not (tmp_path / "d.csv").exists()
+
+    def test_bin_grid_past_the_cap_exits_one(self, tmp_path, capsys):
+        argv = ["experiment", "--people", "3", "--items", "2", "--reps", "2",
+                "--bin-width", "1e-300", "--min-count", "1", "--out", str(tmp_path / "o.csv")]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("OutOfRange: bin_width") and len(err.splitlines()) == 1
+        assert "1048576 bins" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_rejected_summary_leaves_no_files(self, tmp_path, capsys):
         argv = ["experiment", "--people", "3", "--items", "2", "--reps", "2",
@@ -561,11 +622,12 @@ class TestIsingCommand:
             ({"n": 2, "couplings": [[0, 1, math.nan]]}, "couplings[0][2]"),
             ({"n": 2, "fields": [0.0, math.inf]}, "fields[1]"),
             ({"n": 2, "emissions": [[0.1, 0.1], [0.1, 1.5]]}, "p_slip[1]"),
+            ({"n": 2, "feilds": [5.0, 5.0]}, "feilds"),
         ],
         ids=["missing-n", "index-past-n", "negative-index", "self-coupling",
              "fractional-n", "fractional-index", "short-emission", "bool-n",
              "short-coupling", "string-coupling", "short-fields", "nan-coupling",
-             "overflowing-field", "emission-above-one"],
+             "overflowing-field", "emission-above-one", "unknown-key"],
     )
     def test_malformed_network_exits_one(self, tmp_path, capsys, net, where):
         net_path = tmp_path / "net.json"
@@ -596,6 +658,47 @@ class TestIsingCommand:
         err = capsys.readouterr().err
         assert err.startswith("TooLarge:") and len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == [net_path]
+
+
+_MANIFEST_KEYS = ["format_version", "command", "seeds", "version", "duration_s",
+                  "outputs", "phases", "work"]
+
+
+@pytest.mark.parametrize(
+    "argv, phases, work",
+    [
+        (["simulate", "--p-learn", "0.3", "--steps", "12", "--seed", "4"],
+         {"simulate_s", "write_s"}, {"steps": 12}),
+        (["filter", "--params", "{params}", "--responses", "1,0,1"],
+         {"load_s", "filter_s", "write_s"}, {"responses": 3}),
+        (["fit-bkt", "--panel", "{panel}", "--skill", "7", "--max-iters", "3"],
+         {"load_s", "fit_s", "write_s"},
+         {"records": 300, "sequences": 30, "responses": 300, "em_iterations": 3}),
+        (["bridge", "--params", "{params}"], {"load_s", "bridge_s", "write_s"}, {}),
+        (["experiment", "--people", "4", "--items", "3", "--reps", "2", "--iters", "1",
+          "--min-count", "1"], {"population_s", "simulate_s", "write_s"},
+         {"pairs": 12, "keyed_streams": 5, "binomial_draws": 48}),
+        (["irf", "--points", "7"], {"evaluate_s", "write_s"}, {"points": 7}),
+        (["ising", "--net", "{net}", "--sweeps", "20"],
+         {"load_s", "simulate_s", "frequencies_s", "exact_s", "write_s"},
+         {"sweeps": 20, "site_updates": 40, "uniforms_drawn": 80}),
+    ],
+    ids=["simulate", "filter", "fit-bkt", "bridge", "experiment", "irf", "ising"],
+)
+def test_every_manifest_has_one_shape(tmp_path, params_file, argv, phases, work):
+    inputs = {"params": params_file, "panel": _panel_csv(tmp_path),
+              "net": _ising_net(tmp_path)}
+    argv = [arg.format(**inputs) for arg in argv]
+    out = tmp_path / "result.out"
+    assert dispatch(argv + ["--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "result.manifest.json").read_text())
+    ising = argv[0] == "ising"
+    assert list(manifest) == _MANIFEST_KEYS + (["diagnostics"] if ising else [])
+    assert manifest["command"] == argv + ["--out", str(out)]
+    assert manifest["outputs"][0]["path"] == str(out)
+    assert set(manifest["phases"]) == phases
+    assert all(value >= 0.0 for value in manifest["phases"].values())
+    assert manifest["work"] == work
 
 
 class TestHelp:

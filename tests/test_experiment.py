@@ -22,13 +22,9 @@ from bktirt import (
     marginal_at,
     run_equilibrium_experiment,
 )
+from bktirt.cli import write_curves_csv
 from bktirt.errors import InsufficientData, OutOfRange
-from bktirt.experiment import (
-    Population,
-    summarize_curves,
-    work_counts,
-    write_curves_csv,
-)
+from bktirt.experiment import Population, summarize_curves, work_counts
 
 # Family-wise false-alarm probability of the per-bin binomial tests against
 # the exact expectation; Bonferroni-split over every (step count, bin) cell.
@@ -73,6 +69,11 @@ class TestSimConfig:
             SimConfig(iteration_counts=(0,))
         with pytest.raises(OutOfRange):
             SimConfig(bin_width=0.0)
+        with pytest.raises(OutOfRange, match="finite"):
+            SimConfig(bin_width=math.inf)
+        with pytest.raises(OutOfRange, match="more than 1048576 bins"):
+            SimConfig(bin_width=1e-300)
+        assert SimConfig(bin_width=1e-4).bin_width == 1e-4
         with pytest.raises(OutOfRange):
             SimConfig(p_slip=1.5)
 
