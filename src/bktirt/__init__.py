@@ -7,7 +7,6 @@ generalization with exact small-network oracles.
 """
 
 from .bridge import (
-    RecoveredParams,
     SkillEquilibrium,
     bkt_to_irt,
     classic_limit,
@@ -44,7 +43,6 @@ from .irt import (
     simulate_dynamic_irt,
 )
 from .ising import (
-    FieldTrace,
     IsingNetwork,
     boltzmann_exact,
     conditional_prob,
@@ -80,14 +78,12 @@ __all__ = [
     "DEFAULT_SEED",
     "DomainError",
     "DynamicIrtConfig",
-    "FieldTrace",
     "FilterResult",
     "FitReport",
     "Irf4pl",
     "IsingNetwork",
     "MirtIrf",
     "Population",
-    "RecoveredParams",
     "ResponsePanel",
     "RngKey",
     "SimConfig",

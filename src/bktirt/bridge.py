@@ -83,21 +83,10 @@ def learner_item_equilibrium(
     )
 
 
-@dataclass(frozen=True)
-class RecoveredParams:
-    """Mastery-chain parameters recovered from an equilibrium curve.
-
-    p_init carries no information at equilibrium, so it is returned as the
-    0.5 placeholder with equilibrium_only set.
-    """
-
-    params: BktParams
-    equilibrium_only: bool = True
-
-
-def irt_to_bkt(theta: float, b: float, c: float, d: float) -> RecoveredParams:
+def irt_to_bkt(theta: float, b: float, c: float, d: float) -> BktParams:
     """Invert the equilibrium map: p_learn = e^theta, p_forget = e^b,
-    p_guess = c, p_slip = 1 - d.
+    p_guess = c, p_slip = 1 - d. p_init carries no information at
+    equilibrium and comes back as the 0.5 placeholder.
 
     theta and b must be <= 0 (logs of probabilities); positive values would
     imply transition probabilities above 1.
@@ -109,14 +98,13 @@ def irt_to_bkt(theta: float, b: float, c: float, d: float) -> RecoveredParams:
         )
     if not 0.0 <= c < d <= 1.0:
         raise OutOfDomain(f"asymptotes must satisfy 0 <= c < d <= 1, got c={c}, d={d}")
-    params = BktParams(
+    return BktParams(
         p_init=0.5,
         p_learn=math.exp(theta),
         p_forget=math.exp(b),
         p_slip=1.0 - d,
         p_guess=c,
     )
-    return RecoveredParams(params=params, equilibrium_only=True)
 
 
 def classic_limit(params: BktParams) -> float:

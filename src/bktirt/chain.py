@@ -140,7 +140,9 @@ def mastered_after(p_learn, p_forget, z, steps: int):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled latent/emitted paths plus the stream key that produced them."""
+    """Sampled latent/emitted paths plus the stream key that produced them:
+    one row per step of a mastery chain, or per sweep of a network (then
+    one column per node)."""
 
     latent: np.ndarray
     emitted: np.ndarray
@@ -149,6 +151,19 @@ class Trajectory:
     def __post_init__(self) -> None:
         if len(self.latent) != len(self.emitted) or len(self.latent) < 1:
             raise ValueError("latent and emitted must have equal length >= 1")
+
+    def __len__(self) -> int:
+        return self.latent.shape[0]
+
+    def flip_rate(self) -> float:
+        """Share of site updates that changed their site. A network sweep
+        updates each site once from an all-zero start, so a site differs from
+        the previous sweep exactly when its update flipped it; under
+        Metropolis this is the acceptance rate."""
+        flips = np.count_nonzero(self.latent[0]) + np.count_nonzero(
+            self.latent[1:] != self.latent[:-1]
+        )
+        return flips / self.latent.size
 
 
 def sample_trajectory(params: BktParams, steps: int, key: RngKey) -> Trajectory:

@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import secrets
 import sys
 import time
@@ -60,7 +61,12 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors are one stderr line, without the
-    usage block; subcommand parsers inherit it."""
+    usage block; subcommand parsers inherit it. A value such as -1e3 is
+    read as a negative number, not as an option."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message: str):
         self.exit(2, f"{self.prog}: error: {message}\n")
@@ -114,6 +120,13 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
+
+
+def _response_list(text: str) -> list[int]:
+    """Comma-separated responses, at least one."""
+    if responses := _int_list(text):
+        return responses
+    raise argparse.ArgumentTypeError(f"expected at least one response, got {text!r}")
 
 
 def _add_seed(parser: argparse.ArgumentParser) -> None:
@@ -429,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filter", help="forward-filter a response sequence")
     p.add_argument("--params", required=True, help="BKT parameter JSON file")
-    p.add_argument("--responses", type=_int_list, required=True,
+    p.add_argument("--responses", type=_response_list, required=True,
                    help="comma-separated 0/1 responses, e.g. 1,0,1")
     p.add_argument("--out", help="JSON path (default: print to stdout)")
     p.set_defaults(handler=_cmd_filter)
@@ -471,8 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--desk", action="store_true",
                    help="reduced preset: 200 people, 50 items, 200 reps "
                         "(excludes --people, --items, --reps)")
-    p.add_argument("--min-count", type=int, default=200,
-                   help="bin count threshold for the deviation summary (default: 200)")
+    p.add_argument("--min-count", type=_int_at_least(1), default=200,
+                   help="bin count threshold for the deviation summary, >= 1 "
+                        "(default: 200)")
     p.add_argument("--out", required=True, help="curve CSV path")
     p.set_defaults(handler=_cmd_experiment)
 

@@ -17,12 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chain import Trajectory
 from .errors import InsufficientData, OutOfRange, TooLarge
 from .irt import logistic
 from .rng import RngKey
 
 _EXACT_MAX_NODES = 20
 _TABLE_MAX_NODES = 12
+_INDEX_MAX_NODES = 63
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,16 @@ class IsingNetwork:
         for name, arr in (("couplings", couplings), ("fields", fields)):
             if not np.all(np.isfinite(arr)):
                 raise OutOfRange(f"{name} entries must be finite")
+        # Twice the sum of every |field| and |coupling| bounds each energy,
+        # local field and energy difference, so when it is finite none of
+        # them overflows.
+        with np.errstate(over="ignore"):
+            span = 2.0 * (np.abs(fields).sum() + np.abs(couplings).sum())
+        if not np.isfinite(span):
+            raise OutOfRange(
+                "fields and couplings too large: twice the sum of their "
+                "absolute values overflows a float"
+            )
         for name, arr in (("p_guess", p_guess), ("p_slip", p_slip)):
             bad = np.flatnonzero((arr < 0) | (arr > 1) | np.isnan(arr))
             if bad.size:
@@ -226,50 +238,39 @@ def metropolis_step(
     return z_new
 
 
-@dataclass(frozen=True)
-class FieldTrace:
-    """Per-sweep latent and emitted states plus the stream that produced them."""
+class _LookupRow:
+    """One node's thresholds for a network too large to tabulate: ``[idx]``
+    evaluates the per-site formula on the bits of state index idx."""
 
-    latent: np.ndarray
-    emitted: np.ndarray
-    key: RngKey
+    def __init__(self, net: IsingNetwork, node: int, dynamics: str) -> None:
+        self.net, self.node, self.glauber = net, node, dynamics == "glauber"
+        self.shifts = np.arange(net.n_nodes)
 
-    def __len__(self) -> int:
-        return self.latent.shape[0]
-
-    def state_indices(self) -> np.ndarray:
-        """Latent state per sweep packed as an integer (node j = bit j)."""
-        n = self.latent.shape[1]
-        return (self.latent.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64)))
-
-    def flip_rate(self) -> float:
-        """Share of site updates that changed their site.
-
-        Every sweep updates each site exactly once and the run starts from
-        all zeros, so a site differs from the previous sweep exactly when its
-        update flipped it. Under Metropolis this is the acceptance rate.
-        """
-        flips = np.count_nonzero(self.latent[0]) + np.count_nonzero(
-            self.latent[1:] != self.latent[:-1]
-        )
-        return flips / self.latent.size
+    def __getitem__(self, idx: int) -> float:
+        z = (idx >> self.shifts) & 1
+        if self.glauber:
+            return conditional_prob(self.net, z, self.node)
+        delta = flip_energy_delta(self.net, z, self.node)
+        return 1.0 if delta <= 0 else math.exp(-delta)
 
 
-def _glauber_tables(net: IsingNetwork) -> list[list[float]]:
-    bits = _state_bits(net.n_nodes).astype(float)
-    return [
-        logistic(net.fields[j] + bits @ net.couplings[j]).tolist()
-        for j in range(net.n_nodes)
-    ]
-
-
-def _metropolis_tables(net: IsingNetwork) -> list[list[float]]:
-    bits = _state_bits(net.n_nodes)
+def _thresholds(net: IsingNetwork, dynamics: str) -> list:
+    """Per node, the update threshold indexed by the packed state: under
+    Glauber the node is set when the draw falls below it, under Metropolis
+    it flips. Networks of at most 12 nodes get the whole 2^n list up front;
+    larger ones a row that computes each entry on lookup."""
+    n = net.n_nodes
+    if n > _TABLE_MAX_NODES:
+        return [_LookupRow(net, j, dynamics) for j in range(n)]
+    bits = _state_bits(n)
     tables = []
-    for j in range(net.n_nodes):
+    for j in range(n):
         local = net.fields[j] + bits.astype(float) @ net.couplings[j]
-        delta = np.where(bits[:, j] == 0, -local, local)
-        tables.append(np.minimum(1.0, np.exp(-np.maximum(delta, 0.0))).tolist())
+        if dynamics == "glauber":
+            tables.append(logistic(local).tolist())
+        else:
+            delta = np.where(bits[:, j] == 0, -local, local)
+            tables.append(np.minimum(1.0, np.exp(-np.maximum(delta, 0.0))).tolist())
     return tables
 
 
@@ -279,19 +280,13 @@ def uniforms_per_sweep(n_nodes: int, scan: str) -> int:
     return (3 if scan == "random" else 2) * n_nodes
 
 
-def _emit(latent: np.ndarray, draws: np.ndarray, net: IsingNetwork) -> np.ndarray:
-    """Responses of a block of sweeps: correct when the draw falls below
-    1 - slip (mastered node) or guess (unmastered node)."""
-    return draws < np.where(latent == 1, 1.0 - net.p_slip, net.p_guess)
-
-
 def simulate_field(
     net: IsingNetwork,
     sweeps: int,
     key: RngKey,
     dynamics: str = "glauber",
     scan: str = "fixed",
-) -> FieldTrace:
+) -> Trajectory:
     """Run single-site dynamics from the all-unmastered state.
 
     One sweep updates every node once and then emits one response per node.
@@ -299,8 +294,9 @@ def simulate_field(
     sweep: n update draws, then n emission draws. Random scan draws 3n: n
     order keys, whose stable argsort is the sweep's visiting order, then n
     update draws taken in that order, then n emission draws. Networks of at
-    most 12 nodes run on precomputed 2^n conditional tables; larger ones
-    take the per-site path, which consumes the identical stream.
+    most 12 nodes read each update threshold from a precomputed 2^n table;
+    larger ones compute it on lookup, inside the same loop. The state is
+    packed into one int64 index, so networks beyond 63 nodes raise TooLarge.
     """
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
@@ -309,74 +305,67 @@ def simulate_field(
     if scan not in ("fixed", "random"):
         raise ValueError(f"scan must be fixed or random, got {scan!r}")
     n = net.n_nodes
+    if n > _INDEX_MAX_NODES:
+        raise TooLarge(f"the packed state index holds {_INDEX_MAX_NODES} nodes, got {n}")
     width = uniforms_per_sweep(n, scan)
     gen = key.generator()
     latent = np.empty((sweeps, n), dtype=np.uint8)
     emitted = np.empty((sweeps, n), dtype=np.uint8)
+    tables = _thresholds(net, dynamics)
+    flip_semantics = dynamics == "metropolis"
+    bit = [1 << j for j in range(n)]
+    idx = 0
+    done = 0
+    while done < sweeps:
+        chunk = min(sweeps - done, 1 << 15)
+        draws = gen.random((chunk, width))
+        indices = np.empty(chunk, dtype=np.int64)
+        # Fixed scan keeps its own indexed loop: the zip form below ran
+        # 10-40% slower per update when given range(n) as the order.
+        if scan == "fixed":
+            rows = draws[:, :n].tolist()
+            for s, row in enumerate(rows):
+                for j in range(n):
+                    threshold = tables[j][idx]
+                    if flip_semantics:
+                        if row[j] < threshold:
+                            idx ^= bit[j]
+                    elif row[j] < threshold:
+                        idx |= bit[j]
+                    else:
+                        idx &= ~bit[j]
+                indices[s] = idx
+        else:
+            orders = np.argsort(draws[:, :n], axis=1, kind="stable").tolist()
+            rows = draws[:, n : 2 * n].tolist()
+            for s, (order, row) in enumerate(zip(orders, rows)):
+                for j, u in zip(order, row):
+                    threshold = tables[j][idx]
+                    if flip_semantics:
+                        if u < threshold:
+                            idx ^= bit[j]
+                    elif u < threshold:
+                        idx |= bit[j]
+                    else:
+                        idx &= ~bit[j]
+                indices[s] = idx
+        block = ((indices[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+        latent[done : done + chunk] = block
+        # Correct when the draw falls below 1 - slip (mastered) or guess.
+        p_correct = np.where(block == 1, 1.0 - net.p_slip, net.p_guess)
+        emitted[done : done + chunk] = draws[:, width - n :] < p_correct
+        done += chunk
+    return Trajectory(latent=latent, emitted=emitted, key=key)
 
-    if n <= _TABLE_MAX_NODES:
-        tables = (
-            _glauber_tables(net) if dynamics == "glauber" else _metropolis_tables(net)
-        )
-        flip_semantics = dynamics == "metropolis"
-        bit = [1 << j for j in range(n)]
-        idx = 0
-        done = 0
-        while done < sweeps:
-            chunk = min(sweeps - done, 1 << 15)
-            draws = gen.random((chunk, width))
-            indices = np.empty(chunk, dtype=np.int64)
-            # Fixed scan keeps its own indexed loop: the zip form below ran
-            # 10-40% slower per update when given range(n) as the order.
-            if scan == "fixed":
-                rows = draws[:, :n].tolist()
-                for s, row in enumerate(rows):
-                    for j in range(n):
-                        threshold = tables[j][idx]
-                        if flip_semantics:
-                            if row[j] < threshold:
-                                idx ^= bit[j]
-                        elif row[j] < threshold:
-                            idx |= bit[j]
-                        else:
-                            idx &= ~bit[j]
-                    indices[s] = idx
-            else:
-                orders = np.argsort(draws[:, :n], axis=1, kind="stable").tolist()
-                rows = draws[:, n : 2 * n].tolist()
-                for s, (order, row) in enumerate(zip(orders, rows)):
-                    for j, u in zip(order, row):
-                        threshold = tables[j][idx]
-                        if flip_semantics:
-                            if u < threshold:
-                                idx ^= bit[j]
-                        elif u < threshold:
-                            idx |= bit[j]
-                        else:
-                            idx &= ~bit[j]
-                    indices[s] = idx
-            block = ((indices[:, None] >> np.arange(n)) & 1).astype(np.uint8)
-            latent[done : done + chunk] = block
-            emitted[done : done + chunk] = _emit(block, draws[:, width - n :], net)
-            done += chunk
-    else:
-        step = glauber_step if dynamics == "glauber" else metropolis_step
-        z = np.zeros(n, dtype=np.uint8)
-        for s in range(sweeps):
-            if scan == "fixed":
-                order = range(n)
-            else:
-                order = np.argsort(gen.random(n), kind="stable")
-            for j in order:
-                z = step(net, z, int(j), gen)
-            latent[s] = z
-            emitted[s] = _emit(z, gen.random(n), net)
 
-    return FieldTrace(latent=latent, emitted=emitted, key=key)
+def state_indices(latent: np.ndarray) -> np.ndarray:
+    """Latent state per sweep packed as an integer (node j = bit j)."""
+    n = latent.shape[1]
+    return latent.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
 
 
 def empirical_state_frequencies(
-    trace: FieldTrace, burn_in: int = 0, thin: int = 1
+    trace: Trajectory, burn_in: int = 0, thin: int = 1
 ) -> np.ndarray:
     """Relative visit frequencies over all 2^n states, after burn-in/thinning.
 
@@ -394,6 +383,6 @@ def empirical_state_frequencies(
         )
     n = trace.latent.shape[1]
     require_enumerable(n)
-    indices = trace.state_indices()[burn_in::thin]
+    indices = state_indices(trace.latent)[burn_in::thin]
     counts = np.bincount(indices, minlength=2**n).astype(float)
     return counts / counts.sum()

@@ -236,19 +236,7 @@ class FitReport:
         return "tolerance" if self.converged else "iteration_cap"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "params": {
-                    name: getattr(self.params, name) for name in BktParams._FIELDS
-                },
-                "loglik_trace": list(self.loglik_trace),
-                "iterations": self.iterations,
-                "converged": self.converged,
-                "constraint_set": list(self.constraint_set),
-                "degenerate_data": self.degenerate_data,
-                "stop_reason": self.stop_reason,
-            }
-        )
+        return json.dumps({**asdict(self), "stop_reason": self.stop_reason})
 
 
 def _nudged(values: dict[str, float], classic: bool) -> BktParams:

@@ -113,12 +113,12 @@ class TestLearnerItem:
 class TestIrtToBkt:
     def test_exponentials_invert_logs(self):
         rec = irt_to_bkt(-1.0, -2.0, 0.1, 0.9)
-        assert rec.equilibrium_only
-        assert rec.params.p_learn == pytest.approx(math.exp(-1), abs=1e-15)
-        assert rec.params.p_forget == pytest.approx(math.exp(-2), abs=1e-15)
-        assert rec.params.p_guess == 0.1
-        assert rec.params.p_slip == pytest.approx(0.1, abs=1e-15)
-        assert rec.params.p_init == 0.5
+        assert isinstance(rec, BktParams)
+        assert rec.p_learn == pytest.approx(math.exp(-1), abs=1e-15)
+        assert rec.p_forget == pytest.approx(math.exp(-2), abs=1e-15)
+        assert rec.p_guess == 0.1
+        assert rec.p_slip == pytest.approx(0.1, abs=1e-15)
+        assert rec.p_init == 0.5
 
     def test_round_trip_is_identity(self):
         rng = np.random.default_rng(46)
@@ -128,7 +128,7 @@ class TestIrtToBkt:
             p_slip = rng.uniform(0.0, 0.5 - 1e-9)
             params = BktParams(0.5, p_learn, p_forget, p_slip, p_guess)
             eq = bkt_to_irt(params)
-            back = irt_to_bkt(eq.theta, eq.b, eq.c, eq.d).params
+            back = irt_to_bkt(eq.theta, eq.b, eq.c, eq.d)
             assert abs(back.p_learn - p_learn) < 1e-15
             assert abs(back.p_forget - p_forget) < 1e-15
             assert abs(back.p_slip - p_slip) < 1e-15

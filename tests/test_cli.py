@@ -98,6 +98,9 @@ class TestArgumentErrors:
             ("--b", ["irf", "--b", "inf", "--out", "c.csv"]),
             ("--theta-min", ["irf", "--theta-min", "nan", "--out", "c.csv"]),
             ("--theta-max", ["irf", "--theta-max", "1e400", "--out", "c.csv"]),
+            ("--min-count", ["experiment", "--desk", "--min-count", "-5", "--out", "e.csv"]),
+            ("--min-count", ["experiment", "--desk", "--min-count", "0", "--out", "e.csv"]),
+            ("--responses", ["filter", "--params", "p.json", "--responses", ""]),
         ],
     )
     def test_malformed_flag_value_names_the_flag(
@@ -203,6 +206,31 @@ class TestFitCommand:
         trace = payload["loglik_trace"]
         assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
         assert (tmp_path / "report.manifest.json").exists()
+
+    def test_init_file_sets_the_starting_point(self, tmp_path):
+        panel = _panel_csv(tmp_path)
+        init = tmp_path / "init.json"
+        init.write_text(BktParams(0.6, 0.05, 0.3, 0.2, 0.3).to_json())
+        argv = ["fit-bkt", "--panel", str(panel), "--skill", "7", "--max-iters", "2"]
+        assert dispatch(argv + ["--out", str(tmp_path / "default.json")]) == 0
+        assert dispatch(argv + ["--init", str(init), "--out", str(tmp_path / "own.json")]) == 0
+        default = json.loads((tmp_path / "default.json").read_text())
+        own = json.loads((tmp_path / "own.json").read_text())
+        assert own["params"] != default["params"]
+        assert own["loglik_trace"][0] != default["loglik_trace"][0]
+
+    def test_malformed_init_file_exits_one(self, tmp_path, capsys):
+        panel = _panel_csv(tmp_path)
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"p_init": 0.3, "p_learn": 1.5, "p_forget": 0.1,
+                                    "p_slip": 0.1, "p_guess": 0.1}))
+        out = tmp_path / "report.json"
+        code = dispatch(["fit-bkt", "--panel", str(panel), "--skill", "7",
+                         "--init", str(init), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("OutOfRange: p_learn") and len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_unknown_skill_exits_one(self, tmp_path, capsys):
         panel = _panel_csv(tmp_path)
@@ -455,6 +483,12 @@ class TestExperimentCommand:
         assert "1048576 bins" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_empty_iteration_list_exits_one(self, tmp_path, capsys):
+        argv = ["experiment", "--desk", "--iters", "", "--out", str(tmp_path / "e.csv")]
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err.startswith("OutOfRange: iteration_counts")
+        assert list(tmp_path.iterdir()) == []
+
     def test_rejected_summary_leaves_no_files(self, tmp_path, capsys):
         argv = ["experiment", "--people", "3", "--items", "2", "--reps", "2",
                 "--min-count", "100000000", "--out", str(tmp_path / "o.csv")]
@@ -508,6 +542,18 @@ class TestIrfCommand:
         mid = lines[2 + 2].split(",")
         assert float(mid[0]) == 0.0
         assert float(mid[1]) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--b", "-1e3"), ("--theta-min", "-1.5e1"), ("--theta-max", "-1e-3")]
+    )
+    def test_negative_exponent_value_in_either_spelling(self, capsys, flag, value):
+        argv = ["irf", "--theta-min", "-20", "--points", "5"]
+        parsed = build_parser().parse_args(argv + [flag, value])
+        assert getattr(parsed, flag[2:].replace("-", "_")) == float(value)
+        assert dispatch(argv + [flag, value]) == 0
+        separate = capsys.readouterr().out
+        assert dispatch(argv + [f"{flag}={value}"]) == 0
+        assert capsys.readouterr().out == separate
 
     def test_invalid_item_exits_one(self, capsys):
         assert dispatch(["irf", "--c", "0.9", "--d", "0.1"]) == 1
@@ -623,11 +669,14 @@ class TestIsingCommand:
             ({"n": 2, "fields": [0.0, math.inf]}, "fields[1]"),
             ({"n": 2, "emissions": [[0.1, 0.1], [0.1, 1.5]]}, "p_slip[1]"),
             ({"n": 2, "feilds": [5.0, 5.0]}, "feilds"),
+            ({"n": 3, "couplings": [[0, 1, 1e308], [0, 2, 1e308], [1, 2, 1e308]]},
+             "fields and couplings"),
         ],
         ids=["missing-n", "index-past-n", "negative-index", "self-coupling",
              "fractional-n", "fractional-index", "short-emission", "bool-n",
              "short-coupling", "string-coupling", "short-fields", "nan-coupling",
-             "overflowing-field", "emission-above-one", "unknown-key"],
+             "overflowing-field", "emission-above-one", "unknown-key",
+             "overflowing-energy"],
     )
     def test_malformed_network_exits_one(self, tmp_path, capsys, net, where):
         net_path = tmp_path / "net.json"
@@ -636,7 +685,7 @@ class TestIsingCommand:
         net_path.write_text(json.dumps(net))
         out = tmp_path / "freq.csv"
         code = dispatch(["ising", "--net", str(net_path), "--sweeps", "10",
-                         "--out", str(out)])
+                         "--exact", "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("OutOfRange:") and len(err.splitlines()) == 1

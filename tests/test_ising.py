@@ -44,6 +44,25 @@ def _random_net(n, seed, low=0.2, high=0.8, field_span=0.5, guess=0.1, slip=0.1)
     return _net(sigma, fields, [guess] * n, [slip] * n)
 
 
+def _per_site_reference(net, sweeps, key, dynamics, scan):
+    """Latent and emitted paths drawn one scalar uniform per site update
+    through glauber_step / metropolis_step: per sweep, n order keys under
+    random scan, then one draw per update, then n emission draws."""
+    step = glauber_step if dynamics == "glauber" else metropolis_step
+    n = net.n_nodes
+    gen = key.generator()
+    z = np.zeros(n, dtype=np.uint8)
+    latent, emitted = [], []
+    for _ in range(sweeps):
+        order = range(n) if scan == "fixed" else np.argsort(gen.random(n), kind="stable")
+        for j in order:
+            z = step(net, z, int(j), gen)
+        latent.append(z)
+        p_correct = np.where(z == 1, 1.0 - net.p_slip, net.p_guess)
+        emitted.append(gen.random(n) < p_correct)
+    return np.array(latent), np.array(emitted, dtype=np.uint8)
+
+
 class TestNetworkValidation:
     def test_asymmetric_couplings_rejected(self):
         with pytest.raises(OutOfRange):
@@ -67,6 +86,14 @@ class TestNetworkValidation:
             _net([[0.0, math.nan], [math.nan, 0.0]], [0.0, 0.0])
         with pytest.raises(OutOfRange, match="fields"):
             _net([[0.0, 0.2], [0.2, 0.0]], [0.0, math.inf])
+
+    def test_strong_network_inside_the_bound_stays_finite(self):
+        net = _net([[0.0, 1e307], [1e307, 0.0]], [-1e307, 1e307])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            probs = boltzmann_exact(net)
+            for dynamics in ("glauber", "metropolis"):
+                simulate_field(net, 20, RngKey(25), dynamics=dynamics)
+        assert np.all(np.isfinite(probs)) and probs.sum() == pytest.approx(1.0)
 
     def test_dict_round_trip(self):
         net = _random_net(3, seed=1)
@@ -230,6 +257,36 @@ class TestSimulateField:
                 np.testing.assert_array_equal(fast.emitted, slow.emitted)
 
     @pytest.mark.parametrize("scan", ["fixed", "random"])
+    @pytest.mark.parametrize("dynamics", ["glauber", "metropolis"])
+    @pytest.mark.parametrize("n", [3, 13])
+    def test_stream_layout_matches_per_site_reference(self, n, dynamics, scan):
+        # n = 3 reads the 2^n tables, n = 13 computes thresholds on lookup;
+        # both must consume the stream exactly as one scalar draw per update.
+        net = _random_net(n, seed=23 + n, low=-0.6, high=0.6, guess=0.2, slip=0.1)
+        key = RngKey(23, (n,))
+        trace = simulate_field(net, 150, key, dynamics=dynamics, scan=scan)
+        latent, emitted = _per_site_reference(net, 150, key, dynamics, scan)
+        np.testing.assert_array_equal(trace.latent, latent)
+        np.testing.assert_array_equal(trace.emitted, emitted)
+        assert 0.0 < trace.flip_rate() < 1.0
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [({"sweeps": 0}, "sweeps"), ({"dynamics": "heat-bath"}, "dynamics"),
+         ({"scan": "checkerboard"}, "scan")],
+    )
+    def test_bad_arguments_rejected(self, kwargs, match):
+        args = {"sweeps": 10, "key": RngKey(22), **kwargs}
+        with pytest.raises(ValueError, match=match):
+            simulate_field(_random_net(2, seed=22), **args)
+
+    def test_state_index_width_caps_the_node_count(self):
+        wide = simulate_field(_net(np.zeros((63, 63)), np.zeros(63)), 3, RngKey(24))
+        assert wide.latent.shape == (3, 63)
+        with pytest.raises(TooLarge):
+            simulate_field(_net(np.zeros((64, 64)), np.zeros(64)), 3, RngKey(24))
+
+    @pytest.mark.parametrize("scan", ["fixed", "random"])
     def test_flip_rate_is_metropolis_acceptance_rate(self, scan):
         n, sweeps = 4, 400
         net = _random_net(n, seed=19, field_span=1.0)
@@ -325,7 +382,7 @@ class TestSimulateField:
         net = _random_net(2, seed=18)
         trace = simulate_field(net, 50, RngKey(18))
         assert len(trace) == 50
-        indices = trace.state_indices()
+        indices = ising_mod.state_indices(trace.latent)
         assert indices.shape == (50,)
         np.testing.assert_array_equal(
             (indices[:, None] >> np.arange(2)) & 1, trace.latent

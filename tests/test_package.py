@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import bktirt
@@ -13,6 +14,16 @@ def test_every_exported_name_resolves_once():
     assert len(bktirt.__all__) == len(set(bktirt.__all__))
     for name in bktirt.__all__:
         assert hasattr(bktirt, name), name
+
+
+def test_version_is_the_same_everywhere(capsys):
+    # pyproject.toml is read as text: tomllib needs Python 3.11 and the
+    # package supports 3.10.
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    declared = re.findall(r'^version = "([^"]+)"$', pyproject, flags=re.MULTILINE)
+    assert declared == [bktirt.__version__]
+    assert bktirt.cli.dispatch(["--version"]) == 0
+    assert capsys.readouterr().out == f"{bktirt.__version__}\n"
 
 
 def test_names_the_tracer_wraps_on_the_cli_exist():
