@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .chain import marginal_at, stationary_closed_form
-from .errors import NonErgodic, OutOfDomain
+from .errors import ForgettingNonzero, NonErgodic, OutOfDomain, Reducible
 from .params import BktParams
 
 
@@ -114,11 +114,11 @@ def classic_limit(params: BktParams) -> float:
     Bernoulli(1 - p_slip).
     """
     if params.p_forget != 0.0:
-        raise ValueError(
+        raise ForgettingNonzero(
             f"classic_limit requires p_forget == 0, got {params.p_forget}"
         )
     if params.p_learn <= 0.0:
-        raise ValueError("classic_limit requires p_learn > 0")
+        raise Reducible("classic_limit requires p_learn > 0")
     return 1.0 - params.p_slip
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Reducible
+from .errors import OutOfRange, Reducible
 from .params import BktParams
 from .rng import RngKey
 
@@ -116,7 +116,7 @@ def marginal_at(params: BktParams, t: int) -> float:
     mastered-mass component of applying A^T t times to (1-p_init, p_init).
     """
     if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+        raise OutOfRange(f"t must be >= 0, got {t}")
     m = params.p_init
     keep = 1.0 - params.p_learn - params.p_forget
     for _ in range(t):
@@ -150,7 +150,7 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         if len(self.latent) != len(self.emitted) or len(self.latent) < 1:
-            raise ValueError("latent and emitted must have equal length >= 1")
+            raise OutOfRange("latent and emitted must have equal length >= 1")
 
     def __len__(self) -> int:
         return self.latent.shape[0]
@@ -174,7 +174,7 @@ def sample_trajectory(params: BktParams, steps: int, key: RngKey) -> Trajectory:
     the emissions. Identical keys therefore give identical trajectories.
     """
     if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+        raise OutOfRange(f"steps must be >= 1, got {steps}")
     draws = key.generator().random((2, steps))
     u_state, u_emit = draws[0].tolist(), draws[1]
 

@@ -6,7 +6,7 @@ CSV, printed to stdout or written to ``--out``; every invocation that writes
 files also writes a run manifest (command line, seeds, version, duration,
 output digests, phase wall times, work counters) next to its outputs.
 
-Exit codes: 0 success, 1 domain error (printed as ``code: message``),
+Exit codes: 0 success, 1 domain error (printed as ``ClassName: message``),
 2 I/O or argument errors.
 """
 
@@ -34,7 +34,6 @@ from .errors import DomainError
 from .experiment import (
     BinnedCurve,
     SimConfig,
-    draw_population,
     expected_curves,
     run_equilibrium_experiment,
     summarize_curves,
@@ -53,10 +52,6 @@ from .rng import DEFAULT_SEED, RngKey
 from .tracing import fit_baum_welch, forward_filter
 
 FORMAT_VERSION = 1
-
-
-class UsageError(Exception):
-    """Flags that make no valid invocation (exit code 2)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -357,7 +352,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     sizes = {name: value for name, (_, value) in flags.items() if value is not None}
     if args.desk and sizes:
         given = ", ".join(flags[name][0] for name in sizes)
-        raise UsageError(f"--desk fixes the run size; drop {given}")
+        args.error(f"argument --desk: not allowed with {given}")
     config = (SimConfig.desk if args.desk else SimConfig)(
         **sizes,
         iteration_counts=args.iters,
@@ -366,9 +361,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         seed=args.seed,
         bin_width=args.bin_width,
     )
-    # The simulate phase redraws this same population from the config's key.
-    with run.phase("population_s"):
-        population = draw_population(config)
     with run.phase("simulate_s"):
         curves = run_equilibrium_experiment(config)
     run.work.update(work_counts(config))
@@ -376,9 +368,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     with run.phase("write_s"):
         item = config.irf()
         # Summarize first: it can reject the run, and then no file is written.
-        summary = summarize_curves(
-            curves, item, args.min_count, expected_curves(config, population)
-        )
+        summary = summarize_curves(curves, item, args.min_count, expected_curves(config))
         write_curves_csv(curves, item, args.out)
         write_summary_json(summary, str(summary_path))
     return run.finish(args.out, summary_path)
@@ -468,12 +458,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bridge)
 
     p = sub.add_parser("experiment", help="population convergence experiment")
-    p.add_argument("--people", type=int, default=None,
-                   help="number of learners (default: 1000)")
-    p.add_argument("--items", type=int, default=None,
-                   help="number of items (default: 100)")
-    p.add_argument("--reps", type=int, default=None,
-                   help="replications per pair (default: 1000)")
+    p.add_argument("--people", type=_int_at_least(1), default=None,
+                   help="number of learners, >= 1 (default: 1000)")
+    p.add_argument("--items", type=_int_at_least(1), default=None,
+                   help="number of items, >= 1 (default: 100)")
+    p.add_argument("--reps", type=_int_at_least(1), default=None,
+                   help="replications per pair, >= 1 (default: 1000)")
     p.add_argument("--iters", type=_int_list, default="2,5,50",
                    help="comma-separated chain step counts (default: 2,5,50)")
     p.add_argument("--slip", type=float, default=0.1, help="slip probability (default: 0.1)")
@@ -488,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bin count threshold for the deviation summary, >= 1 "
                         "(default: 200)")
     p.add_argument("--out", required=True, help="curve CSV path")
-    p.set_defaults(handler=_cmd_experiment)
+    p.set_defaults(handler=_cmd_experiment, error=p.error)
 
     p = sub.add_parser("irf", help="sample an item response curve")
     p.add_argument("--a", type=_finite_float(), default=1.0,
@@ -527,20 +517,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        args._argv = list(argv)
+        return args.handler(args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    args._argv = list(argv)
-    try:
-        return args.handler(args)
     except DomainError as exc:
         print(exc.render(), file=sys.stderr)
         return 1
-    except UsageError as exc:
-        print(f"usage_error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError) as exc:
         print(f"io_error: {exc}", file=sys.stderr)
         return 2

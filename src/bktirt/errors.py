@@ -1,8 +1,9 @@
 """Domain error hierarchy.
 
-Every operation that can reject its inputs raises a subclass of DomainError.
-The CLI maps these to exit code 1 and prints them as ``code: message``; all
-other exceptions are treated as I/O or usage errors (exit code 2).
+Every library check that rejects an argument or an input raises a subclass
+of DomainError, and the subclass names the case. The CLI maps these to exit
+code 1 and prints each as one ``ClassName: message`` line; other errors
+(I/O, decoding, numpy's own) exit 2.
 """
 
 from __future__ import annotations
@@ -11,91 +12,62 @@ from __future__ import annotations
 class DomainError(ValueError):
     """Input is outside an operation's documented domain."""
 
-    code = "DomainError"
-
     def render(self) -> str:
-        return f"{self.code}: {self}"
+        return f"{type(self).__name__}: {self}"
 
 
 class OutOfRange(DomainError):
-    """A probability or count field violates its range invariant."""
-
-    code = "OutOfRange"
+    """An argument or field lies outside its allowed range or set of values."""
 
 
 class ForgettingNonzero(DomainError):
     """p_forget must be exactly 0 under the classic constraint."""
 
-    code = "ForgettingNonzero"
-
 
 class Unidentified(DomainError):
     """Guess or slip at or above 0.5 under the identified constraint."""
-
-    code = "Unidentified"
 
 
 class InvalidPanel(DomainError):
     """Response panel violates its keying or attempt-order invariants."""
 
-    code = "InvalidPanel"
-
 
 class Reducible(DomainError):
     """The latent chain has no unique stationary distribution."""
-
-    code = "Reducible"
 
 
 class NonErgodic(DomainError):
     """Operation requires an irreducible, aperiodic latent chain."""
 
-    code = "NonErgodic"
-
 
 class ZeroLikelihood(DomainError):
     """An observed response has probability zero under the parameters."""
-
-    code = "ZeroLikelihood"
 
 
 class UnknownSkill(DomainError):
     """The panel holds no sequences for the requested skill."""
 
-    code = "UnknownSkill"
-
 
 class InvalidInit(DomainError):
     """EM starting point violates the requested constraint set."""
 
-    code = "InvalidInit"
-
 
 class DimensionMismatch(DomainError):
-    """Ability vector length does not match the loadings length."""
-
-    code = "DimensionMismatch"
+    """Arrays that must line up do not (ability vector against loadings,
+    a curve against its expectation's bin layout)."""
 
 
 class InsufficientData(DomainError):
     """Too few usable observations for the requested fit or statistic."""
 
-    code = "InsufficientData"
-
 
 class DegenerateFit(DomainError):
     """The fit problem is rank-deficient (e.g. all abscissae equal)."""
-
-    code = "DegenerateFit"
 
 
 class OutOfDomain(DomainError):
     """Log-scale ability/difficulty must be nonpositive."""
 
-    code = "OutOfDomain"
-
 
 class TooLarge(DomainError):
     """Exact enumeration requested for a network beyond the size cap."""
-
-    code = "TooLarge"

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import mastered_after
-from .errors import InsufficientData, OutOfRange
+from .errors import DimensionMismatch, InsufficientData, OutOfRange
 from .irt import irf_4pl
-from .params import Irf4pl
+from .params import Irf4pl, _check_unit
 from .rng import DEFAULT_SEED, RngKey
 
 # Uniform draws for the learning/forgetting rates are confined to the open
@@ -33,6 +33,10 @@ _BIN_SPAN = 8.0
 # 8 MiB of counts per step count, while a width near 1e-300 would ask for a
 # grid beyond int64.
 _MAX_BINS = 2**20
+
+# Observations (n_people * n_items * replications) allowed: up to 2^53 every
+# count is exact both as a float64 bincount weight and as an int64 total.
+_MAX_OBSERVATIONS = 2**53
 
 # Pairs per block of persons, in the sampler and in expected_curves: 8192
 # values (64 KiB) per temporary. Full-grid temporaries would add about 3.5 MB
@@ -66,6 +70,11 @@ class SimConfig:
         object.__setattr__(self, "iteration_counts", tuple(self.iteration_counts))
         if min(self.n_people, self.n_items, self.replications) < 1:
             raise OutOfRange("population, item and replication counts must be >= 1")
+        if self.n_people * self.n_items * self.replications > _MAX_OBSERVATIONS:
+            raise OutOfRange(
+                "n_people * n_items * replications must be <= 2^53, got "
+                f"{self.n_people} * {self.n_items} * {self.replications}"
+            )
         if not self.iteration_counts or min(self.iteration_counts) < 1:
             raise OutOfRange("iteration_counts must be non-empty with entries >= 1")
         if not (self.bin_width > 0 and math.isfinite(self.bin_width)):
@@ -76,9 +85,7 @@ class SimConfig:
                 f"over [-{_BIN_SPAN:g}, {_BIN_SPAN:g}]"
             )
         for name in ("p_slip", "p_guess"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0 or math.isnan(value):
-                raise OutOfRange(f"{name} must lie in [0, 1], got {value}")
+            _check_unit(name, getattr(self, name))
 
     @classmethod
     def desk(cls, **overrides) -> "SimConfig":
@@ -227,8 +234,9 @@ def run_equilibrium_experiment(config: SimConfig) -> dict[int, BinnedCurve]:
     }
 
 
-def expected_curves(config: SimConfig, population: Population) -> dict[int, BinnedCurve]:
-    """Exact expectation of ``run_equilibrium_experiment``'s curves.
+def expected_curves(config: SimConfig) -> dict[int, BinnedCurve]:
+    """Exact expectation of ``run_equilibrium_experiment``'s curves, over
+    the same population (the config's own ``draw_population(config)``).
 
     A pair started unmastered is mastered after t steps with probability
     lambda1 * (1 - r^t), with lambda1 = l / (l + f) and r = 1 - l - f, so it
@@ -238,6 +246,7 @@ def expected_curves(config: SimConfig, population: Population) -> dict[int, Binn
     (bins, n_obs) is the one the simulation produces. Pairs are summed over
     the simulation's person blocks, so no temporary spans the whole grid.
     """
+    population = draw_population(config)
     pair_bin, centers = _pair_bins(population, config.bin_width)
     pairs = np.bincount(pair_bin.ravel(), minlength=centers.size)
     mask = pairs > 0
@@ -286,26 +295,24 @@ def summarize_curves(
     curves: dict[int, BinnedCurve],
     item: Irf4pl,
     min_count: int,
-    expected: dict[int, BinnedCurve] | None = None,
+    expected: dict[int, BinnedCurve],
 ) -> dict:
     """Deviation summary per iteration count, as written beside the CSV.
 
     Deviations are taken over bins holding at least min_count observations:
-    from the equilibrium curve, and, when ``expected`` (``expected_curves``)
-    is given, from the exact expectation at the same step count.
+    from the equilibrium curve, and from the exact expectation ``expected``
+    (``expected_curves``) at the same step count.
     """
     summary: dict = {"format_version": 1, "min_count": min_count, "max_abs_dev": {}, "weighted_rmse": {}}
-    if expected is not None:
-        summary["expected_max_abs_dev"] = {}
+    summary["expected_max_abs_dev"] = {}
     for t in sorted(curves):
         curve = curves[t]
         max_abs, rmse = compare_to_irf(curve, item, min_count)
         summary["max_abs_dev"][str(t)] = max_abs
         summary["weighted_rmse"][str(t)] = rmse
-        if expected is not None:
-            if not np.array_equal(curve.bin_centers, expected[t].bin_centers):
-                raise ValueError(f"t={t}: expected curve has a different bin layout")
-            mask = curve.n_obs >= min_count
-            dev = np.abs(curve.prop_correct[mask] - expected[t].prop_correct[mask])
-            summary["expected_max_abs_dev"][str(t)] = float(dev.max())
+        if not np.array_equal(curve.bin_centers, expected[t].bin_centers):
+            raise DimensionMismatch(f"t={t}: expected curve has a different bin layout")
+        mask = curve.n_obs >= min_count
+        dev = np.abs(curve.prop_correct[mask] - expected[t].prop_correct[mask])
+        summary["expected_max_abs_dev"][str(t)] = float(dev.max())
     return summary

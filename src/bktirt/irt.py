@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateFit, DimensionMismatch, InsufficientData
+from .errors import DegenerateFit, DimensionMismatch, InsufficientData, OutOfRange
 from .params import DynamicIrtConfig, Irf4pl, MirtIrf
 from .rng import RngKey
 
@@ -73,7 +73,7 @@ def simulate_dynamic_irt(
     steps-1 normal increments, then a (steps, n_items) uniform block.
     """
     if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+        raise OutOfRange(f"steps must be >= 1, got {steps}")
     gen = key.generator()
     increments = gen.standard_normal(steps - 1) * config.noise_sd
     theta_path = config.theta0 + np.concatenate([[0.0], np.cumsum(increments)])
@@ -93,12 +93,15 @@ def fit_irf_cd(
 
     ``binned`` holds (advantage x, observed proportion, count) rows; rows with
     zero count are ignored. The model is linear in (c, d) through the basis
-    (1 - s, s) with s = logistic(a_fixed * x), so the fit is closed-form; the
-    solution is then projected onto 0 <= c < d <= 1. Returns (c, d, weighted
-    RMSE of the projected fit).
+    (1 - s, s) with s = logistic(a_fixed * x), so the loss is a convex
+    quadratic in (c, d), minimized over the triangle 0 <= c <= d <= 1: the
+    unconstrained optimum when it lies inside, else the best of the minima
+    along the edges c = 0, d = 1 and c = d. On c = d (flat or inverted data)
+    c and d are separated by one ulp to keep c < d. Returns (c, d, weighted
+    RMSE of the fit).
     """
     if a_fixed <= 0:
-        raise ValueError(f"a_fixed must be > 0, got {a_fixed}")
+        raise OutOfRange(f"a_fixed must be > 0, got {a_fixed}")
     rows = [(float(x), float(p), float(n)) for x, p, n in binned if n > 0]
     if len(rows) < 2:
         raise InsufficientData(
@@ -120,15 +123,19 @@ def fit_irf_cd(
     c_hat = (normal[1, 1] * rhs[0] - normal[0, 1] * rhs[1]) / det
     d_hat = (normal[0, 0] * rhs[1] - normal[1, 0] * rhs[0]) / det
 
-    c_hat = float(np.clip(c_hat, 0.0, 1.0))
-    d_hat = float(np.clip(d_hat, 0.0, 1.0))
-    if c_hat >= d_hat:
-        # Flat or inverted data: collapse to the weighted mean proportion and
-        # separate by one ulp to keep c < d.
-        mean = float(np.clip(np.sum(w * p) / np.sum(w), 0.0, 1.0))
-        c_hat = float(np.nextafter(mean, 0.0))
-        d_hat = float(np.nextafter(mean, 2.0))
+    def loss(cd) -> float:
+        return float(np.sum(w * (p - cd[0] - (cd[1] - cd[0]) * s) ** 2) / np.sum(w))
 
-    fitted = c_hat + (d_hat - c_hat) * s
-    rmse = float(np.sqrt(np.sum(w * (p - fitted) ** 2) / np.sum(w)))
-    return c_hat, d_hat, rmse
+    if not 0.0 <= c_hat < d_hat <= 1.0:
+        # The minimum lies on an edge start + t * step, 0 <= t <= 1, where
+        # the quadratic's own minimizer along the edge is clipped into range.
+        edges = (((0.0, 0.0), (0.0, 1.0)), ((0.0, 1.0), (1.0, 0.0)), ((0.0, 0.0), (1.0, 1.0)))
+        candidates = []
+        for start, step in map(np.array, edges):
+            t = (rhs @ step - step @ normal @ start) / (step @ normal @ step)
+            candidates.append(start + float(np.clip(t, 0.0, 1.0)) * step)
+        c_hat, d_hat = min(candidates, key=loss)
+    c_hat, d_hat = float(c_hat), float(d_hat)
+    if c_hat >= d_hat:
+        c_hat, d_hat = float(np.nextafter(c_hat, 0.0)), min(float(np.nextafter(d_hat, 2.0)), 1.0)
+    return c_hat, d_hat, float(np.sqrt(loss((c_hat, d_hat))))

@@ -299,11 +299,11 @@ def simulate_field(
     packed into one int64 index, so networks beyond 63 nodes raise TooLarge.
     """
     if sweeps < 1:
-        raise ValueError(f"sweeps must be >= 1, got {sweeps}")
+        raise OutOfRange(f"sweeps must be >= 1, got {sweeps}")
     if dynamics not in ("glauber", "metropolis"):
-        raise ValueError(f"dynamics must be glauber or metropolis, got {dynamics!r}")
+        raise OutOfRange(f"dynamics must be glauber or metropolis, got {dynamics!r}")
     if scan not in ("fixed", "random"):
-        raise ValueError(f"scan must be fixed or random, got {scan!r}")
+        raise OutOfRange(f"scan must be fixed or random, got {scan!r}")
     n = net.n_nodes
     if n > _INDEX_MAX_NODES:
         raise TooLarge(f"the packed state index holds {_INDEX_MAX_NODES} nodes, got {n}")
@@ -369,14 +369,14 @@ def empirical_state_frequencies(
 ) -> np.ndarray:
     """Relative visit frequencies over all 2^n states, after burn-in/thinning.
 
-    Raises ValueError for a negative burn-in or a thinning step below 1,
+    Raises OutOfRange for a negative burn-in or a thinning step below 1,
     InsufficientData when the burn-in leaves no sweep to count, and TooLarge
     beyond 20 nodes.
     """
     if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+        raise OutOfRange(f"burn_in must be >= 0, got {burn_in}")
     if thin < 1:
-        raise ValueError(f"thin must be >= 1, got {thin}")
+        raise OutOfRange(f"thin must be >= 1, got {thin}")
     if burn_in >= len(trace):
         raise InsufficientData(
             f"burn-in of {burn_in} sweeps leaves none of {len(trace)} to count"

@@ -83,15 +83,13 @@ def validate_bkt(
     classic: bool = False,
     identified: bool = False,
 ) -> BktParams:
-    """Check range and constraint-flag invariants; return params unchanged.
+    """Check the constraint flags (BktParams checks ranges); return params.
 
     ``classic`` demands p_forget == 0 exactly. ``identified`` demands
     p_guess < 0.5 and p_slip < 0.5 (strict), which selects the interpretable
     member of each label-swapped parameter pair attaining equal likelihood.
     Idempotent: a value that passes once passes forever.
     """
-    for name in BktParams._FIELDS:
-        _check_unit(name, getattr(params, name))
     if classic and params.p_forget != 0.0:
         raise ForgettingNonzero(
             f"classic constraint requires p_forget == 0, got {params.p_forget}"

@@ -186,7 +186,7 @@ def forward_filter(params: BktParams, responses) -> FilterResult:
     """
     responses = list(responses)
     if not responses:
-        raise ValueError("responses must be non-empty")
+        raise OutOfRange("responses must be non-empty")
     for t, x in enumerate(responses):
         if x not in (0, 1):
             raise OutOfRange(f"response {x!r} at attempt {t + 1} is not 0 or 1")
@@ -285,9 +285,9 @@ def fit_baum_welch(
     fit still runs but the report is flagged degenerate and not converged.
     """
     if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+        raise OutOfRange(f"tol must be finite and > 0, got {tol}")
     if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+        raise OutOfRange(f"max_iters must be >= 1, got {max_iters}")
     try:
         validate_bkt(init, classic=classic, identified=identified)
     except DomainError as exc:

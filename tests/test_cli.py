@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,9 @@ class TestArgumentErrors:
             ("--min-count", ["experiment", "--desk", "--min-count", "-5", "--out", "e.csv"]),
             ("--min-count", ["experiment", "--desk", "--min-count", "0", "--out", "e.csv"]),
             ("--responses", ["filter", "--params", "p.json", "--responses", ""]),
+            ("--people", ["experiment", "--people", "-3", "--items", "2", "--out", "e.csv"]),
+            ("--items", ["experiment", "--items", "0", "--out", "e.csv"]),
+            ("--reps", ["experiment", "--reps", "2.5", "--out", "e.csv"]),
         ],
     )
     def test_malformed_flag_value_names_the_flag(
@@ -471,8 +475,23 @@ class TestExperimentCommand:
         argv = ["experiment", "--desk", *extra, "--out", str(tmp_path / "d.csv")]
         assert dispatch(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage_error:") and len(err.splitlines()) == 1
-        assert not (tmp_path / "d.csv").exists()
+        assert err.startswith("bktirt experiment: error: argument --desk: not allowed with")
+        assert len(err.splitlines()) == 1
+        assert all(flag in err for flag in extra if flag.startswith("--"))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("reps", ["99999999999999999999", "9223372036854775807"])
+    def test_observation_count_past_the_cap_exits_one(self, tmp_path, capsys, reps):
+        # These used to end in an OverflowError traceback and in an int64
+        # overflow (a RuntimeWarning, then a wrong exit 2).
+        argv = ["experiment", "--reps", reps, "--out", str(tmp_path / "o.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("OutOfRange: n_people * n_items * replications must be <= 2^53")
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_bin_grid_past_the_cap_exits_one(self, tmp_path, capsys):
         argv = ["experiment", "--people", "3", "--items", "2", "--reps", "2",
@@ -518,7 +537,7 @@ class TestExperimentCommand:
                 "--iters", "1,2", "--min-count", "1", "--out", str(out)]
         assert dispatch(argv) == 0
         manifest = json.loads((tmp_path / "w.manifest.json").read_text())
-        assert set(manifest["phases"]) == {"population_s", "simulate_s", "write_s"}
+        assert set(manifest["phases"]) == {"simulate_s", "write_s"}
         assert all(value >= 0.0 for value in manifest["phases"].values())
         assert manifest["work"] == {
             "pairs": 20, "keyed_streams": 5, "binomial_draws": sum(drawn),
@@ -725,7 +744,7 @@ _MANIFEST_KEYS = ["format_version", "command", "seeds", "version", "duration_s",
          {"records": 300, "sequences": 30, "responses": 300, "em_iterations": 3}),
         (["bridge", "--params", "{params}"], {"load_s", "bridge_s", "write_s"}, {}),
         (["experiment", "--people", "4", "--items", "3", "--reps", "2", "--iters", "1",
-          "--min-count", "1"], {"population_s", "simulate_s", "write_s"},
+          "--min-count", "1"], {"simulate_s", "write_s"},
          {"pairs": 12, "keyed_streams": 5, "binomial_draws": 48}),
         (["irf", "--points", "7"], {"evaluate_s", "write_s"}, {"points": 7}),
         (["ising", "--net", "{net}", "--sweeps", "20"],

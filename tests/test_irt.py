@@ -198,6 +198,45 @@ class TestFitAsymptotes:
         with pytest.raises(DegenerateFit):
             fit_irf_cd([(0.3, 0.5, 10.0), (0.3, 0.6, 20.0)], a_fixed=1.0)
 
+    def test_constrained_optimum_beats_a_grid(self):
+        # The loss is a convex quadratic in (c, d), so the optimum on
+        # 0 <= c <= d <= 1 is at least as good as every grid point there.
+        # Shifted, scaled and flat curves put the unconstrained optimum
+        # outside the triangle, where clipping c and d one at a time is not
+        # the constrained optimum.
+        rng = np.random.default_rng(47)
+        grid = np.linspace(0.0, 1.0, 201)
+        c_grid, d_grid = (g.ravel() for g in np.meshgrid(grid, grid, indexing="ij"))
+        keep = c_grid <= d_grid
+        c_grid, d_grid = c_grid[keep], d_grid[keep]
+        for _ in range(60):
+            x = np.sort(rng.uniform(-5.0, 5.0, size=rng.integers(2, 12)))
+            a = rng.uniform(0.3, 3.0)
+            s = logistic(a * x)
+            p = rng.uniform(-0.4, 0.4) + rng.uniform(-0.5, 1.5) * s
+            p = p + rng.normal(0.0, 0.05, size=x.size)
+            w = rng.uniform(1.0, 100.0, size=x.size)
+            c, d, rmse = fit_irf_cd(list(zip(x, p, w)), a_fixed=a)
+            assert 0.0 <= c < d <= 1.0
+            fitted = c_grid[:, None] + (d_grid - c_grid)[:, None] * s
+            grid_mse = (np.sum(w * (p - fitted) ** 2, axis=1) / w.sum()).min()
+            assert rmse**2 <= grid_mse + 1e-12
+
+    def test_worked_example_lands_on_the_c_zero_edge(self):
+        # p ~ -0.15 + logistic(x): the unconstrained c is negative, and the
+        # optimum moves along c = 0 to a smaller d than clipping c gives.
+        x = np.arange(-4.0, 5.0)
+        p = -0.15 + logistic(x) + np.random.default_rng(3).normal(0.0, 0.01, x.size)
+        c, d, rmse = fit_irf_cd([(xi, pi, 100.0) for xi, pi in zip(x, p)], a_fixed=1.0)
+        s = logistic(x)
+        assert c == 0.0
+        assert abs(d - np.sum(p * s) / np.sum(s * s)) < 1e-12
+        assert abs(rmse - np.sqrt(np.mean((p - d * s) ** 2))) < 1e-12
+
+    def test_flat_data_at_the_top_keeps_d_at_most_one(self):
+        c, d, _ = fit_irf_cd([(-1.0, 1.0, 5.0), (1.0, 1.0, 5.0)], a_fixed=1.0)
+        assert c < d == 1.0
+
     def test_estimates_projected_into_unit_box(self):
         bins = [(-6.0, 0.0, 50.0), (-3.0, 0.0, 50.0), (3.0, 1.0, 50.0), (6.0, 1.0, 50.0)]
         c, d, _ = fit_irf_cd(bins, a_fixed=1.0)
