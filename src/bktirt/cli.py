@@ -49,9 +49,12 @@ from .ising import (
 )
 from .params import BktParams, Irf4pl, ResponsePanel
 from .rng import DEFAULT_SEED, RngKey
-from .tracing import fit_baum_welch, forward_filter
+from .tracing import cut_segments, fit_baum_welch, forward_filter
 
 FORMAT_VERSION = 1
+# Sampling a trajectory peaks near 75 bytes per step (its uniforms, also
+# as Python floats, and the state list), so this cap keeps it near 75 MB.
+_MAX_STEPS = 1_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,16 +80,17 @@ def _parse_seed(text: str) -> int:
     return int(text)
 
 
-def _int_at_least(low: int):
-    """argparse converter for an integer >= ``low``."""
+def _int_at_least(low: int, at_most: int | None = None):
+    """argparse converter for an integer >= ``low`` (and <= ``at_most``)."""
+    bound = f">= {low}" if at_most is None else f"from {low} to {at_most}"
 
     def convert(text: str) -> int:
         try:
-            if (value := int(text)) >= low:
+            if low <= (value := int(text)) and (at_most is None or value <= at_most):
                 return value
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer {bound}, got {text!r}")
 
     return convert
 
@@ -326,6 +330,7 @@ def _cmd_fit_bkt(args: argparse.Namespace) -> int:
         sequences=int(lengths.size),
         responses=int(lengths.sum()),
         em_iterations=report.iterations,
+        cut_segments=cut_segments(lengths),
     )
     payload = {**json.loads(report.to_json()), "format_version": FORMAT_VERSION}
     return run.json(payload, args.out)
@@ -424,8 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="sample a latent/response trajectory")
     _bkt_flags(p, with_init=True)
-    p.add_argument("--steps", type=_int_at_least(1), default=100,
-                   help="trajectory length, >= 1 (default: 100)")
+    p.add_argument("--steps", type=_int_at_least(1, _MAX_STEPS), default=100,
+                   help=f"trajectory length, 1 to {_MAX_STEPS:,} (default: 100)")
     _add_seed(p)
     p.add_argument("--out", help="CSV path (default: print to stdout)")
     p.set_defaults(handler=_cmd_simulate)

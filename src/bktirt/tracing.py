@@ -12,7 +12,10 @@ Filter, log-likelihood and E-step share one scaled forward pass and one
 backward pass (Rabiner 1989) over a packed block of sequences: sorted
 longest first, step t holds attempt t of the first sizes[t] sequences,
 stored contiguously in time-major order. Each attempt is one vector step
-over that active prefix, with no padding and no mask.
+over that active prefix, with no padding and no mask. A block whose longest
+sequence is long is cut into segments of about sqrt(T) attempts whose 2x2
+transfer matrices run through the same loops and are then stitched (see
+_Cut), so it takes about 2 sqrt(T) steps instead of T.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,26 +42,110 @@ _BOUND = 1e-9
 _IDENTIFIED_CAP = 0.5 - 1e-6
 
 
+def _layout(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Packed layout of sequences stored end to end: (rank, dest, sizes).
+
+    Sequences are ranked by length, longest first (ties keep their order).
+    sizes[t] is the number of sequences with an attempt t, and step t holds
+    those attempts of the first sizes[t] ranks, step after step; the i-th
+    response end to end goes to packed position dest[i].
+    """
+    rank = np.empty(lengths.size, dtype=np.intp)
+    rank[np.argsort(-lengths, kind="stable")] = np.arange(lengths.size)
+    step = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    sizes = np.bincount(step)
+    return rank, (np.cumsum(sizes) - sizes)[step] + np.repeat(rank, lengths), sizes
+
+
 def _pack(sequences: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     """Packed layout of a list of 0/1 response sequences (see _pack_runs)."""
     return _pack_runs(np.concatenate(sequences), np.array([len(seq) for seq in sequences]))
 
 
 def _pack_runs(flat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Packed layout of 0/1 response sequences stored end to end: (x, sizes).
-
-    Sequences are ranked by length, longest first (ties keep their order).
-    sizes[t] is the number of sequences with an attempt t, and x holds those
-    attempts of the first sizes[t] sequences, step after step.
-    """
-    rank = np.empty(lengths.size, dtype=np.intp)
-    rank[np.argsort(-lengths, kind="stable")] = np.arange(lengths.size)
-    step = np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    sizes = np.bincount(step)
-    # The sequences with an attempt t are the first sizes[t] ranks.
+    """Packed block (x, sizes) of 0/1 response sequences stored end to end."""
+    _, dest, sizes = _layout(lengths)
     x = np.empty(flat.size, dtype=np.int8)
-    x[(np.cumsum(sizes) - sizes)[step] + np.repeat(rank, lengths)] = flat
+    x[dest] = flat
     return x, sizes
+
+
+class _Cut(NamedTuple):
+    """Where a packed block is cut into segments of at most `length` attempts.
+
+    Each sequence's first segment is its first `length` attempts: the
+    block's first `head` responses, in place. The later segments form a
+    packed block of their own, longest first, with step sizes `sizes`; its
+    k-th response is block position `later[k]` and belongs to later segment
+    `row[k]`. `rows[j - 1][r]` is the later segment that is segment j of the
+    sequence ranked r. Nothing is cut when `length` is the block's step
+    count: then `later` is empty and `segments` is 0.
+    """
+
+    length: int
+    head: int
+    later: np.ndarray
+    sizes: np.ndarray
+    row: np.ndarray
+    rows: list[np.ndarray]
+    segments: int
+
+
+def _segment_length(sizes: np.ndarray) -> int:
+    """Segment length for a block of these step sizes: about sqrt(T) for
+    T steps, or T (no cut) when cutting would not pay.
+
+    A cut block runs 2B + ceil(T / B) loop steps (first segments, later
+    segments, stitch) and about 5 steps' worth of set-up, against T. Each
+    response after its sequence's first segment also costs about 1/128 of
+    a step more (its transfer matrix, gathers and expansion; measured on
+    blocks of 1 to 4,096 sequences of 8 to 4,096 attempts). Cut only when
+    that sum is below T.
+    """
+    steps = int(sizes.size)
+    length = math.isqrt(steps - 1) + 1
+    cost = 2 * length + -(-steps // length) + 5 + int(sizes[length:].sum()) / 128
+    return length if cost < steps else steps
+
+
+def _cut(sizes: np.ndarray, length: int | None = None) -> _Cut:
+    """How a block of these step sizes is cut (see _Cut); the length is
+    chosen from the sizes unless given."""
+    steps = int(sizes.size)
+    length = min(_segment_length(sizes) if length is None else length, steps)
+    starts = np.cumsum(sizes) - sizes
+    n_cut = int(sizes[length]) if length < steps else 0
+    # Per sequence cut (by rank): attempts and segments after its first.
+    rest = np.searchsorted(-sizes, -np.arange(n_cut)) - length
+    count = -(-rest // length)
+    first = np.cumsum(count) - count
+    within = np.arange(count.sum()) - np.repeat(first, count)
+    rank, dest, later_sizes = _layout(np.minimum(np.repeat(rest, count) - within * length, length))
+    step = length + np.arange(rest.sum()) - np.repeat(np.cumsum(rest) - rest, rest)
+    later = np.empty(step.size, dtype=np.intp)
+    later[dest] = starts[step] + np.repeat(np.arange(n_cut), rest)
+    most = int(count.max(initial=0))
+    return _Cut(
+        length=length,
+        head=int(starts[length - 1] + sizes[length - 1]),
+        later=later,
+        sizes=later_sizes,
+        row=np.arange(step.size) - np.repeat(np.cumsum(later_sizes) - later_sizes, later_sizes),
+        rows=[rank[first[: sizes[j * length]] + j - 1] for j in range(1, most + 1)],
+        segments=int(count.sum()),
+    )
+
+
+def cut_segments(lengths: np.ndarray) -> int:
+    """How many segments, beyond each sequence's first, the forward and
+    backward passes cut sequences of these lengths into; 0 when every
+    sequence runs whole."""
+    return _cut(_layout(lengths)[2]).segments
+
+
+# Start-state rows of a transfer matrix before its first attempt: the identity.
+_EYE_M = np.array([[1.0], [0.0]])
+_EYE_U = np.array([[0.0], [1.0]])
 
 
 def _emissions(params: BktParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -77,30 +165,114 @@ def _predict(params: BktParams, m, u):
     )
 
 
-def _forward(params: BktParams, x: np.ndarray, sizes: np.ndarray):
+def _retreat(params: BktParams, m, u):
+    """One transition back: the transposed transition applied to (m, u)."""
+    return (
+        params.p_forget * u + (1.0 - params.p_forget) * m,
+        (1.0 - params.p_learn) * u + params.p_learn * m,
+    )
+
+
+def _mix(w_m, w_u, t_m, t_u):
+    """w_m times row 0 plus w_u times row 1 of the 2x2 matrices whose row i
+    is (t_m[i], t_u[i]): a prior through forward transfer matrices, or
+    backward transfer matrices applied to end values."""
+    return w_m * t_m[0] + w_u * t_m[1], w_m * t_u[0] + w_u * t_u[1]
+
+
+def _prev(sizes: np.ndarray) -> np.ndarray:
+    """Position of the previous attempt of each response after step 0."""
+    first = int(sizes[:1].sum())
+    return np.arange(first, int(sizes.sum())) - np.repeat(sizes[:-1], sizes[1:])
+
+
+def _scan(params, emit_m, emit_u, sizes, prior_m, prior_u, out_m, out_u, scale):
+    """Forward loop over a packed block, for a vector or a matrix of terms.
+
+    prior_m, prior_u are the mastered and unmastered terms before each
+    sequence's first attempt: shape (1 or sizes[0],) for a vector, (2, 1)
+    for the rows of a transfer matrix. Each step multiplies the emissions
+    in, stores the terms over their sum (over both rows of a matrix) in
+    out_m, out_u (shape (N,) or (2, N)) and that sum in scale, and predicts
+    the next step. Returns the prediction after the last step.
+    """
+    lo = 0
+    for n in sizes.tolist():
+        hi = lo + n
+        mass_m = prior_m[..., :n] * emit_m[lo:hi]
+        mass_u = prior_u[..., :n] * emit_u[lo:hi]
+        if mass_m.ndim == 1:
+            total = np.add(mass_m, mass_u, out=scale[lo:hi])
+        else:
+            total = np.add.reduce(mass_m + mass_u, axis=0, out=scale[lo:hi])
+        m = np.divide(mass_m, total, out=out_m[..., lo:hi])
+        u = np.divide(mass_u, total, out=out_u[..., lo:hi])
+        prior_m, prior_u = _predict(params, m, u)
+        lo = hi
+    return prior_m, prior_u
+
+
+def _scan_back(params, w_m, w_u, sizes, beta_m, beta_u) -> None:
+    """Backward loop over a packed block, in place; beta_m, beta_u (shape
+    (N,), or (2, N) for the columns of transfer matrices) hold each
+    sequence's end values on entry."""
+    starts = (np.cumsum(sizes) - sizes).tolist()
+    for t in range(len(starts) - 2, -1, -1):
+        n, lo, nxt = int(sizes[t + 1]), starts[t], starts[t + 1]
+        beta_m[..., lo : lo + n], beta_u[..., lo : lo + n] = _retreat(
+            params,
+            w_m[nxt : nxt + n] * beta_m[..., nxt : nxt + n],
+            w_u[nxt : nxt + n] * beta_u[..., nxt : nxt + n],
+        )
+
+
+def _forward(params: BktParams, x: np.ndarray, sizes: np.ndarray, cut: _Cut | None = None):
     """Scaled forward pass over a packed block.
 
     Returns, per response, the filtered mastered and unmastered
     probabilities, each its joint term over their sum, and the realized
     probability of the response given the attempts before it.
+
+    The first segments run from the prior. Each later segment runs from
+    both start states at once, which carries its transfer matrix normalized
+    per step, and the per-step scale. The segment priors are then stitched
+    across sequences, one step per segment index, and each later response's
+    terms are its segment prior times its matrix.
     """
+    cut = _cut(sizes) if cut is None else cut
+    head, later = cut.head, cut.later
     emit_m, emit_u = _emissions(params, x)
     alpha_m, alpha_u, realized = np.empty(x.size), np.empty(x.size), np.empty(x.size)
-    prior_m = np.full(sizes[0], params.p_init)
-    prior_u = np.full(sizes[0], 1.0 - params.p_init)
-    lo = 0
+    mat_m, mat_u = np.empty((2, 2, later.size))
+    scale = np.empty(later.size)
+    pi_m, pi_u = np.empty((2, cut.segments))
     # A zero realized probability poisons only its own sequence; it is
     # reported after the pass, at the earliest attempt it occurs.
     with np.errstate(divide="ignore", invalid="ignore"):
-        for n in sizes.tolist():
-            hi = lo + n
-            mass_m = prior_m[:n] * emit_m[lo:hi]
-            mass_u = prior_u[:n] * emit_u[lo:hi]
-            total = np.add(mass_m, mass_u, out=realized[lo:hi])
-            m = np.divide(mass_m, total, out=alpha_m[lo:hi])
-            u = np.divide(mass_u, total, out=alpha_u[lo:hi])
-            prior_m, prior_u = _predict(params, m, u)
-            lo = hi
+        p_m, p_u = _scan(
+            params, emit_m[:head], emit_u[:head], sizes[: cut.length],
+            np.array([params.p_init]), np.array([1.0 - params.p_init]),
+            alpha_m[:head], alpha_u[:head], realized[:head],
+        )
+        _scan(params, emit_m[later], emit_u[later], cut.sizes, _EYE_M, _EYE_U, mat_m, mat_u, scale)
+        # Segments that go on end full, at the later block's last step.
+        tail = later.size - int(cut.sizes[-1:].sum())
+        for rows, n in zip(cut.rows, [nxt.size for nxt in cut.rows[1:]] + [0]):
+            pi_m[rows], pi_u[rows] = p_m[: rows.size], p_u[: rows.size]
+            end = tail + rows[:n]
+            m, u = _mix(p_m[:n], p_u[:n], mat_m[:, end], mat_u[:, end])
+            total = m + u
+            p_m, p_u = _predict(params, m / total, u / total)
+        m, u = _mix(pi_m[cut.row], pi_u[cut.row], mat_m, mat_u)
+        total = m + u
+        alpha_m[later], alpha_u[later] = m / total, u / total
+        realized[later] = scale * total / np.concatenate((pi_m + pi_u, total[_prev(cut.sizes)]))
+    # A matrix row can fall below the float range against the other row
+    # while the prior rests on it alone; the total then loses its digits.
+    # Such a block, or one with a response of probability 0 after its
+    # first segments, runs whole.
+    if not (total >= 1e-200).all():
+        return _forward(params, x, sizes, _cut(sizes, sizes.size))
     impossible = ~(realized > 0.0)
     if impossible.any():
         k = int(np.argmax(impossible))
@@ -112,40 +284,55 @@ def _forward(params: BktParams, x: np.ndarray, sizes: np.ndarray):
     return alpha_m, alpha_u, realized
 
 
-def _backward(params: BktParams, w_m: np.ndarray, w_u: np.ndarray, sizes: np.ndarray):
+def _backward(params: BktParams, w_m: np.ndarray, w_u: np.ndarray, sizes: np.ndarray, cut: _Cut):
     """Scaled backward pass over a packed block; w is emission / realized.
 
-    beta is 1 at each sequence's last attempt.
+    beta is 1 at each sequence's last attempt. Each later segment runs from
+    both end states at once, which carries its transfer matrix; w already
+    holds the forward scale, so it needs no rescaling. The segment end
+    values are stitched from each sequence's last segment back, and the
+    first segments then run from theirs.
     """
+    head, later, n = cut.head, cut.later, cut.segments
+    w_lm, w_lu = w_m[later], w_u[later]
+    mat_m, mat_u = np.empty((2, 2, later.size))
+    mat_m[:], mat_u[:] = _EYE_M, _EYE_U
+    _scan_back(params, w_lm, w_lu, cut.sizes, mat_m, mat_u)
+    # Each segment's matrix carried back across its first attempt.
+    k_m, k_u = _retreat(params, w_lm[:n] * mat_m[:, :n], w_lu[:n] * mat_u[:, :n])
+    b_m, b_u = np.ones((2, cut.rows[0].size if cut.rows else 0))
+    end_m, end_u = np.empty((2, n))
+    for rows in reversed(cut.rows):
+        k = rows.size
+        end_m[rows], end_u[rows] = b_m[:k], b_u[:k]
+        b_m[:k], b_u[:k] = _mix(b_m[:k], b_u[:k], k_m[:, rows], k_u[:, rows])
     beta_m, beta_u = np.ones(w_m.size), np.ones(w_m.size)
-    starts = (np.cumsum(sizes) - sizes).tolist()
-    for t in range(len(starts) - 2, -1, -1):
-        n, lo, nxt = int(sizes[t + 1]), starts[t], starts[t + 1]
-        msg_m = w_m[nxt : nxt + n] * beta_m[nxt : nxt + n]
-        msg_u = w_u[nxt : nxt + n] * beta_u[nxt : nxt + n]
-        beta_m[lo : lo + n] = params.p_forget * msg_u + (1.0 - params.p_forget) * msg_m
-        beta_u[lo : lo + n] = (1.0 - params.p_learn) * msg_u + params.p_learn * msg_m
+    beta_m[later], beta_u[later] = _mix(end_m[cut.row], end_u[cut.row], mat_m, mat_u)
+    lo = head - int(sizes[cut.length - 1])
+    beta_m[lo : lo + b_m.size], beta_u[lo : lo + b_u.size] = b_m, b_u
+    _scan_back(params, w_m[:head], w_u[:head], sizes[: cut.length], beta_m[:head], beta_u[:head])
     return beta_m, beta_u
 
 
-def _estep(params: BktParams, x: np.ndarray, sizes: np.ndarray):
+def _estep(params: BktParams, x: np.ndarray, sizes: np.ndarray, cut: _Cut | None = None):
     """Log-likelihood and expected counts of a packed block.
 
     The counts map each parameter to (numerator, denominator) of its
     M-step ratio.
     """
-    alpha_m, alpha_u, realized = _forward(params, x, sizes)
+    cut = _cut(sizes) if cut is None else cut
+    alpha_m, alpha_u, realized = _forward(params, x, sizes, cut)
     loglik = float(np.log(realized).sum())
     w_m, w_u = _emissions(params, x)
     w_m /= realized
     w_u /= realized
     del realized
-    beta_m, beta_u = _backward(params, w_m, w_u, sizes)
+    beta_m, beta_u = _backward(params, w_m, w_u, sizes, cut)
 
     # Response k >= sizes[0] follows response prev[k - sizes[0]] of its
     # sequence; w * beta there is the message the transition carries.
     first = int(sizes[0])
-    prev = np.arange(first, x.size) - np.repeat(sizes[:-1], sizes[1:])
+    prev = _prev(sizes)
     w_m *= beta_m
     w_u *= beta_u
     xi01 = params.p_learn * float(np.dot(alpha_u[prev], w_m[first:]))
@@ -293,6 +480,7 @@ def fit_baum_welch(
     except DomainError as exc:
         raise InvalidInit(f"init violates the requested constraints: {exc}") from exc
     x, sizes = _skill_block(panel, skill_id)
+    cut = _cut(sizes)
     degenerate = bool(x.min() == x.max()) and not classic and not identified
 
     constraint_set = tuple(
@@ -300,13 +488,13 @@ def fit_baum_welch(
     )
     # The nudged init is what the first E-step actually sees.
     current = _nudged(asdict(init), classic)
-    loglik, counts = _estep(current, x, sizes)
+    loglik, counts = _estep(current, x, sizes, cut)
     trace = [loglik]
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
         current = _mstep(counts, current, classic, identified)
-        loglik, counts = _estep(current, x, sizes)
+        loglik, counts = _estep(current, x, sizes, cut)
         trace.append(loglik)
         if abs(trace[-1] - trace[-2]) / (1.0 + abs(trace[-1])) < tol:
             converged = True

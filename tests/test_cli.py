@@ -105,6 +105,8 @@ class TestArgumentErrors:
             ("--people", ["experiment", "--people", "-3", "--items", "2", "--out", "e.csv"]),
             ("--items", ["experiment", "--items", "0", "--out", "e.csv"]),
             ("--reps", ["experiment", "--reps", "2.5", "--out", "e.csv"]),
+            ("--steps", ["simulate", "--p-learn", "0.2", "--steps", "99999999999999999999",
+                         "--out", "s.csv"]),
         ],
     )
     def test_malformed_flag_value_names_the_flag(
@@ -285,11 +287,27 @@ class TestFitCommand:
         manifest = json.loads((tmp_path / "report.manifest.json").read_text())
         assert manifest["work"] == {
             "records": 8, "sequences": 3, "responses": 6,
-            "em_iterations": report["iterations"],
+            "em_iterations": report["iterations"], "cut_segments": 0,
         }
         assert set(manifest["phases"]) == {"load_s", "fit_s", "write_s"}
         assert all(value >= 0.0 for value in manifest["phases"].values())
         assert report["stop_reason"] in ("tolerance", "iteration_cap", "degenerate")
+
+    def test_manifest_counts_cut_segments(self, tmp_path):
+        # One 400-attempt sequence is cut into segments of 20 attempts: its
+        # first segment and 19 later ones. A 3-attempt sequence runs whole.
+        rng = np.random.default_rng(9)
+        panel = tmp_path / "panel.csv"
+        panel.write_text("person_id,item_id,skill_id,attempt,correct\n" + "".join(
+            f"{person},0,0,{attempt},{rng.integers(0, 2)}\n"
+            for person, length in ((0, 400), (1, 3))
+            for attempt in range(1, length + 1)
+        ))
+        out = tmp_path / "report.json"
+        assert dispatch(["fit-bkt", "--panel", str(panel), "--skill", "0",
+                         "--max-iters", "2", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "report.manifest.json").read_text())
+        assert manifest["work"]["cut_segments"] == 19
 
 
 _HEADER = "person_id,item_id,skill_id,attempt,correct\n"
@@ -741,7 +759,8 @@ _MANIFEST_KEYS = ["format_version", "command", "seeds", "version", "duration_s",
          {"load_s", "filter_s", "write_s"}, {"responses": 3}),
         (["fit-bkt", "--panel", "{panel}", "--skill", "7", "--max-iters", "3"],
          {"load_s", "fit_s", "write_s"},
-         {"records": 300, "sequences": 30, "responses": 300, "em_iterations": 3}),
+         {"records": 300, "sequences": 30, "responses": 300, "em_iterations": 3,
+          "cut_segments": 0}),
         (["bridge", "--params", "{params}"], {"load_s", "bridge_s", "write_s"}, {}),
         (["experiment", "--people", "4", "--items", "3", "--reps", "2", "--iters", "1",
           "--min-count", "1"], {"simulate_s", "write_s"},

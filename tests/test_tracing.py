@@ -430,3 +430,75 @@ def test_estep_expected_counts_match_path_enumeration():
             updated.p_guess,
         )
         assert max(abs(a - b) for a, b in zip(got, want)) < 1e-10
+
+
+class TestSegmentAndStitch:
+    """Blocks cut into segments must give the uncut pass's numbers."""
+
+    def test_cut_block_matches_uncut_loop(self):
+        from bktirt.tracing import _cut, _estep, _forward, _pack
+
+        rng = np.random.default_rng(78)
+        for _ in range(30):
+            length = int(rng.integers(2, 9))
+            lengths = [1, length, length + 1, 2 * length, 3 * length, 5 * length + 2]
+            lengths += rng.integers(1, 12 * length, size=int(rng.integers(0, 12))).tolist()
+            sequences = [rng.integers(0, 2, size=n).tolist() for n in lengths]
+            params = BktParams(*rng.uniform(0.02, 0.98, size=5))
+            x, sizes = _pack(sequences)
+            whole, cut = _cut(sizes, sizes.size), _cut(sizes, length)
+            assert whole.segments == 0 and cut.segments > 0
+
+            stitched = _forward(params, x, sizes, cut)
+            for want, got in zip(_forward(params, x, sizes, whole), stitched):
+                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+            assert np.all((stitched[0] >= 0.0) & (stitched[0] <= 1.0))
+
+            want_ll, want = _estep(params, x, sizes, whole)
+            got_ll, got = _estep(params, x, sizes, cut)
+            assert abs(got_ll - want_ll) <= 1e-12 * abs(want_ll)
+            assert list(got) == list(want)
+            for name in want:
+                for a, b in zip(want[name], got[name]):
+                    assert abs(b - a) <= 1e-12 * abs(a), name
+
+    def test_cut_only_when_it_pays(self):
+        from bktirt.tracing import _cut, _pack, cut_segments
+
+        # Many short sequences are never cut; 16 sequences of 3,000 attempts
+        # are cut into segments of 55: each into its first and 54 later ones.
+        rng = np.random.default_rng(79)
+        wide = rng.integers(5, 61, size=3000)
+        for lengths, segments in ((wide, 0), ([3000] * 16, 16 * 54), ([10], 0)):
+            lengths = np.asarray(lengths)
+            _, sizes = _pack([np.zeros(n, dtype=int) for n in lengths])
+            assert _cut(sizes).segments == cut_segments(lengths) == segments
+
+    def test_zero_likelihood_in_a_later_segment_names_its_attempt(self):
+        from bktirt.tracing import _cut, _estep, _pack
+
+        params = BktParams(0.0, 0.0, 0.0, 0.1, 0.0)
+        responses = [0] * 5000
+        responses[4320] = 1
+        x, sizes = _pack([responses])
+        cut = _cut(sizes)
+        assert cut.length < 4321
+        message = "response 1 at attempt 4321 has probability 0"
+        with pytest.raises(ZeroLikelihood, match=message):
+            forward_filter(params, responses)
+        with pytest.raises(ZeroLikelihood, match=message):
+            sequence_loglik(params, _panel_from_sequences([responses, [0, 0]]), 7)
+        # The E-step of fit_baum_welch, on parameters it has not nudged.
+        for plan in (cut, _cut(sizes, sizes.size)):
+            with pytest.raises(ZeroLikelihood, match=message):
+                _estep(params, x, sizes, plan)
+
+    def test_prior_on_an_underflowed_start_state(self):
+        # Mastered from the start and never forgetting, every response a
+        # slip: the start-unmastered row of each later segment's matrix
+        # outweighs the start-mastered row by far more than the float
+        # range, while the segment prior is all on the mastered state.
+        params = BktParams(1.0, 0.1, 0.0, 1e-16, 0.2)
+        result = forward_filter(params, [0] * 400)
+        assert np.all(result.posterior == 1.0)
+        assert result.log_likelihood == pytest.approx(400 * math.log(1e-16), rel=1e-12)
