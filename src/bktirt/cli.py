@@ -44,6 +44,7 @@ from .ising import (
     IsingNetwork,
     boltzmann_exact,
     empirical_state_frequencies,
+    lookups_per_sweep,
     simulate_field,
     uniforms_per_sweep,
 )
@@ -55,6 +56,10 @@ FORMAT_VERSION = 1
 # Sampling a trajectory peaks near 75 bytes per step (its uniforms, also
 # as Python floats, and the state list), so this cap keeps it near 75 MB.
 _MAX_STEPS = 1_000_000
+# An irf curve peaks near 36 bytes per point (the theta grid, the curve and
+# their temporaries; measured +36 MB per 10^6 points), so this cap keeps it
+# near 73 MB.
+_MAX_POINTS = 2_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -406,6 +411,7 @@ def _cmd_ising(args: argparse.Namespace) -> int:
         sweeps=args.sweeps,
         site_updates=args.sweeps * net.n_nodes,
         uniforms_drawn=args.sweeps * uniforms_per_sweep(net.n_nodes, args.scan),
+        lookups_per_sweep=lookups_per_sweep(net, args.sweeps, args.dynamics, args.scan),
     )
     header = ["state_index", "frequency"] + (["exact_prob"] if args.exact else [])
     rows = (
@@ -496,8 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="curve start (default: -8.0)")
     p.add_argument("--theta-max", type=_finite_float(), default=8.0,
                    help="curve end (default: 8.0)")
-    p.add_argument("--points", type=_int_at_least(1), default=161,
-                   help="number of samples, >= 1 (default: 161)")
+    p.add_argument("--points", type=_int_at_least(1, _MAX_POINTS), default=161,
+                   help=f"number of samples, 1 to {_MAX_POINTS:,} (default: 161)")
     p.add_argument("--out", help="CSV path (default: print to stdout)")
     p.set_defaults(handler=_cmd_irf)
 

@@ -25,6 +25,16 @@ from .rng import RngKey
 _EXACT_MAX_NODES = 20
 _TABLE_MAX_NODES = 12
 _INDEX_MAX_NODES = 63
+# Most (code, state) entries one group table of the sweep-table walk holds.
+_GROUP_ENTRIES = 1 << 18
+# The walk's cost model (see _plan), in ns: its fixed set-up, each table
+# entry built, and each site update a merged group saves. Measured with
+# simulate_field on n = 1 to 12, both scans and dynamics: set-up about
+# 20-50 us, 15-30 ns per entry, and 40-500 ns saved per merged update
+# (about 200 on fixed scan); the saving taken is below most of them.
+_WALK_SETUP_NS = 50_000
+_ENTRY_NS = 30
+_SAVED_NS = 100
 
 
 @dataclass(frozen=True)
@@ -280,6 +290,176 @@ def uniforms_per_sweep(n_nodes: int, scan: str) -> int:
     return (3 if scan == "random" else 2) * n_nodes
 
 
+def _code_counts(levels: list, scan: str) -> list[int]:
+    """Per position of a sweep, how many codes its draw can take: the
+    len(s_j) + 1 ranks of node j under fixed scan; under random scan the
+    sum over nodes, since the code also names the node visited."""
+    counts = [s.size + 1 for s, _ in levels]
+    return [sum(counts)] * len(counts) if scan == "random" else counts
+
+
+def _groups(counts: list[int], n_states: int) -> list[int] | None:
+    """One sweep's positions split into runs of consecutive positions, each
+    as long as the product of its code counts times n_states stays within
+    _GROUP_ENTRIES: the length of every run, or None when one position
+    alone exceeds it."""
+    groups: list[int] = []
+    entries = _GROUP_ENTRIES + 1
+    for count in counts:
+        if count * n_states > _GROUP_ENTRIES:
+            return None
+        if entries * count <= _GROUP_ENTRIES:
+            groups[-1] += 1
+            entries *= count
+        else:
+            groups.append(1)
+            entries = count * n_states
+    return groups
+
+
+def _plan(counts: list[int], n_states: int, sweeps: int) -> list[int] | None:
+    """The groups of the sweep-table walk where it pays, else None (the
+    per-site loop). It pays when positions merge, so that a sweep takes
+    fewer lookups than it has sites, and when the site updates this saves
+    over all sweeps outweigh building the tables."""
+    groups = _groups(counts, n_states)
+    if groups is None or len(groups) == len(counts):
+        return None
+    entries, start = 0, 0
+    for size in groups:
+        entries += math.prod(counts[start : start + size]) * n_states
+        start += size
+    saved = sweeps * (len(counts) - len(groups)) * _SAVED_NS
+    return groups if saved > _WALK_SETUP_NS + entries * _ENTRY_NS else None
+
+
+def _route(tables: list, sweeps: int, scan: str) -> tuple[list, list[int] | None]:
+    """Rank levels of the threshold tables and the walk's groups, or
+    ([], None) for the per-site loop. Networks beyond _TABLE_MAX_NODES have
+    no tables and always take the loop."""
+    if len(tables) > _TABLE_MAX_NODES:
+        return [], None
+    levels = [np.unique(table, return_inverse=True) for table in tables]
+    return levels, _plan(_code_counts(levels, scan), 2 ** len(tables), sweeps)
+
+
+class _Walk:
+    """Sweep tables: whole groups of site updates as one list lookup each.
+
+    A draw u updates node j from state x exactly when u < t_j[x]. With s_j
+    the sorted distinct values of t_j and s_j[pos_j[x]] == t_j[x], that
+    holds exactly when the rank r = searchsorted(s_j, u, "right") is at
+    most pos_j[x]: the same float comparisons as the per-site loop, so the
+    output is bit-identical. F_j[r, x] is the state after that update, and
+    composing the maps of a group's positions gives its table G[code, x],
+    where the code is the mixed-radix number of the positions' ranks, the
+    first position lowest. Under random scan a position's code is node j's
+    offset plus its rank, so one map serves every position.
+    """
+
+    def __init__(self, levels: list, groups: list[int], scan: str, flip: bool) -> None:
+        n = len(levels)
+        states = np.arange(2**n)
+        maps = []
+        for j, (s, pos) in enumerate(levels):
+            hit = np.arange(s.size + 1)[:, None] <= pos
+            bit = 1 << j
+            maps.append(
+                np.where(hit, states ^ bit, states)
+                if flip
+                else np.where(hit, states | bit, states & ~bit)
+            )
+        if scan == "random":
+            maps = [np.concatenate(maps)] * n
+        self.levels, self.scan, self.groups = levels, scan, len(groups)
+        # ranks @ weights + offsets is each group's row in the stacked tables.
+        self.weights = np.zeros((n, len(groups)), dtype=np.int64)
+        self.offsets = np.zeros(len(groups), dtype=np.int64)
+        self.rows: list = []
+        # Every row holds the same 2^n int objects, not one object per entry.
+        shared = states.astype(object)
+        position = 0
+        for g, size in enumerate(groups):
+            self.offsets[g] = len(self.rows)
+            table = states[None, :]
+            for step in maps[position : position + size]:
+                self.weights[position, g] = table.shape[0]
+                table = step[:, table].reshape(-1, states.size)
+                position += 1
+            self.rows += shared[table].tolist()
+
+    def sweep(self, draws: np.ndarray, idx: int) -> list[int]:
+        """The state after each sweep in a chunk of draws, from state idx."""
+        n = len(self.levels)
+        if self.scan == "fixed":
+            ranks = np.column_stack([
+                np.searchsorted(s, draws[:, j], side="right")
+                for j, (s, _) in enumerate(self.levels)
+            ])
+        else:
+            order = np.argsort(draws[:, :n], axis=1, kind="stable")
+            picks = draws[:, n : 2 * n]
+            ranks = np.empty(picks.shape, dtype=np.int64)
+            offset = 0
+            for j, (s, _) in enumerate(self.levels):
+                here = order == j
+                ranks[here] = offset + np.searchsorted(s, picks[here], side="right")
+                offset += s.size + 1
+        codes = (ranks @ self.weights + self.offsets).ravel().tolist()
+        return _walk(self.rows, codes, idx)[self.groups - 1 :: self.groups]
+
+
+def _walk(rows: list, codes: list, idx: int) -> list[int]:
+    # Its own function: the comprehension shares idx with its scope, which
+    # would slow every other use of idx there.
+    return [idx := rows[code][idx] for code in codes]
+
+
+def _sweep_sites(tables: list, draws: np.ndarray, scan: str, flip: bool, idx: int) -> list[int]:
+    """The state after each sweep in a chunk of draws, one threshold lookup
+    and compare per site update."""
+    n = len(tables)
+    bit = [1 << j for j in range(n)]
+    path = []
+    # Fixed scan keeps its own indexed loop: the zip form below ran
+    # 10-40% slower per update when given range(n) as the order.
+    if scan == "fixed":
+        for row in draws[:, :n].tolist():
+            for j in range(n):
+                threshold = tables[j][idx]
+                if flip:
+                    if row[j] < threshold:
+                        idx ^= bit[j]
+                elif row[j] < threshold:
+                    idx |= bit[j]
+                else:
+                    idx &= ~bit[j]
+            path.append(idx)
+    else:
+        orders = np.argsort(draws[:, :n], axis=1, kind="stable").tolist()
+        for order, row in zip(orders, draws[:, n : 2 * n].tolist()):
+            for j, u in zip(order, row):
+                threshold = tables[j][idx]
+                if flip:
+                    if u < threshold:
+                        idx ^= bit[j]
+                elif u < threshold:
+                    idx |= bit[j]
+                else:
+                    idx &= ~bit[j]
+            path.append(idx)
+    return path
+
+
+def lookups_per_sweep(
+    net: IsingNetwork, sweeps: int, dynamics: str = "glauber", scan: str = "fixed"
+) -> int:
+    """Threshold lookups one sweep of simulate_field costs: the number of
+    groups on the sweep-table walk, n on the per-site loop."""
+    _, groups = _route(_thresholds(net, dynamics), sweeps, scan)
+    return net.n_nodes if groups is None else len(groups)
+
+
 def simulate_field(
     net: IsingNetwork,
     sweeps: int,
@@ -293,10 +473,16 @@ def simulate_field(
     Fixed scan visits the nodes in ascending order and draws 2n uniforms per
     sweep: n update draws, then n emission draws. Random scan draws 3n: n
     order keys, whose stable argsort is the sweep's visiting order, then n
-    update draws taken in that order, then n emission draws. Networks of at
-    most 12 nodes read each update threshold from a precomputed 2^n table;
-    larger ones compute it on lookup, inside the same loop. The state is
+    update draws taken in that order, then n emission draws. The state is
     packed into one int64 index, so networks beyond 63 nodes raise TooLarge.
+
+    Networks of at most 12 nodes get each node's update thresholds as a 2^n
+    table. Where it pays (see _plan), a draw is then reduced to its rank
+    among its node's distinct thresholds, and consecutive site updates are
+    tabulated as groups (see _Walk), so a sweep costs one list lookup per
+    group. Otherwise a per-site loop makes one threshold lookup and compare
+    per site update; beyond 12 nodes it computes each threshold on lookup.
+    Both paths consume the stream alike and give bit-identical output.
     """
     if sweeps < 1:
         raise OutOfRange(f"sweeps must be >= 1, got {sweeps}")
@@ -312,43 +498,20 @@ def simulate_field(
     latent = np.empty((sweeps, n), dtype=np.uint8)
     emitted = np.empty((sweeps, n), dtype=np.uint8)
     tables = _thresholds(net, dynamics)
-    flip_semantics = dynamics == "metropolis"
-    bit = [1 << j for j in range(n)]
+    flip = dynamics == "metropolis"
+    levels, groups = _route(tables, sweeps, scan)
+    walk = None if groups is None else _Walk(levels, groups, scan, flip)
     idx = 0
     done = 0
     while done < sweeps:
         chunk = min(sweeps - done, 1 << 15)
         draws = gen.random((chunk, width))
-        indices = np.empty(chunk, dtype=np.int64)
-        # Fixed scan keeps its own indexed loop: the zip form below ran
-        # 10-40% slower per update when given range(n) as the order.
-        if scan == "fixed":
-            rows = draws[:, :n].tolist()
-            for s, row in enumerate(rows):
-                for j in range(n):
-                    threshold = tables[j][idx]
-                    if flip_semantics:
-                        if row[j] < threshold:
-                            idx ^= bit[j]
-                    elif row[j] < threshold:
-                        idx |= bit[j]
-                    else:
-                        idx &= ~bit[j]
-                indices[s] = idx
+        if walk is None:
+            path = _sweep_sites(tables, draws, scan, flip, idx)
         else:
-            orders = np.argsort(draws[:, :n], axis=1, kind="stable").tolist()
-            rows = draws[:, n : 2 * n].tolist()
-            for s, (order, row) in enumerate(zip(orders, rows)):
-                for j, u in zip(order, row):
-                    threshold = tables[j][idx]
-                    if flip_semantics:
-                        if u < threshold:
-                            idx ^= bit[j]
-                    elif u < threshold:
-                        idx |= bit[j]
-                    else:
-                        idx &= ~bit[j]
-                indices[s] = idx
+            path = walk.sweep(draws, idx)
+        idx = path[-1]
+        indices = np.array(path, dtype=np.int64)
         block = ((indices[:, None] >> np.arange(n)) & 1).astype(np.uint8)
         latent[done : done + chunk] = block
         # Correct when the draw falls below 1 - slip (mastered) or guess.
@@ -359,9 +522,14 @@ def simulate_field(
 
 
 def state_indices(latent: np.ndarray) -> np.ndarray:
-    """Latent state per sweep packed as an integer (node j = bit j)."""
-    n = latent.shape[1]
-    return latent.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
+    """Latent state per sweep packed as an integer (node j = bit j), built
+    one column at a time so no (sweeps, n) int64 copy is made."""
+    indices = np.zeros(latent.shape[0], dtype=np.int64)
+    for j in range(latent.shape[1]):
+        column = latent[:, j].astype(np.int64)
+        column <<= j
+        indices |= column
+    return indices
 
 
 def empirical_state_frequencies(
@@ -383,6 +551,6 @@ def empirical_state_frequencies(
         )
     n = trace.latent.shape[1]
     require_enumerable(n)
-    indices = state_indices(trace.latent)[burn_in::thin]
+    indices = state_indices(trace.latent[burn_in::thin])
     counts = np.bincount(indices, minlength=2**n).astype(float)
     return counts / counts.sum()

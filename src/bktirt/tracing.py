@@ -327,18 +327,22 @@ def _estep(params: BktParams, x: np.ndarray, sizes: np.ndarray, cut: _Cut | None
     w_m /= realized
     w_u /= realized
     del realized
-    beta_m, beta_u = _backward(params, w_m, w_u, sizes, cut)
+    # Where the filter puts probability 0 on a state that the later data
+    # favour, the backward messages of that state can overflow; the counts
+    # are then not finite, and fit_baum_welch stops on them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta_m, beta_u = _backward(params, w_m, w_u, sizes, cut)
 
-    # Response k >= sizes[0] follows response prev[k - sizes[0]] of its
-    # sequence; w * beta there is the message the transition carries.
-    first = int(sizes[0])
-    prev = _prev(sizes)
-    w_m *= beta_m
-    w_u *= beta_u
-    xi01 = params.p_learn * float(np.dot(alpha_u[prev], w_m[first:]))
-    xi10 = params.p_forget * float(np.dot(alpha_m[prev], w_u[first:]))
-    gamma_m = np.multiply(alpha_m, beta_m, out=beta_m)
-    gamma_u = np.multiply(alpha_u, beta_u, out=beta_u)
+        # Response k >= sizes[0] follows response prev[k - sizes[0]] of its
+        # sequence; w * beta there is the message the transition carries.
+        first = int(sizes[0])
+        prev = _prev(sizes)
+        w_m *= beta_m
+        w_u *= beta_u
+        xi01 = params.p_learn * float(np.dot(alpha_u[prev], w_m[first:]))
+        xi10 = params.p_forget * float(np.dot(alpha_m[prev], w_u[first:]))
+        gamma_m = np.multiply(alpha_m, beta_m, out=beta_m)
+        gamma_u = np.multiply(alpha_u, beta_u, out=beta_u)
     correct = x == 1
     return loglik, {
         "p_init": (float(gamma_m[:first].sum()), first),
@@ -363,6 +367,24 @@ class FilterResult:
     log_likelihood: float
 
 
+def _binary(responses: list) -> np.ndarray:
+    """The responses as one array, checked in one comparison to accept
+    exactly what ``x in (0, 1)`` accepts: a flat list of numbers compares
+    as numbers, anything else item by item as Python objects. Raises
+    OutOfRange naming the first other response and its attempt."""
+    try:
+        values = np.asarray(responses)
+    except ValueError:  # ragged nested lists
+        values = None
+    if values is None or values.ndim != 1 or values.dtype.kind not in "biufc":
+        values = np.fromiter(responses, dtype=object, count=len(responses))
+    bad = np.flatnonzero(~((values == 0) | (values == 1)))
+    if bad.size:
+        t = int(bad[0])
+        raise OutOfRange(f"response {responses[t]!r} at attempt {t + 1} is not 0 or 1")
+    return values
+
+
 def forward_filter(params: BktParams, responses) -> FilterResult:
     """Exact forward recursion over a single response sequence of 0/1.
 
@@ -374,10 +396,7 @@ def forward_filter(params: BktParams, responses) -> FilterResult:
     responses = list(responses)
     if not responses:
         raise OutOfRange("responses must be non-empty")
-    for t, x in enumerate(responses):
-        if x not in (0, 1):
-            raise OutOfRange(f"response {x!r} at attempt {t + 1} is not 0 or 1")
-    alpha_m, alpha_u, realized = _forward(params, *_pack([responses]))
+    alpha_m, alpha_u, realized = _forward(params, *_pack([_binary(responses)]))
     prior_m, prior_u = _predict(params, alpha_m[:-1], alpha_u[:-1])
     predictive = (
         np.concatenate(([params.p_init], prior_m)) * (1.0 - params.p_slip)
@@ -406,7 +425,9 @@ class FitReport:
 
     stop_reason is "tolerance" when the fit converged, "iteration_cap" when
     it ran out of iterations, and "degenerate" when the data put the
-    maximum on the parameter boundary (then it never counts as converged).
+    maximum on the parameter boundary or left the E-step without finite
+    counts (then it never counts as converged). degenerate_cause says
+    which; the JSON form carries it only on a degenerate fit.
     """
 
     params: BktParams
@@ -415,6 +436,7 @@ class FitReport:
     converged: bool
     constraint_set: tuple[str, ...]
     degenerate_data: bool = False
+    degenerate_cause: str = ""
 
     @property
     def stop_reason(self) -> str:
@@ -423,7 +445,10 @@ class FitReport:
         return "tolerance" if self.converged else "iteration_cap"
 
     def to_json(self) -> str:
-        return json.dumps({**asdict(self), "stop_reason": self.stop_reason})
+        raw = asdict(self)
+        if not self.degenerate_data:
+            del raw["degenerate_cause"]
+        return json.dumps({**raw, "stop_reason": self.stop_reason})
 
 
 def _nudged(values: dict[str, float], classic: bool) -> BktParams:
@@ -470,6 +495,8 @@ def fit_baum_welch(
     below tol. If every response in the panel is identical and no constraint
     is requested, the likelihood is maximized on the parameter boundary; the
     fit still runs but the report is flagged degenerate and not converged.
+    An E-step whose expected counts are not finite stops the fit before its
+    M-step, with the report flagged degenerate the same way.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise OutOfRange(f"tol must be finite and > 0, got {tol}")
@@ -481,7 +508,9 @@ def fit_baum_welch(
         raise InvalidInit(f"init violates the requested constraints: {exc}") from exc
     x, sizes = _skill_block(panel, skill_id)
     cut = _cut(sizes)
-    degenerate = bool(x.min() == x.max()) and not classic and not identified
+    cause = ""
+    if x.min() == x.max() and not classic and not identified:
+        cause = "every response is identical, so the likelihood peaks on the parameter boundary"
 
     constraint_set = tuple(
         name for name, flag in (("classic", classic), ("identified", identified)) if flag
@@ -492,20 +521,27 @@ def fit_baum_welch(
     trace = [loglik]
     converged = False
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    while iterations < max_iters:
+        if not all(math.isfinite(v) for pair in counts.values() for v in pair):
+            cause = (
+                f"the E-step after {iterations} M-steps has counts that are not "
+                "finite: the backward pass overflows on a state the filter gives "
+                "probability 0"
+            )
+            break
+        iterations += 1
         current = _mstep(counts, current, classic, identified)
         loglik, counts = _estep(current, x, sizes, cut)
         trace.append(loglik)
         if abs(trace[-1] - trace[-2]) / (1.0 + abs(trace[-1])) < tol:
             converged = True
             break
-    if degenerate:
-        converged = False
     return FitReport(
         params=current,
         loglik_trace=tuple(trace),
         iterations=iterations,
-        converged=converged,
+        converged=converged and not cause,
         constraint_set=constraint_set,
-        degenerate_data=degenerate,
+        degenerate_data=bool(cause),
+        degenerate_cause=cause,
     )

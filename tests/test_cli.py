@@ -107,6 +107,7 @@ class TestArgumentErrors:
             ("--reps", ["experiment", "--reps", "2.5", "--out", "e.csv"]),
             ("--steps", ["simulate", "--p-learn", "0.2", "--steps", "99999999999999999999",
                          "--out", "s.csv"]),
+            ("--points", ["irf", "--points", "99999999999", "--out", "c.csv"]),
         ],
     )
     def test_malformed_flag_value_names_the_flag(
@@ -224,6 +225,29 @@ class TestFitCommand:
         own = json.loads((tmp_path / "own.json").read_text())
         assert own["params"] != default["params"]
         assert own["loglik_trace"][0] != default["loglik_trace"][0]
+
+    def test_overflowing_e_step_stops_degenerate_without_warnings(self, tmp_path, capsys):
+        # Certain mastery without forgetting, then errors: the unmastered
+        # state's backward messages overflow, so no M-step may use them.
+        panel = tmp_path / "panel.csv"
+        correct = [1] * 1000 + [0] * 400
+        panel.write_text("person_id,item_id,skill_id,attempt,correct\n" + "".join(
+            f"0,0,0,{t},{x}\n" for t, x in enumerate(correct, start=1)
+        ))
+        init = tmp_path / "init.json"
+        init.write_text('{"p_init":0.5,"p_learn":0.1,"p_forget":0,"p_slip":0.01,"p_guess":0.01}')
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = dispatch(["fit-bkt", "--panel", str(panel), "--skill", "0", "--classic",
+                             "--init", str(init), "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())
+        assert report["stop_reason"] == "degenerate" and not report["converged"]
+        assert "not finite" in report["degenerate_cause"]
+        assert all(math.isfinite(value) for value in report["params"].values())
+        assert all(math.isfinite(value) for value in report["loglik_trace"])
 
     def test_malformed_init_file_exits_one(self, tmp_path, capsys):
         panel = _panel_csv(tmp_path)
@@ -592,6 +616,13 @@ class TestIrfCommand:
         assert dispatch(argv + [f"{flag}={value}"]) == 0
         assert capsys.readouterr().out == separate
 
+    def test_points_capped_at_two_million(self, capsys):
+        assert build_parser().parse_args(["irf", "--points", "2000000"]).points == 2_000_000
+        assert dispatch(["irf", "--points", "2000001"]) == 2
+        assert "argument --points: expected an integer from 1 to 2000000" in (
+            capsys.readouterr().err
+        )
+
     def test_invalid_item_exits_one(self, capsys):
         assert dispatch(["irf", "--c", "0.9", "--d", "0.1"]) == 1
         assert capsys.readouterr().err.startswith("OutOfRange:")
@@ -655,12 +686,24 @@ class TestIsingCommand:
         manifest = json.loads((tmp_path / "freq.manifest.json").read_text())
         assert manifest["work"] == {
             "sweeps": 300, "site_updates": 600, "uniforms_drawn": sum(drawn),
+            "lookups_per_sweep": 2,
         }
         assert set(manifest["phases"]) == {
             "load_s", "simulate_s", "frequencies_s", "exact_s", "write_s",
         }
         assert all(value >= 0.0 for value in manifest["phases"].values())
         assert 0.0 < manifest["diagnostics"]["flip_rate"] < 1.0
+
+    @pytest.mark.parametrize("sweeps, lookups", [(50, 2), (5000, 1)])
+    def test_manifest_names_the_sweep_path(self, tmp_path, sweeps, lookups):
+        # A short run keeps the per-site loop (one lookup per node); a long
+        # one merges both nodes' updates into one sweep-table lookup.
+        out = tmp_path / "freq.csv"
+        code = dispatch(["ising", "--net", str(_ising_net(tmp_path)), "--sweeps",
+                         str(sweeps), "--out", str(out)])
+        assert code == 0
+        manifest = json.loads((tmp_path / "freq.manifest.json").read_text())
+        assert manifest["work"]["lookups_per_sweep"] == lookups
 
     def test_zero_sweeps_exit_two_naming_the_flag(self, tmp_path, capsys):
         out = tmp_path / "freq.csv"
@@ -768,7 +811,7 @@ _MANIFEST_KEYS = ["format_version", "command", "seeds", "version", "duration_s",
         (["irf", "--points", "7"], {"evaluate_s", "write_s"}, {"points": 7}),
         (["ising", "--net", "{net}", "--sweeps", "20"],
          {"load_s", "simulate_s", "frequencies_s", "exact_s", "write_s"},
-         {"sweeps": 20, "site_updates": 40, "uniforms_drawn": 80}),
+         {"sweeps": 20, "site_updates": 40, "uniforms_drawn": 80, "lookups_per_sweep": 2}),
     ],
     ids=["simulate", "filter", "fit-bkt", "bridge", "experiment", "irf", "ising"],
 )

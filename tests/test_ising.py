@@ -63,6 +63,13 @@ def _per_site_reference(net, sweeps, key, dynamics, scan):
     return np.array(latent), np.array(emitted, dtype=np.uint8)
 
 
+def _force_walk(monkeypatch):
+    """Send every tabulated network to the sweep-table walk."""
+    monkeypatch.setattr(
+        ising_mod, "_plan", lambda counts, n_states, sweeps: ising_mod._groups(counts, n_states)
+    )
+
+
 class TestNetworkValidation:
     def test_asymmetric_couplings_rejected(self):
         with pytest.raises(OutOfRange):
@@ -258,17 +265,82 @@ class TestSimulateField:
 
     @pytest.mark.parametrize("scan", ["fixed", "random"])
     @pytest.mark.parametrize("dynamics", ["glauber", "metropolis"])
-    @pytest.mark.parametrize("n", [3, 13])
-    def test_stream_layout_matches_per_site_reference(self, n, dynamics, scan):
-        # n = 3 reads the 2^n tables, n = 13 computes thresholds on lookup;
-        # both must consume the stream exactly as one scalar draw per update.
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 13])
+    def test_stream_layout_matches_per_site_reference(self, monkeypatch, n, dynamics, scan):
+        # At 150 sweeps the plan keeps n <= 12 on the per-site loop over the
+        # 2^n tables; forcing it puts them on the sweep-table walk. n = 13
+        # computes thresholds on lookup. Every path must consume the stream
+        # exactly as one scalar draw per update.
         net = _random_net(n, seed=23 + n, low=-0.6, high=0.6, guess=0.2, slip=0.1)
         key = RngKey(23, (n,))
-        trace = simulate_field(net, 150, key, dynamics=dynamics, scan=scan)
         latent, emitted = _per_site_reference(net, 150, key, dynamics, scan)
-        np.testing.assert_array_equal(trace.latent, latent)
-        np.testing.assert_array_equal(trace.emitted, emitted)
-        assert 0.0 < trace.flip_rate() < 1.0
+        traces = [simulate_field(net, 150, key, dynamics=dynamics, scan=scan)]
+        assert ising_mod.lookups_per_sweep(net, 150, dynamics, scan) == n
+        if n <= ising_mod._TABLE_MAX_NODES:
+            _force_walk(monkeypatch)
+            groups = ising_mod.lookups_per_sweep(net, 150, dynamics, scan)
+            assert groups < n or n == 1
+            if n == 5:
+                assert groups > 1
+            traces.append(simulate_field(net, 150, key, dynamics=dynamics, scan=scan))
+        for trace in traces:
+            np.testing.assert_array_equal(trace.latent, latent)
+            np.testing.assert_array_equal(trace.emitted, emitted)
+            assert 0.0 < trace.flip_rate() < 1.0
+
+    def test_plan_sends_long_runs_on_small_networks_to_the_walk(self):
+        # The shapes of the benchmark's two ising jobs, and a short run.
+        small = _random_net(4, seed=30, low=-1.0, high=1.0, field_span=1.0)
+        assert ising_mod.lookups_per_sweep(small, 10**6, "metropolis", "fixed") == 1
+        large = _random_net(8, seed=31, low=-0.5, high=0.5, field_span=1.0)
+        assert ising_mod.lookups_per_sweep(large, 20000, "glauber", "random") == 8
+        short = _random_net(3, seed=32)
+        for dynamics in ("glauber", "metropolis"):
+            for scan in ("fixed", "random"):
+                assert ising_mod.lookups_per_sweep(short, 150, dynamics, scan) == 3
+        # The rule itself: four positions of ten codes over 16 states merge
+        # into one table, worth building only for a long enough run.
+        assert ising_mod._plan([10] * 4, 16, 10**6) == [4]
+        assert ising_mod._plan([10] * 4, 16, 150) is None
+        # Positions that cannot merge keep the per-site loop at any length.
+        assert ising_mod._plan([145] * 8, 256, 10**9) is None
+        assert ising_mod._groups([10] * 5, 32) == [3, 2]
+
+    @pytest.mark.parametrize("scan", ["fixed", "random"])
+    @pytest.mark.parametrize("dynamics", ["glauber", "metropolis"])
+    def test_walk_matches_per_site_loop_on_draws_equal_to_thresholds(self, dynamics, scan):
+        # A uniform equal to a threshold does not update (u < t fails); the
+        # walk's rank must agree exactly there, which random draws never test.
+        n = 4
+        net = _random_net(n, seed=35, low=-1.0, high=1.0, field_span=1.0)
+        tables = ising_mod._thresholds(net, dynamics)
+        levels = [np.unique(table, return_inverse=True) for table in tables]
+        counts = ising_mod._code_counts(levels, scan)
+        flip = dynamics == "metropolis"
+        walk = ising_mod._Walk(levels, ising_mod._groups(counts, 2**n), scan, flip)
+        rng = np.random.default_rng(35)
+        values = np.concatenate([np.unique(table) for table in tables] + [[0.0]])
+        draws = rng.random((4000, ising_mod.uniforms_per_sweep(n, scan)))
+        update = slice(0, n) if scan == "fixed" else slice(n, 2 * n)
+        draws[:, update] = rng.choice(values, size=(4000, n))
+        for start in (0, 5, 15):
+            assert walk.sweep(draws, start) == ising_mod._sweep_sites(
+                tables, draws, scan, flip, start
+            )
+
+    def test_walk_matches_per_site_loop_over_many_chunks(self, monkeypatch):
+        # Long enough for the plan's own choice, and to cross chunk borders.
+        net = _random_net(4, seed=33, low=-1.0, high=1.0, field_span=1.0)
+        for dynamics in ("glauber", "metropolis"):
+            for scan in ("fixed", "random"):
+                key = RngKey(33)
+                assert ising_mod.lookups_per_sweep(net, 70000, dynamics, scan) < 4
+                walk = simulate_field(net, 70000, key, dynamics=dynamics, scan=scan)
+                monkeypatch.setattr(ising_mod, "_plan", lambda counts, n_states, sweeps: None)
+                loop = simulate_field(net, 70000, key, dynamics=dynamics, scan=scan)
+                monkeypatch.undo()
+                np.testing.assert_array_equal(walk.latent, loop.latent)
+                np.testing.assert_array_equal(walk.emitted, loop.emitted)
 
     @pytest.mark.parametrize(
         "kwargs, match",
@@ -387,3 +459,10 @@ class TestSimulateField:
         np.testing.assert_array_equal(
             (indices[:, None] >> np.arange(2)) & 1, trace.latent
         )
+
+    def test_state_indices_pack_every_bit(self):
+        latent = np.random.default_rng(34).integers(0, 2, size=(500, 63)).astype(np.uint8)
+        want = latent.astype(np.int64) @ (1 << np.arange(63, dtype=np.int64))
+        got = ising_mod.state_indices(latent)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)

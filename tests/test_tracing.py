@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,21 @@ class TestForwardFilter:
         with pytest.raises(OutOfRange):
             forward_filter(params, [0.5])
 
+    @pytest.mark.parametrize("bad", [2, 0.5, math.nan, "1", None, [0]])
+    def test_first_bad_response_named_at_attempt_50000(self, bad):
+        params = BktParams(0.2, 0.3, 0.0, 0.1, 0.2)
+        responses = [1, 0] * 24999 + [1, bad, 7]
+        message = rf"response {re.escape(repr(bad))} at attempt 50000 "
+        with pytest.raises(OutOfRange, match=message):
+            forward_filter(params, responses)
+
+    def test_accepts_what_membership_in_zero_one_accepts(self):
+        params = BktParams(0.2, 0.3, 0.0, 0.1, 0.2)
+        mixed = [True, False, 1.0, 0.0, -0.0, np.int64(1), np.float32(0), np.bool_(True)]
+        want = forward_filter(params, [1, 0, 1, 0, 0, 1, 0, 1])
+        got = forward_filter(params, mixed)
+        np.testing.assert_array_equal(got.posterior, want.posterior)
+
     @pytest.mark.parametrize("n_zeros", [20, 30])
     def test_certain_mastery_then_errors_matches_enumeration(self, n_zeros):
         # Without forgetting, 40 correct answers drive the mastery
@@ -227,7 +243,15 @@ class TestFitBaumWelch:
         panel = _panel_from_sequences([[1] * 8 for _ in range(10)])
         report = fit_baum_welch(panel, 7, BktParams(0.3, 0.2, 0.1, 0.2, 0.2))
         assert report.stop_reason == "degenerate"
-        assert json.loads(report.to_json())["stop_reason"] == "degenerate"
+        raw = json.loads(report.to_json())
+        assert raw["stop_reason"] == "degenerate"
+        assert "identical" in raw["degenerate_cause"]
+
+    def test_only_a_degenerate_report_names_a_cause(self):
+        panel = _simulated_panel(BktParams(0.3, 0.25, 0.05, 0.1, 0.15), 40, 12, seed=60)
+        report = fit_baum_welch(panel, 7, BktParams(0.5, 0.1, 0.2, 0.3, 0.3), max_iters=3)
+        assert report.degenerate_cause == ""
+        assert "degenerate_cause" not in json.loads(report.to_json())
 
     def test_unknown_skill_rejected(self):
         panel = _panel_from_sequences([[1, 0, 1]])
