@@ -6,121 +6,77 @@ population-scale convergence experiment, and an interacting-network
 generalization with exact small-network oracles.
 """
 
-from .bridge import (
-    SkillEquilibrium,
-    bkt_to_irt,
-    classic_limit,
-    equilibrium_gap,
-    irt_to_bkt,
-    learner_item_equilibrium,
-)
-from .chain import (
-    StationaryDist,
-    Trajectory,
-    build_matrices,
-    marginal_at,
-    mastered_after,
-    sample_trajectory,
-    stationary_closed_form,
-    stationary_power_iteration,
-)
-from .errors import DomainError
-from .experiment import (
-    BinnedCurve,
-    Population,
-    SimConfig,
-    compare_to_irf,
-    draw_population,
-    expected_curves,
-    run_equilibrium_experiment,
-)
-from .irt import (
-    fit_irf_cd,
-    irf_4pl,
-    irf_mirt,
-    irf_slope_max,
-    logistic,
-    simulate_dynamic_irt,
-)
-from .ising import (
-    IsingNetwork,
-    boltzmann_exact,
-    conditional_prob,
-    empirical_state_frequencies,
-    energy,
-    flip_energy_delta,
-    glauber_step,
-    metropolis_step,
-    simulate_field,
-)
-from .params import (
-    BktParams,
-    DynamicIrtConfig,
-    Irf4pl,
-    MirtIrf,
-    ResponsePanel,
-    validate_bkt,
-)
-from .rng import DEFAULT_SEED, RngKey
-from .tracing import (
-    FilterResult,
-    FitReport,
-    fit_baum_welch,
-    forward_filter,
-    sequence_loglik,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinnedCurve",
-    "BktParams",
-    "DEFAULT_SEED",
-    "DomainError",
-    "DynamicIrtConfig",
-    "FilterResult",
-    "FitReport",
-    "Irf4pl",
-    "IsingNetwork",
-    "MirtIrf",
-    "Population",
-    "ResponsePanel",
-    "RngKey",
-    "SimConfig",
-    "SkillEquilibrium",
-    "StationaryDist",
-    "Trajectory",
-    "bkt_to_irt",
-    "boltzmann_exact",
-    "build_matrices",
-    "classic_limit",
-    "compare_to_irf",
-    "conditional_prob",
-    "draw_population",
-    "empirical_state_frequencies",
-    "energy",
-    "flip_energy_delta",
-    "equilibrium_gap",
-    "expected_curves",
-    "fit_baum_welch",
-    "fit_irf_cd",
-    "forward_filter",
-    "glauber_step",
-    "irf_4pl",
-    "irf_mirt",
-    "irf_slope_max",
-    "irt_to_bkt",
-    "learner_item_equilibrium",
-    "logistic",
-    "marginal_at",
-    "mastered_after",
-    "metropolis_step",
-    "run_equilibrium_experiment",
-    "sample_trajectory",
-    "sequence_loglik",
-    "simulate_dynamic_irt",
-    "simulate_field",
-    "stationary_closed_form",
-    "stationary_power_iteration",
-    "validate_bkt",
-]
+# Every public name and the submodule that defines it. A name is imported on
+# first use (PEP 562) and then kept here, so `import bktirt` loads no
+# submodule and no numpy.
+_EXPORTS = {
+    "BinnedCurve": "experiment",
+    "BktParams": "params",
+    "DEFAULT_SEED": "rng",
+    "DomainError": "errors",
+    "DynamicIrtConfig": "params",
+    "FilterResult": "tracing",
+    "FitReport": "tracing",
+    "Irf4pl": "params",
+    "IsingNetwork": "ising",
+    "MirtIrf": "params",
+    "Population": "experiment",
+    "ResponsePanel": "params",
+    "RngKey": "rng",
+    "SimConfig": "experiment",
+    "SkillEquilibrium": "bridge",
+    "StationaryDist": "chain",
+    "Trajectory": "chain",
+    "bkt_to_irt": "bridge",
+    "boltzmann_exact": "ising",
+    "build_matrices": "chain",
+    "classic_limit": "bridge",
+    "compare_to_irf": "experiment",
+    "conditional_prob": "ising",
+    "draw_population": "experiment",
+    "empirical_state_frequencies": "ising",
+    "energy": "ising",
+    "equilibrium_gap": "bridge",
+    "expected_curves": "experiment",
+    "fit_baum_welch": "tracing",
+    "fit_irf_cd": "irt",
+    "flip_energy_delta": "ising",
+    "forward_filter": "tracing",
+    "glauber_step": "ising",
+    "irf_4pl": "irt",
+    "irf_mirt": "irt",
+    "irf_slope_max": "irt",
+    "irt_to_bkt": "bridge",
+    "learner_item_equilibrium": "bridge",
+    "logistic": "irt",
+    "marginal_at": "chain",
+    "mastered_after": "chain",
+    "metropolis_step": "ising",
+    "run_equilibrium_experiment": "experiment",
+    "sample_trajectory": "chain",
+    "sequence_loglik": "tracing",
+    "simulate_dynamic_irt": "irt",
+    "simulate_field": "ising",
+    "stationary_closed_form": "chain",
+    "stationary_power_iteration": "chain",
+    "validate_bkt": "params",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # What ``from .module import name`` runs; unlike importlib.import_module,
+    # it shows in ``python -X importtime``.
+    value = getattr(__import__(module, globals(), fromlist=[name], level=1), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -14,43 +14,67 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import dataclasses
-import hashlib
 import json
 import math
 import re
-import secrets
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .bridge import bkt_to_irt
-from .chain import sample_trajectory, stationary_closed_form
-from .errors import DomainError
-from .experiment import (
-    BinnedCurve,
-    SimConfig,
-    expected_curves,
-    run_equilibrium_experiment,
-    summarize_curves,
-    work_counts,
-)
-from .irt import irf_4pl
-from .ising import (
-    IsingNetwork,
-    boltzmann_exact,
-    empirical_state_frequencies,
-    lookups_per_sweep,
-    simulate_field,
-    uniforms_per_sweep,
-)
-from .params import BktParams, Irf4pl, ResponsePanel
+from .errors import DomainError, TooLarge
 from .rng import DEFAULT_SEED, RngKey
-from .tracing import cut_segments, fit_baum_welch, forward_filter
+
+if TYPE_CHECKING:
+    from .experiment import BinnedCurve
+    from .params import BktParams, Irf4pl
+
+# Library names the commands call, by the module that defines them (errors
+# and rng, which every command loads, are imported above). A name is
+# imported on first use (PEP 562), so a command loads only the modules it
+# runs. Commands call each one as an attribute of this module, looked up at
+# call time, so a wrapper set on the attribute (by a tracer or a test) is
+# the one that runs.
+_LIBRARY = {
+    "BktParams": "params",
+    "Irf4pl": "params",
+    "IsingNetwork": "ising",
+    "ResponsePanel": "params",
+    "SimConfig": "experiment",
+    "bkt_to_irt": "bridge",
+    "boltzmann_exact": "ising",
+    "cut_segments": "tracing",
+    "empirical_state_frequencies": "ising",
+    "expected_curves": "experiment",
+    "fit_baum_welch": "tracing",
+    "forward_filter": "tracing",
+    "irf_4pl": "irt",
+    "lookups_per_sweep": "ising",
+    "run_equilibrium_experiment": "experiment",
+    "sample_trajectory": "chain",
+    "simulate_field": "ising",
+    "stationary_closed_form": "chain",
+    "summarize_curves": "experiment",
+    "uniforms_per_sweep": "ising",
+    "work_counts": "experiment",
+}
+
+
+def __getattr__(name: str):
+    module = _LIBRARY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # What ``from .module import name`` runs; unlike importlib.import_module,
+    # it shows in ``python -X importtime``.
+    value = getattr(__import__(module, globals(), fromlist=[name], level=1), name)
+    globals()[name] = value
+    return value
+
+
+# This module as its commands see it: under ``python -m bktirt.cli`` it is
+# ``__main__``, not ``bktirt.cli``.
+_lib = sys.modules[__name__]
 
 FORMAT_VERSION = 1
 # Sampling a trajectory peaks near 75 bytes per step (its uniforms, also
@@ -60,6 +84,10 @@ _MAX_STEPS = 1_000_000
 # their temporaries; measured +36 MB per 10^6 points), so this cap keeps it
 # near 73 MB.
 _MAX_POINTS = 2_000_000
+# An experiment peaks near 24 bytes per (person, item) pair (its bin index,
+# its mastered count and one grid-sized temporary; measured +48 MB per 2*10^6
+# pairs), so this cap keeps it near 400 MB.
+_MAX_PAIRS = 2**24
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,6 +105,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_seed(text: str) -> int:
     if text == "auto":
+        import secrets
+
         return secrets.randbits(63)
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(
@@ -159,14 +189,16 @@ def _bkt_flags(parser: argparse.ArgumentParser, *, with_init: bool = True) -> No
 
 def _flag_params(args: argparse.Namespace) -> BktParams:
     """Parameters from the flags ``_bkt_flags`` adds; a flag left out is 0."""
-    return BktParams(**{name: getattr(args, name, 0.0) for name in BktParams._FIELDS})
+    return _lib.BktParams(**{name: getattr(args, name, 0.0) for name in _lib.BktParams._FIELDS})
 
 
 def _read_params(path: str) -> BktParams:
-    return BktParams.from_json(Path(path).read_text(encoding="utf-8"))
+    return _lib.BktParams.from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def _sha256(path: Path) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for block in iter(lambda: handle.read(1 << 16), b""):
@@ -185,6 +217,8 @@ def _write_csv(path: str | None, header: list[str], rows) -> None:
     """Header and rows as CSV, to stdout or to a file. A file starts with
     the format line and keeps the csv module's CRLF row ends, which its
     digest pins; stdout rows end in LF."""
+    import csv
+
     with _open_output(path) as handle:
         if path is not None:
             handle.write(f"# format_version={FORMAT_VERSION}\n")
@@ -210,7 +244,7 @@ def write_curves_csv(
         [repr(center), iterations, repr(prop), n_obs, repr(float(irf_value))]
         for t in sorted(curves)
         for (center, iterations, prop, n_obs), irf_value in zip(
-            curves[t].rows(), irf_4pl(curves[t].bin_centers, item)
+            curves[t].rows(), _lib.irf_4pl(curves[t].bin_centers, item)
         )
     )
     header = ["bin_center", "iterations", "prop_correct", "n_obs", "irf_value"]
@@ -272,7 +306,7 @@ class _Run:
 
 
 def _cmd_stationary(args: argparse.Namespace) -> int:
-    dist = stationary_closed_form(_flag_params(args))
+    dist = _lib.stationary_closed_form(_flag_params(args))
     payload = {"lambda0": dist.lambda0, "lambda1": dist.lambda1}
     if dist.periodic:
         payload["periodic"] = True
@@ -283,7 +317,7 @@ def _cmd_stationary(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     run = _Run(args, [args.seed])
     with run.phase("simulate_s"):
-        trajectory = sample_trajectory(_flag_params(args), args.steps, RngKey(args.seed))
+        trajectory = _lib.sample_trajectory(_flag_params(args), args.steps, RngKey(args.seed))
     run.work["steps"] = args.steps
     rows = zip(range(1, args.steps + 1), trajectory.latent, trajectory.emitted)
     return run.csv(args.out, ["t", "latent", "emitted"], rows)
@@ -294,7 +328,7 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     with run.phase("load_s"):
         params = _read_params(args.params)
     with run.phase("filter_s"):
-        result = forward_filter(params, args.responses)
+        result = _lib.forward_filter(params, args.responses)
     run.work["responses"] = len(args.responses)
     payload = {
         "format_version": FORMAT_VERSION,
@@ -308,11 +342,11 @@ def _cmd_filter(args: argparse.Namespace) -> int:
 def _cmd_fit_bkt(args: argparse.Namespace) -> int:
     run = _Run(args, [])
     with run.phase("load_s"):
-        panel = ResponsePanel.from_csv(args.panel)
+        panel = _lib.ResponsePanel.from_csv(args.panel)
     if args.init is not None:
         init = _read_params(args.init)
     else:
-        init = BktParams(
+        init = _lib.BktParams(
             p_init=0.3,
             p_learn=0.2,
             p_forget=0.0 if args.classic else 0.1,
@@ -320,7 +354,7 @@ def _cmd_fit_bkt(args: argparse.Namespace) -> int:
             p_guess=0.15,
         )
     with run.phase("fit_s"):
-        report = fit_baum_welch(
+        report = _lib.fit_baum_welch(
             panel,
             args.skill,
             init,
@@ -335,7 +369,7 @@ def _cmd_fit_bkt(args: argparse.Namespace) -> int:
         sequences=int(lengths.size),
         responses=int(lengths.sum()),
         em_iterations=report.iterations,
-        cut_segments=cut_segments(lengths),
+        cut_segments=_lib.cut_segments(lengths),
     )
     payload = {**json.loads(report.to_json()), "format_version": FORMAT_VERSION}
     return run.json(payload, args.out)
@@ -346,7 +380,9 @@ def _cmd_bridge(args: argparse.Namespace) -> int:
     with run.phase("load_s"):
         params = _read_params(args.params)
     with run.phase("bridge_s"):
-        eq = bkt_to_irt(params)
+        eq = _lib.bkt_to_irt(params)
+    import dataclasses
+
     payload = {"format_version": FORMAT_VERSION, **dataclasses.asdict(eq)}
     return run.json(payload, args.out)
 
@@ -363,7 +399,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.desk and sizes:
         given = ", ".join(flags[name][0] for name in sizes)
         args.error(f"argument --desk: not allowed with {given}")
-    config = (SimConfig.desk if args.desk else SimConfig)(
+    config = (_lib.SimConfig.desk if args.desk else _lib.SimConfig)(
         **sizes,
         iteration_counts=args.iters,
         p_slip=args.slip,
@@ -371,14 +407,19 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         seed=args.seed,
         bin_width=args.bin_width,
     )
+    if (pairs := config.n_people * config.n_items) > _MAX_PAIRS:
+        raise TooLarge(
+            f"--people {config.n_people} x --items {config.n_items} is {pairs:,} "
+            f"pairs, above the budget of {_MAX_PAIRS:,} (about 24 bytes each)"
+        )
     with run.phase("simulate_s"):
-        curves = run_equilibrium_experiment(config)
-    run.work.update(work_counts(config))
+        curves = _lib.run_equilibrium_experiment(config)
+    run.work.update(_lib.work_counts(config))
     summary_path = Path(args.out).with_suffix(".summary.json")
     with run.phase("write_s"):
         item = config.irf()
         # Summarize first: it can reject the run, and then no file is written.
-        summary = summarize_curves(curves, item, args.min_count, expected_curves(config))
+        summary = _lib.summarize_curves(curves, item, args.min_count, _lib.expected_curves(config))
         write_curves_csv(curves, item, args.out)
         write_summary_json(summary, str(summary_path))
     return run.finish(args.out, summary_path)
@@ -386,10 +427,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_irf(args: argparse.Namespace) -> int:
     run = _Run(args, [])
-    item = Irf4pl(a=args.a, b=args.b, c=args.c, d=args.d)
+    import numpy as np
+
+    item = _lib.Irf4pl(a=args.a, b=args.b, c=args.c, d=args.d)
     with run.phase("evaluate_s"):
         thetas = np.linspace(args.theta_min, args.theta_max, args.points)
-        values = irf_4pl(thetas, item)
+        values = _lib.irf_4pl(thetas, item)
     run.work["points"] = args.points
     rows = ([repr(float(theta)), repr(float(p))] for theta, p in zip(thetas, values))
     return run.csv(args.out, ["theta", "p"], rows)
@@ -398,20 +441,20 @@ def _cmd_irf(args: argparse.Namespace) -> int:
 def _cmd_ising(args: argparse.Namespace) -> int:
     run = _Run(args, [args.seed])
     with run.phase("load_s"):
-        net = IsingNetwork.from_json_file(args.net)
+        net = _lib.IsingNetwork.from_json_file(args.net)
     with run.phase("simulate_s"):
-        trace = simulate_field(
+        trace = _lib.simulate_field(
             net, args.sweeps, RngKey(args.seed), dynamics=args.dynamics, scan=args.scan
         )
     with run.phase("frequencies_s"):
-        freqs = empirical_state_frequencies(trace, burn_in=args.burn_in)
+        freqs = _lib.empirical_state_frequencies(trace, burn_in=args.burn_in)
     with run.phase("exact_s"):
-        exact = boltzmann_exact(net) if args.exact else None
+        exact = _lib.boltzmann_exact(net) if args.exact else None
     run.work.update(
         sweeps=args.sweeps,
         site_updates=args.sweeps * net.n_nodes,
-        uniforms_drawn=args.sweeps * uniforms_per_sweep(net.n_nodes, args.scan),
-        lookups_per_sweep=lookups_per_sweep(net, args.sweeps, args.dynamics, args.scan),
+        uniforms_drawn=args.sweeps * _lib.uniforms_per_sweep(net.n_nodes, args.scan),
+        lookups_per_sweep=_lib.lookups_per_sweep(net, args.sweeps, args.dynamics, args.scan),
     )
     header = ["state_index", "frequency"] + (["exact_prob"] if args.exact else [])
     rows = (

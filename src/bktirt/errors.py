@@ -70,4 +70,5 @@ class OutOfDomain(DomainError):
 
 
 class TooLarge(DomainError):
-    """Exact enumeration requested for a network beyond the size cap."""
+    """A request beyond a size cap: exact enumeration of a large network,
+    or an experiment's pair grid."""

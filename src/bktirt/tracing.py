@@ -368,9 +368,10 @@ class FilterResult:
 
 
 def _binary(responses: list) -> np.ndarray:
-    """The responses as one array, checked in one comparison to accept
-    exactly what ``x in (0, 1)`` accepts: a flat list of numbers compares
-    as numbers, anything else item by item as Python objects. Raises
+    """The responses as one boolean array (True for 1), checked in one
+    comparison to accept exactly what ``x in (0, 1)`` accepts: a flat list
+    of numbers compares as numbers, anything else item by item as Python
+    objects. No complex or object value reaches the int8 packing. Raises
     OutOfRange naming the first other response and its attempt."""
     try:
         values = np.asarray(responses)
@@ -378,11 +379,12 @@ def _binary(responses: list) -> np.ndarray:
         values = None
     if values is None or values.ndim != 1 or values.dtype.kind not in "biufc":
         values = np.fromiter(responses, dtype=object, count=len(responses))
-    bad = np.flatnonzero(~((values == 0) | (values == 1)))
+    ones = values == 1
+    bad = np.flatnonzero(~(ones | (values == 0)))
     if bad.size:
         t = int(bad[0])
         raise OutOfRange(f"response {responses[t]!r} at attempt {t + 1} is not 0 or 1")
-    return values
+    return ones
 
 
 def forward_filter(params: BktParams, responses) -> FilterResult:

@@ -544,6 +544,35 @@ class TestExperimentCommand:
         assert "1048576 bins" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "people, items", [("100000", "100000"), ("16777217", "1"), ("1", "16777217")]
+    )
+    def test_pair_grid_past_the_budget_is_refused_before_simulating(
+        self, tmp_path, capsys, monkeypatch, people, items
+    ):
+        # 10^5 x 10^5 pairs used to end in a traceback for a 74.5 GiB grid.
+        def never(*args, **kwargs):
+            raise AssertionError("run_equilibrium_experiment ran")
+
+        monkeypatch.setattr("bktirt.cli.run_equilibrium_experiment", never)
+        argv = ["experiment", "--people", people, "--items", items, "--reps", "1",
+                "--out", str(tmp_path / "o.csv")]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("TooLarge:") and len(err.splitlines()) == 1
+        assert f"--people {people} x --items {items}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_pair_grid_at_the_budget_reaches_the_simulation(self, tmp_path, monkeypatch):
+        def stop(*args, **kwargs):
+            raise AssertionError("run_equilibrium_experiment ran")
+
+        monkeypatch.setattr("bktirt.cli.run_equilibrium_experiment", stop)
+        argv = ["experiment", "--people", "4096", "--items", "4096", "--reps", "1",
+                "--out", str(tmp_path / "o.csv")]
+        with pytest.raises(AssertionError, match="run_equilibrium_experiment ran"):
+            dispatch(argv)
+
     def test_empty_iteration_list_exits_one(self, tmp_path, capsys):
         argv = ["experiment", "--desk", "--iters", "", "--out", str(tmp_path / "e.csv")]
         assert dispatch(argv) == 1

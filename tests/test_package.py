@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -52,10 +55,44 @@ def test_version_is_the_same_everywhere(capsys):
     assert capsys.readouterr().out == f"{bktirt.__version__}\n"
 
 
-def test_names_the_tracer_wraps_on_the_cli_exist():
+def _smallest_commands(tmp_path: Path) -> dict[str, list[str]]:
+    """For each library call the CLI makes, the smallest command that makes
+    it, with its input files written under ``tmp_path``."""
+    params = tmp_path / "params.json"
+    params.write_text(BktParams(0.2, 0.3, 0.1, 0.1, 0.2).to_json())
+    panel = tmp_path / "panel.csv"
+    panel.write_text(
+        "person_id,item_id,skill_id,attempt,correct\n"
+        + "".join(f"{p},0,7,{t},{(p + t) % 3 > 0:d}\n" for p in range(4) for t in range(1, 6))
+    )
+    net = tmp_path / "net.json"
+    net.write_text('{"n": 2, "couplings": [[0, 1, 0.5]]}')
+    experiment = ["experiment", "--people", "3", "--items", "2", "--reps", "2",
+                  "--min-count", "1", "--out", str(tmp_path / "curve.csv")]
+    ising = ["ising", "--net", str(net), "--sweeps", "10", "--exact",
+             "--out", str(tmp_path / "freq.csv")]
+    return {
+        "run_equilibrium_experiment": experiment,
+        "summarize_curves": experiment,
+        "write_curves_csv": experiment,
+        "write_summary_json": experiment,
+        "fit_baum_welch": ["fit-bkt", "--panel", str(panel), "--skill", "7",
+                           "--max-iters", "3"],
+        "simulate_field": ising,
+        "empirical_state_frequencies": ising,
+        "boltzmann_exact": ising,
+        "bkt_to_irt": ["bridge", "--params", str(params)],
+        "sample_trajectory": ["simulate", "--p-learn", "0.3", "--steps", "5"],
+        "stationary_closed_form": ["stationary", "--p-learn", "0.3"],
+        "irf_4pl": ["irf", "--points", "3"],
+    }
+
+
+def test_names_the_tracer_wraps_on_the_cli_exist(tmp_path, monkeypatch, capsys):
     # bench/tracer.py replaces these attributes of bktirt.cli by name, so a
-    # name that moves or goes breaks traced benchmark runs. Its in_cli table
-    # is read from the source; the tracer is not imported or run.
+    # name that moves or goes breaks traced benchmark runs, and a command
+    # that stops calling through the attribute loses its span. Its in_cli
+    # table is read from the source; the tracer is not imported or run.
     source = (Path(__file__).parents[1] / "bench" / "tracer.py").read_text(encoding="utf-8")
     tables = [
         node.value
@@ -66,8 +103,76 @@ def test_names_the_tracer_wraps_on_the_cli_exist():
     assert len(tables) == 1 and isinstance(tables[0], ast.Dict)
     names = [ast.literal_eval(key) for key in tables[0].keys]
     assert "write_curves_csv" in names
+    commands = _smallest_commands(tmp_path)
+    assert sorted(names) == sorted(commands)
     for name in names:
-        assert callable(getattr(bktirt.cli, name, None)), name
+        original = getattr(bktirt.cli, name, None)
+        assert callable(original), name
+        calls = []
+
+        def recording(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(bktirt.cli, name, recording)
+            assert bktirt.cli.dispatch(commands[name]) == 0, (name, capsys.readouterr().err)
+        assert calls, name
+        assert getattr(bktirt.cli, name) is original
+
+
+_SRC = str(Path(bktirt.__file__).parents[1])
+
+
+def _fresh_modules(tmp_path: Path, statement: str, *argv: str) -> set[str]:
+    """sys.modules of a fresh interpreter, started in ``tmp_path`` with
+    ``argv`` as sys.argv[1:], after it runs ``statement``."""
+    script = f"import sys\n{statement}\nprint(*sys.modules, file=sys.stderr)\n"
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+def test_import_bktirt_loads_no_submodule_and_no_numpy(tmp_path):
+    loaded = _fresh_modules(tmp_path, "import bktirt")
+    assert "bktirt" in loaded
+    assert sorted(m for m in loaded if m.startswith("bktirt.") or m == "numpy") == []
+
+
+def test_star_import_and_dir_list_every_exported_name(tmp_path):
+    # In a fresh interpreter, before any name has been used.
+    _fresh_modules(
+        tmp_path,
+        "import bktirt\n"
+        "listed = set(dir(bktirt))\n"
+        "from bktirt import *\n"
+        "missing = [n for n in bktirt.__all__ if n not in globals() or n not in listed]\n"
+        "assert missing == [], missing",
+    )
+
+
+@pytest.mark.parametrize(
+    "call, loads, skips",
+    [
+        (None, [], ["chain", "params", "experiment", "ising", "tracing", "bridge", "irt"]),
+        ("stationary_closed_form", ["chain"], ["experiment", "ising", "tracing", "bridge", "irt"]),
+        ("run_equilibrium_experiment", ["experiment"], ["ising", "tracing"]),
+        ("fit_baum_welch", ["tracing"], ["ising", "experiment"]),
+    ],
+    ids=["version", "stationary", "experiment", "fit-bkt"],
+)
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, call, loads, skips):
+    argv = ["--version"] if call is None else _smallest_commands(tmp_path)[call]
+    loaded = _fresh_modules(
+        tmp_path, "from bktirt.cli import dispatch\nassert dispatch(sys.argv[1:]) == 0", *argv
+    )
+    assert [m for m in loads if f"bktirt.{m}" not in loaded] == []
+    assert [m for m in skips if f"bktirt.{m}" in loaded] == []
 
 
 def _raised_name(node: ast.expr) -> str:
@@ -80,8 +185,10 @@ def _raised_name(node: ast.expr) -> str:
 def test_every_library_raise_is_a_domain_error():
     # Callers catch DomainError for every rejected argument and the CLI
     # reports it by class name. Allowed besides: a re-raise (bare, or of a
-    # name an ``except ... as`` bound) and ArgumentTypeError inside the
-    # functions cli.py passes to argparse as ``type=``.
+    # name an ``except ... as`` bound), ArgumentTypeError inside the
+    # functions cli.py passes to argparse as ``type=``, and AttributeError
+    # inside a module-level ``__getattr__`` (PEP 562), which ``hasattr``
+    # and ``getattr`` with a default rely on.
     offenders = []
     for path in sorted(Path(bktirt.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -93,13 +200,16 @@ def test_every_library_raise_is_a_domain_error():
             for keyword in node.keywords
             if keyword.arg == "type"
         }
-        in_converters = {
-            id(raise_node)
-            for node in tree.body
-            if isinstance(node, ast.FunctionDef) and node.name in converters
-            for raise_node in ast.walk(node)
-            if isinstance(raise_node, ast.Raise)
-        }
+        in_converters, in_getattr = (
+            {
+                id(raise_node)
+                for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name in names
+                for raise_node in ast.walk(node)
+                if isinstance(raise_node, ast.Raise)
+            }
+            for names in (converters, {"__getattr__"})
+        )
         for node in ast.walk(tree):
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
@@ -107,6 +217,8 @@ def test_every_library_raise_is_a_domain_error():
             if name in caught:
                 continue
             if id(node) in in_converters and name == "argparse.ArgumentTypeError":
+                continue
+            if id(node) in in_getattr and name == "AttributeError":
                 continue
             cls = getattr(bktirt.errors, name, None)
             if not (isinstance(cls, type) and issubclass(cls, bktirt.errors.DomainError)):

@@ -6,6 +6,8 @@ import itertools
 import json
 import math
 import re
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -154,6 +156,20 @@ class TestForwardFilter:
         want = forward_filter(params, [1, 0, 1, 0, 0, 1, 0, 1])
         got = forward_filter(params, mixed)
         np.testing.assert_array_equal(got.posterior, want.posterior)
+
+    def test_complex_responses_without_imaginary_part_raise_no_warning(self):
+        # Accepted like 1 == 1+0j; they used to reach the int8 cast as
+        # complex and make numpy warn that the imaginary part is dropped.
+        params = BktParams(0.3, 0.2, 0.1, 0.15, 0.15)
+        want = forward_filter(params, [1, 1, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            for responses in ([1, 1 + 0j, 0j], np.array([1, 1, 0], dtype=complex),
+                              [1 + 0j, True, Fraction(0)]):
+                got = forward_filter(params, responses)
+                np.testing.assert_array_equal(got.posterior, want.posterior)
+        with pytest.raises(OutOfRange, match=r"response 1j at attempt 2 "):
+            forward_filter(params, [1, 1j])
 
     @pytest.mark.parametrize("n_zeros", [20, 30])
     def test_certain_mastery_then_errors_matches_enumeration(self, n_zeros):
