@@ -61,6 +61,7 @@ _EXPORTS = {
     "simulate_field": "ising",
     "stationary_closed_form": "chain",
     "stationary_power_iteration": "chain",
+    "summarize_curves": "experiment",
     "validate_bkt": "params",
 }
 

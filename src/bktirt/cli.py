@@ -22,7 +22,8 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import __version__
+import bktirt
+
 from .errors import DomainError, TooLarge
 from .rng import DEFAULT_SEED, RngKey
 
@@ -30,45 +31,15 @@ if TYPE_CHECKING:
     from .experiment import BinnedCurve
     from .params import BktParams, Irf4pl
 
-# Library names the commands call, by the module that defines them (errors
-# and rng, which every command loads, are imported above). A name is
-# imported on first use (PEP 562), so a command loads only the modules it
-# runs. Commands call each one as an attribute of this module, looked up at
-# call time, so a wrapper set on the attribute (by a tracer or a test) is
-# the one that runs.
-_LIBRARY = {
-    "BktParams": "params",
-    "Irf4pl": "params",
-    "IsingNetwork": "ising",
-    "ResponsePanel": "params",
-    "SimConfig": "experiment",
-    "bkt_to_irt": "bridge",
-    "boltzmann_exact": "ising",
-    "cut_segments": "tracing",
-    "empirical_state_frequencies": "ising",
-    "expected_curves": "experiment",
-    "fit_baum_welch": "tracing",
-    "forward_filter": "tracing",
-    "irf_4pl": "irt",
-    "lookups_per_sweep": "ising",
-    "run_equilibrium_experiment": "experiment",
-    "sample_trajectory": "chain",
-    "simulate_field": "ising",
-    "stationary_closed_form": "chain",
-    "summarize_curves": "experiment",
-    "uniforms_per_sweep": "ising",
-    "work_counts": "experiment",
-}
-
 
 def __getattr__(name: str):
-    module = _LIBRARY.get(name)
-    if module is None:
+    # A public library name is the package's, imported on first use (PEP
+    # 562) and kept here. Commands look each one up on this module at call
+    # time, so a wrapper set here (by a tracer or a test) is the one that
+    # runs. Other names, ``__path__`` among them, are not delegated.
+    if name not in bktirt.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # What ``from .module import name`` runs; unlike importlib.import_module,
-    # it shows in ``python -X importtime``.
-    value = getattr(__import__(module, globals(), fromlist=[name], level=1), name)
-    globals()[name] = value
+    value = globals()[name] = getattr(bktirt, name)
     return value
 
 
@@ -88,6 +59,10 @@ _MAX_POINTS = 2_000_000
 # its mastered count and one grid-sized temporary; measured +48 MB per 2*10^6
 # pairs), so this cap keeps it near 400 MB.
 _MAX_PAIRS = 2**24
+# An ising run peaks near 18 bytes per site update at n = 1 (its two uint8
+# traces and the int64 state arrays per sweep; tracemalloc measured 18, 14
+# and 10 bytes per site update at n = 1, 2 and 3), so this keeps it near 300 MB.
+_MAX_SITE_UPDATES = 2**24
 
 
 class _Parser(argparse.ArgumentParser):
@@ -282,7 +257,7 @@ class _Run:
                 "format_version": FORMAT_VERSION,
                 "command": self.argv,
                 "seeds": self.seeds,
-                "version": __version__,
+                "version": bktirt.__version__,
                 "duration_s": time.time() - self.started,
                 "outputs": [{"path": str(out), "sha256": _sha256(out)} for out in outputs],
                 "phases": self.phases,
@@ -340,6 +315,8 @@ def _cmd_filter(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit_bkt(args: argparse.Namespace) -> int:
+    from .tracing import cut_segments
+
     run = _Run(args, [])
     with run.phase("load_s"):
         panel = _lib.ResponsePanel.from_csv(args.panel)
@@ -369,7 +346,7 @@ def _cmd_fit_bkt(args: argparse.Namespace) -> int:
         sequences=int(lengths.size),
         responses=int(lengths.sum()),
         em_iterations=report.iterations,
-        cut_segments=_lib.cut_segments(lengths),
+        cut_segments=cut_segments(lengths),
     )
     payload = {**json.loads(report.to_json()), "format_version": FORMAT_VERSION}
     return run.json(payload, args.out)
@@ -388,6 +365,8 @@ def _cmd_bridge(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from .experiment import work_counts
+
     run = _Run(args, [args.seed])
     # Sizes left unset take SimConfig's full-scale defaults.
     flags = {
@@ -414,14 +393,14 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         )
     with run.phase("simulate_s"):
         curves = _lib.run_equilibrium_experiment(config)
-    run.work.update(_lib.work_counts(config))
+    run.work.update(work_counts(config))
     summary_path = Path(args.out).with_suffix(".summary.json")
     with run.phase("write_s"):
         item = config.irf()
         # Summarize first: it can reject the run, and then no file is written.
         summary = _lib.summarize_curves(curves, item, args.min_count, _lib.expected_curves(config))
         write_curves_csv(curves, item, args.out)
-        write_summary_json(summary, str(summary_path))
+        write_summary_json({"format_version": FORMAT_VERSION, **summary}, str(summary_path))
     return run.finish(args.out, summary_path)
 
 
@@ -439,9 +418,16 @@ def _cmd_irf(args: argparse.Namespace) -> int:
 
 
 def _cmd_ising(args: argparse.Namespace) -> int:
+    from .ising import lookups_per_sweep, uniforms_per_sweep
+
     run = _Run(args, [args.seed])
     with run.phase("load_s"):
         net = _lib.IsingNetwork.from_json_file(args.net)
+    if (updates := args.sweeps * net.n_nodes) > _MAX_SITE_UPDATES:
+        raise TooLarge(
+            f"--sweeps {args.sweeps} x {net.n_nodes} nodes is {updates:,} site updates, "
+            f"above the budget of {_MAX_SITE_UPDATES:,} (about 18 bytes each)"
+        )
     with run.phase("simulate_s"):
         trace = _lib.simulate_field(
             net, args.sweeps, RngKey(args.seed), dynamics=args.dynamics, scan=args.scan
@@ -452,9 +438,9 @@ def _cmd_ising(args: argparse.Namespace) -> int:
         exact = _lib.boltzmann_exact(net) if args.exact else None
     run.work.update(
         sweeps=args.sweeps,
-        site_updates=args.sweeps * net.n_nodes,
-        uniforms_drawn=args.sweeps * _lib.uniforms_per_sweep(net.n_nodes, args.scan),
-        lookups_per_sweep=_lib.lookups_per_sweep(net, args.sweeps, args.dynamics, args.scan),
+        site_updates=updates,
+        uniforms_drawn=args.sweeps * uniforms_per_sweep(net.n_nodes, args.scan),
+        lookups_per_sweep=lookups_per_sweep(net, args.sweeps, args.dynamics, args.scan),
     )
     header = ["state_index", "frequency"] + (["exact_prob"] if args.exact else [])
     rows = (
@@ -469,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bktirt",
         description="Mastery-chain and item-response toolkit",
     )
-    parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("--version", action="version", version=bktirt.__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stationary", help="closed-form stationary distribution")
@@ -553,7 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ising", help="sample an interacting mastery network")
     p.add_argument("--net", required=True, help="network JSON file")
     p.add_argument("--sweeps", type=_int_at_least(1), default=10000,
-                   help="full-network update sweeps, >= 1 (default: 10000)")
+                   help="full-network update sweeps, >= 1, at most "
+                        f"{_MAX_SITE_UPDATES:,} site updates in all (default: 10000)")
     p.add_argument("--dynamics", choices=["glauber", "metropolis"],
                    default="glauber", help="single-site dynamics (default: glauber)")
     p.add_argument("--scan", choices=["fixed", "random"], default="fixed",
@@ -580,7 +567,7 @@ def dispatch(argv: list[str]) -> int:
     except DomainError as exc:
         print(exc.render(), file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"io_error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,8 +2,8 @@
 
 Every library check that rejects an argument or an input raises a subclass
 of DomainError, and the subclass names the case. The CLI maps these to exit
-code 1 and prints each as one ``ClassName: message`` line; other errors
-(I/O, decoding, numpy's own) exit 2.
+code 1 and prints each as one ``ClassName: message`` line; a file that
+cannot be read or decoded exits 2, and any other error is a fault.
 """
 
 from __future__ import annotations
@@ -71,4 +71,4 @@ class OutOfDomain(DomainError):
 
 class TooLarge(DomainError):
     """A request beyond a size cap: exact enumeration of a large network,
-    or an experiment's pair grid."""
+    an experiment's pair grid, or an Ising run's site updates."""

@@ -303,7 +303,7 @@ def summarize_curves(
     from the equilibrium curve, and from the exact expectation ``expected``
     (``expected_curves``) at the same step count.
     """
-    summary: dict = {"format_version": 1, "min_count": min_count, "max_abs_dev": {}, "weighted_rmse": {}}
+    summary: dict = {"min_count": min_count, "max_abs_dev": {}, "weighted_rmse": {}}
     summary["expected_max_abs_dev"] = {}
     for t in sorted(curves):
         curve = curves[t]

@@ -11,7 +11,6 @@ the Boltzmann law is provided for small networks as the convergence oracle.
 from __future__ import annotations
 
 import contextlib
-import json
 import math
 from dataclasses import dataclass
 
@@ -20,6 +19,7 @@ import numpy as np
 from .chain import Trajectory
 from .errors import InsufficientData, OutOfRange, TooLarge
 from .irt import logistic
+from .params import read_json
 from .rng import RngKey
 
 _EXACT_MAX_NODES = 20
@@ -157,7 +157,7 @@ class IsingNetwork:
     @classmethod
     def from_json_file(cls, path: str) -> "IsingNetwork":
         with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+            return cls.from_dict(read_json(handle.read()))
 
 
 def _json_list(raw: dict, key: str, default: list) -> list:

@@ -26,6 +26,17 @@ from .errors import (
 )
 
 
+def read_json(text: str):
+    """``json.loads``, except that an integer longer than Python converts,
+    which json lets through as a bare ValueError, raises OutOfRange."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        raise OutOfRange(f"unreadable JSON number: {exc}") from None
+
+
 def _check_unit(name: str, value: float) -> None:
     # Closed interval, no epsilon slack: exact 0 and 1 are legal and the
     # degenerate chains they produce are handled downstream.
@@ -63,7 +74,7 @@ class BktParams:
 
     @classmethod
     def from_json(cls, text: str) -> "BktParams":
-        raw = json.loads(text)
+        raw = read_json(text)
         if not isinstance(raw, dict):
             raise OutOfRange(
                 f"BKT parameters must be a JSON object, got {type(raw).__name__}"

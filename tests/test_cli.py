@@ -77,6 +77,43 @@ class TestArgumentErrors:
         assert code == 2
         assert "io_error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, data, code, err",
+        [
+            ("--params", b'{"p_init": 0.2,', 2, "io_error:"),
+            ("--params", b'{"p_init": \xff}', 2, "io_error:"),
+            ("--net", b'{"n": 2', 2, "io_error:"),
+            ("--net", b"\xff", 2, "io_error:"),
+            # json reads these, then int() refuses the 5,000-digit literal
+            # with a bare ValueError.
+            ("--params", b'{"p_init": ' + b"1" * 5000 + b"}", 1, "OutOfRange: unreadable JSON"),
+            ("--net", b'{"n": ' + b"1" * 5000 + b"}", 1, "OutOfRange: unreadable JSON"),
+        ],
+        ids=["params-truncated", "params-not-utf8", "net-truncated", "net-not-utf8",
+             "params-long-int", "net-long-int"],
+    )
+    def test_unreadable_json_file_exits_with_one_line(
+        self, tmp_path, capsys, flag, data, code, err
+    ):
+        path = tmp_path / "input.json"
+        path.write_bytes(data)
+        argv = (["filter", "--params", str(path), "--responses", "1"] if flag == "--params"
+                else ["ising", "--net", str(path), "--out", str(tmp_path / "f.csv")])
+        assert dispatch(argv) == code
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(err) and len(stderr.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_other_value_errors_escape_as_bugs(self, monkeypatch):
+        # Only a DomainError is a rejected input; a bare ValueError from the
+        # code or numpy is a fault, not an io_error.
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr("bktirt.cli.stationary_closed_form", broken)
+        with pytest.raises(ValueError, match="broadcast"):
+            dispatch(["stationary", "--p-learn", "0.3"])
+
     def test_malformed_responses_exit_two(self, capsys, params_file):
         code = dispatch(
             ["filter", "--params", str(params_file), "--responses", "1,x,0"]
@@ -496,6 +533,7 @@ class TestExperimentCommand:
         assert header == "bin_center,iterations,prop_correct,n_obs,irf_value"
         summary = json.loads((tmp_path / "one.summary.json").read_text())
         assert set(summary["max_abs_dev"]) == {"1", "3"}
+        assert list(summary)[0] == "format_version" and summary["format_version"] == 1
 
         manifest_one = json.loads((tmp_path / "one.manifest.json").read_text())
         manifest_two = json.loads((tmp_path / "two.manifest.json").read_text())
@@ -800,6 +838,35 @@ class TestIsingCommand:
         assert err.startswith("OutOfRange:") and len(err.splitlines()) == 1
         assert where in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("sweeps", ["8388609", "100000000000"])
+    def test_sweeps_past_the_budget_are_refused_before_simulating(
+        self, tmp_path, capsys, monkeypatch, sweeps
+    ):
+        # 10^11 sweeps of a 2-node network used to end in a traceback for a
+        # 186 GiB trace; 2^23 + 1 sweeps is one sweep past 2^24 site updates.
+        def never(*args, **kwargs):
+            raise AssertionError("simulate_field ran")
+
+        monkeypatch.setattr("bktirt.cli.simulate_field", never)
+        net_path = _ising_net(tmp_path)
+        argv = ["ising", "--net", str(net_path), "--sweeps", sweeps,
+                "--out", str(tmp_path / "freq.csv")]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"TooLarge: --sweeps {sweeps} x 2 nodes")
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == [net_path]
+
+    def test_sweeps_at_the_budget_reach_the_simulation(self, tmp_path, monkeypatch):
+        def stop(*args, **kwargs):
+            raise AssertionError("simulate_field ran")
+
+        monkeypatch.setattr("bktirt.cli.simulate_field", stop)
+        argv = ["ising", "--net", str(_ising_net(tmp_path)), "--sweeps", "8388608",
+                "--out", str(tmp_path / "freq.csv")]
+        with pytest.raises(AssertionError, match="simulate_field ran"):
+            dispatch(argv)
 
     @pytest.mark.parametrize("n", [21, 10**6])
     def test_network_past_twenty_nodes_is_refused_before_simulating(

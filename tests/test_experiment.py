@@ -386,6 +386,9 @@ class TestCsvAndSummary:
             assert 0.0 <= float(prop) <= 1.0 and int(n_obs) > 0
 
         summary = summarize_curves(curves, item, 1, expected_curves(config))
+        # The CLI adds format_version when it writes the file.
+        assert list(summary) == ["min_count", "max_abs_dev", "weighted_rmse",
+                                 "expected_max_abs_dev"]
         assert set(summary["max_abs_dev"]) == {"1", "2"}
         for t in (1, 2):
             want = compare_to_irf(curves[t], item, 1)

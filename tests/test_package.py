@@ -121,6 +121,16 @@ def test_names_the_tracer_wraps_on_the_cli_exist(tmp_path, monkeypatch, capsys):
         assert getattr(bktirt.cli, name) is original
 
 
+def test_the_cli_resolves_library_names_through_the_package():
+    # The package's lazy table is the only name -> module table: every
+    # public name is the same object on bktirt.cli, and nothing else is
+    # delegated (a module with __path__ would pass for a package).
+    for name in bktirt.__all__:
+        assert getattr(bktirt.cli, name) is getattr(bktirt, name), name
+    for name in ("__path__", "__all__", "_EXPORTS", "experiment", "no_such_name"):
+        assert not hasattr(bktirt.cli, name), name
+
+
 _SRC = str(Path(bktirt.__file__).parents[1])
 
 
