@@ -28,13 +28,19 @@ _INDEX_MAX_NODES = 63
 # Most (code, state) entries one group table of the sweep-table walk holds.
 _GROUP_ENTRIES = 1 << 18
 # The walk's cost model (see _plan), in ns: its fixed set-up, each table
-# entry built, and each site update a merged group saves. Measured with
-# simulate_field on n = 1 to 12, both scans and dynamics: set-up about
-# 20-50 us, 15-30 ns per entry, and 40-500 ns saved per merged update
-# (about 200 on fixed scan); the saving taken is below most of them.
+# entry built, and each site update a merged group saves. Measured by
+# timing the walk's build, and one 32,768-sweep chunk of _Walk.sweep
+# against _sweep_sites, on all-pairs and chain networks of n = 2 to 9,
+# both scans and dynamics: set-up about 40-130 us, 12-27 ns per entry,
+# and 100-780 ns saved per merged update (above 110 on all but two
+# shapes). The saving taken is below all of them, so on every shape the
+# shortest run _plan sends to the walk is past the run at which the
+# walk's build pays back.
 _WALK_SETUP_NS = 50_000
 _ENTRY_NS = 30
 _SAVED_NS = 100
+# Buckets per node in the walk's rank tables (see _Walk): a power of two.
+_BUCKETS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -355,6 +361,16 @@ class _Walk:
     where the code is the mixed-radix number of the positions' ranks, the
     first position lowest. Under random scan a position's code is node j's
     offset plus its rank, so one map serves every position.
+
+    Ranks come from one bucket table per node. A draw u falls in bucket
+    b = floor(u * M), with M = _BUCKETS a power of two, so u * M and b are
+    exact. Where no threshold of s_j lies in [b/M, (b+1)/M), every u in
+    bucket b has the rank searchsorted(s_j, b/M, "left"), and the table
+    holds that rank's code: times the position's weight under fixed scan,
+    plus the node's offset under random scan. A bucket holding a threshold,
+    one exactly at b/M included, holds -1 instead, and the few draws that
+    land in one get their exact rank, searchsorted(s_j, u, "right"), from
+    one search over all nodes' thresholds as a fix-up.
     """
 
     def __init__(self, levels: list, groups: list[int], scan: str, flip: bool) -> None:
@@ -371,42 +387,91 @@ class _Walk:
             )
         if scan == "random":
             maps = [np.concatenate(maps)] * n
-        self.levels, self.scan, self.groups = levels, scan, len(groups)
-        # ranks @ weights + offsets is each group's row in the stacked tables.
-        self.weights = np.zeros((n, len(groups)), dtype=np.int64)
-        self.offsets = np.zeros(len(groups), dtype=np.int64)
+        self.scan, self.groups = scan, len(groups)
+        # Each position's weight in its group's code, the group's rows of
+        # positions, and its first row in the stacked tables.
+        weights = np.empty((n, 1), dtype=np.int64)
+        self.spans: list[slice] = []
+        self.offsets = np.empty(len(groups), dtype=np.int64)
         self.rows: list = []
         # Every row holds the same 2^n int objects, not one object per entry.
         shared = states.astype(object)
         position = 0
         for g, size in enumerate(groups):
+            self.spans.append(slice(position, position + size))
             self.offsets[g] = len(self.rows)
             table = states[None, :]
             for step in maps[position : position + size]:
-                self.weights[position, g] = table.shape[0]
+                weights[position] = table.shape[0]
                 table = step[:, table].reshape(-1, states.size)
                 position += 1
             self.rows += shared[table].tolist()
+        # Node j's rank i is entry firsts[j] + i of the codes: the node's
+        # offset plus its rank, a position's code under random scan (sweep
+        # weights it by position once the nodes are placed), and under
+        # fixed scan the rank times the position's weight.
+        sizes = np.array([s.size + 1 for s, _ in levels])
+        firsts = sizes.cumsum() - sizes
+        node = np.repeat(np.arange(n), sizes)
+        self.codes = np.arange(node.size)
+        if scan == "fixed":
+            self.codes = (self.codes - firsts[node]) * weights[node, 0]
+            self.weights = None
+        else:
+            self.weights = weights
+        # Bucket b of node j is entry j * (M + 1) + b, and threshold t lies
+        # in bucket floor(t * M). Rank i fills the buckets after the one
+        # holding s_j[i - 1] up to the one holding s_j[i]. A bound of 1.0
+        # closes each node's thresholds, so its last rank runs to bucket M,
+        # which holds u = 1.0 alone, a draw the generator never makes.
+        # Every bucket that ends a rank is flagged.
+        stride = _BUCKETS + 1
+        one = np.ones(1)
+        bounds = np.concatenate([part for s, _ in levels for part in (s, one)])
+        ends = (bounds * _BUCKETS).astype(np.int64) + node * stride
+        widths = ends.copy()
+        widths[1:] -= ends[:-1]
+        widths[0] += 1
+        self.buckets = np.repeat(self.codes, widths)
+        self.buckets[ends] = -1
+        # Complex numbers sort by real part, then imaginary part. So one
+        # search over the (bucket entry, threshold) keys ranks a flagged
+        # draw among its own node's thresholds, as searchsorted(s_j, u,
+        # "right") does, plus the entries of the nodes before it: the
+        # index of its code. Each node's closing key sorts after every draw
+        # in its last bucket.
+        self.keys = ends + 1j * bounds
+        self.keys.imag[firsts + sizes - 1] = np.inf
+        self.starts = np.arange(0, n * stride, stride)[:, None]
 
     def sweep(self, draws: np.ndarray, idx: int) -> list[int]:
         """The state after each sweep in a chunk of draws, from state idx."""
-        n = len(self.levels)
+        n, chunk = self.starts.shape[0], draws.shape[0]
+        stride = _BUCKETS + 1
+        picks = draws[:, :n] if self.scan == "fixed" else draws[:, n : 2 * n]
+        # One row per position, so each step below runs over contiguous
+        # rows. Casting u * M to an integer truncates it, which for u >= 0
+        # is the floor.
+        cells = np.empty((n, chunk), dtype=np.int64)
+        np.multiply(picks.T, _BUCKETS, out=cells, casting="unsafe")
         if self.scan == "fixed":
-            ranks = np.column_stack([
-                np.searchsorted(s, draws[:, j], side="right")
-                for j, (s, _) in enumerate(self.levels)
-            ])
+            cells += self.starts
         else:
             order = np.argsort(draws[:, :n], axis=1, kind="stable")
-            picks = draws[:, n : 2 * n]
-            ranks = np.empty(picks.shape, dtype=np.int64)
-            offset = 0
-            for j, (s, _) in enumerate(self.levels):
-                here = order == j
-                ranks[here] = offset + np.searchsorted(s, picks[here], side="right")
-                offset += s.size + 1
-        codes = (ranks @ self.weights + self.offsets).ravel().tolist()
-        return _walk(self.rows, codes, idx)[self.groups - 1 :: self.groups]
+            order *= stride
+            cells += order.T
+        values = self.buckets[cells]
+        flagged = np.flatnonzero(values < 0)
+        if flagged.size:
+            query = cells.ravel()[flagged] + 1j * picks[flagged % chunk, flagged // chunk]
+            values.ravel()[flagged] = self.codes[np.searchsorted(self.keys, query, "right")]
+        if self.weights is not None:
+            values *= self.weights
+        codes = np.empty((chunk, self.groups), dtype=np.int64)
+        for g, span in enumerate(self.spans):
+            np.sum(values[span], axis=0, out=codes[:, g])
+        codes += self.offsets
+        return _walk(self.rows, codes.ravel().tolist(), idx)[self.groups - 1 :: self.groups]
 
 
 def _walk(rows: list, codes: list, idx: int) -> list[int]:
@@ -511,7 +576,7 @@ def simulate_field(
         else:
             path = walk.sweep(draws, idx)
         idx = path[-1]
-        indices = np.array(path, dtype=np.int64)
+        indices = np.fromiter(path, np.int64, count=chunk)
         block = ((indices[:, None] >> np.arange(n)) & 1).astype(np.uint8)
         latent[done : done + chunk] = block
         # Correct when the draw falls below 1 - slip (mastered) or guess.

@@ -27,14 +27,18 @@ from .errors import (
 
 
 def read_json(text: str):
-    """``json.loads``, except that an integer longer than Python converts,
-    which json lets through as a bare ValueError, raises OutOfRange."""
+    """``json.loads``, except that two inputs json lets through as bare
+    Python errors raise OutOfRange: an integer longer than Python converts
+    (a ValueError) and nesting deeper than the recursion limit (a
+    RecursionError)."""
     try:
         return json.loads(text)
     except json.JSONDecodeError:
         raise
     except ValueError as exc:
         raise OutOfRange(f"unreadable JSON number: {exc}") from None
+    except RecursionError:
+        raise OutOfRange("JSON nested too deeply") from None
 
 
 def _check_unit(name: str, value: float) -> None:

@@ -104,6 +104,22 @@ class TestArgumentErrors:
         assert stderr.startswith(err) and len(stderr.splitlines()) == 1
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("flag", ["--params", "--init", "--net"])
+    def test_deeply_nested_json_exits_with_one_line(self, tmp_path, capsys, flag):
+        # json decodes each bracket one recursion level deeper, past the limit.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        panel = _panel_csv(tmp_path)
+        argv = {
+            "--params": ["filter", "--params", str(path), "--responses", "1"],
+            "--init": ["fit-bkt", "--panel", str(panel), "--skill", "7",
+                       "--init", str(path), "--out", str(tmp_path / "fit.json")],
+            "--net": ["ising", "--net", str(path), "--out", str(tmp_path / "f.csv")],
+        }[flag]
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == "OutOfRange: JSON nested too deeply\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.json", "panel.csv"]
+
     def test_other_value_errors_escape_as_bugs(self, monkeypatch):
         # Only a DomainError is a rejected input; a bare ValueError from the
         # code or numpy is a fault, not an io_error.

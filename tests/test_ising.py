@@ -466,3 +466,100 @@ class TestSimulateField:
         got = ising_mod.state_indices(latent)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
+
+
+def _walk_for(net, dynamics, scan):
+    """The sweep-table walk over every merge the group budget allows, with
+    the threshold tables it was built from."""
+    tables = ising_mod._thresholds(net, dynamics)
+    levels = [np.unique(table, return_inverse=True) for table in tables]
+    groups = ising_mod._groups(ising_mod._code_counts(levels, scan), 2**net.n_nodes)
+    walk = ising_mod._Walk(levels, groups, scan, dynamics == "metropolis")
+    return walk, tables, len(groups)
+
+
+def _assert_walk_exact(net, dynamics, scan, values, rows=3000, seed=0):
+    """Walk and per-site loop agree on update draws picked from values."""
+    n = net.n_nodes
+    walk, tables, _ = _walk_for(net, dynamics, scan)
+    rng = np.random.default_rng(seed)
+    draws = rng.random((rows, ising_mod.uniforms_per_sweep(n, scan)))
+    update = slice(0, n) if scan == "fixed" else slice(n, 2 * n)
+    draws[:, update] = rng.choice(values, size=(rows, n))
+    for start in (0, 2**n - 1):
+        assert walk.sweep(draws, start) == ising_mod._sweep_sites(
+            tables, draws, scan, dynamics == "metropolis", start
+        )
+
+
+def _bucket_edges(tables):
+    """Draws on the start of every bucket holding a threshold and of the
+    next one, one ulp below each, and the thresholds with their two ulp
+    neighbours, all within [0, 1)."""
+    m = ising_mod._BUCKETS
+    levels = np.unique(np.concatenate([np.asarray(table) for table in tables]))
+    starts = np.unique(np.floor(levels * m))
+    starts = np.concatenate([starts, starts + 1]) / m
+    edges = np.concatenate([
+        starts, np.nextafter(starts, 0.0),
+        levels, np.nextafter(levels, 0.0), np.nextafter(levels, 1.0), [0.0],
+    ])
+    return np.unique(edges[(edges >= 0.0) & (edges < 1.0)])
+
+
+class TestBucketRanks:
+    """The walk finds each draw's rank in a bucket table of M buckets per
+    node, with an exact searchsorted for draws in a bucket that holds a
+    threshold. These inputs sit on the edges of that lookup."""
+
+    @pytest.mark.parametrize("scan", ["fixed", "random"])
+    @pytest.mark.parametrize("dynamics", ["glauber", "metropolis"])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_draws_on_bucket_starts_and_one_ulp_below(self, n, dynamics, scan):
+        net = _random_net(n, seed=40 + n, low=-1.0, high=1.0, field_span=1.0)
+        _, tables, groups = _walk_for(net, dynamics, scan)
+        if n == 5:
+            assert groups > 1
+        _assert_walk_exact(net, dynamics, scan, _bucket_edges(tables), seed=n)
+
+    @pytest.mark.parametrize("scan", ["fixed", "random"])
+    def test_glauber_threshold_of_one_half_on_a_bucket_start(self, scan):
+        # Zero fields: a node whose neighbours are all unmastered has local
+        # field 0, so its threshold is logistic(0) = 0.5 = (M/2)/M exactly.
+        net = _random_net(4, seed=44, low=-1.0, high=1.0, field_span=0.0)
+        tables = ising_mod._thresholds(net, "glauber")
+        assert all(table[0] == 0.5 for table in tables)
+        values = np.array([0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 0.25, 0.75])
+        _assert_walk_exact(net, "glauber", scan, values, seed=44)
+        _assert_walk_exact(net, "glauber", scan, _bucket_edges(tables), seed=45)
+
+    @pytest.mark.parametrize("scan", ["fixed", "random"])
+    @pytest.mark.parametrize("dynamics", ["glauber", "metropolis"])
+    def test_thresholds_of_exactly_zero_and_one(self, dynamics, scan):
+        # Fields of +-1000 put thresholds at exactly 0.0 (exp and logistic
+        # underflow) and 1.0 (downhill moves, logistic overflow).
+        net = _random_net(4, seed=46, low=-1.0, high=1.0)
+        net = _net(net.couplings, [-1000.0, 1000.0, 0.3, -0.2])
+        tables = ising_mod._thresholds(net, dynamics)
+        flat = np.concatenate([np.asarray(table) for table in tables])
+        assert 0.0 in flat and 1.0 in flat
+        values = np.concatenate([_bucket_edges(tables), [0.0, 5e-324, 1.0 - 2**-53]])
+        _assert_walk_exact(net, dynamics, scan, values, seed=46)
+
+    @pytest.mark.parametrize("scan", ["fixed", "random"])
+    @pytest.mark.parametrize("dynamics", ["glauber", "metropolis"])
+    def test_every_chunk_through_the_fix_up(self, monkeypatch, dynamics, scan):
+        # One bucket per node holds every threshold below 1, so every draw
+        # of every chunk takes the exact searchsorted.
+        net = _random_net(4, seed=47, low=-1.0, high=1.0, field_span=1.0)
+        key = RngKey(47)
+        monkeypatch.setattr(ising_mod, "_plan", lambda counts, n_states, sweeps: None)
+        loop = simulate_field(net, 70000, key, dynamics=dynamics, scan=scan)
+        monkeypatch.setattr(ising_mod, "_BUCKETS", 1)
+        walk, _, _ = _walk_for(net, dynamics, scan)
+        assert np.all(walk.buckets.reshape(4, 2)[:, 0] == -1)
+        _force_walk(monkeypatch)
+        assert ising_mod.lookups_per_sweep(net, 70000, dynamics, scan) < 4
+        trace = simulate_field(net, 70000, key, dynamics=dynamics, scan=scan)
+        np.testing.assert_array_equal(trace.latent, loop.latent)
+        np.testing.assert_array_equal(trace.emitted, loop.emitted)
