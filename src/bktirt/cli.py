@@ -418,11 +418,12 @@ def _cmd_irf(args: argparse.Namespace) -> int:
 
 
 def _cmd_ising(args: argparse.Namespace) -> int:
-    from .ising import lookups_per_sweep, uniforms_per_sweep
+    from .ising import lookups_per_sweep, require_sweeps_after_burn_in, uniforms_per_sweep
 
     run = _Run(args, [args.seed])
     with run.phase("load_s"):
         net = _lib.IsingNetwork.from_json_file(args.net)
+    require_sweeps_after_burn_in(args.burn_in, args.sweeps)
     if (updates := args.sweeps * net.n_nodes) > _MAX_SITE_UPDATES:
         raise TooLarge(
             f"--sweeps {args.sweeps} x {net.n_nodes} nodes is {updates:,} site updates, "

@@ -193,6 +193,12 @@ def require_enumerable(n_nodes: int) -> None:
         )
 
 
+def require_sweeps_after_burn_in(burn_in: int, sweeps: int) -> None:
+    """Raise InsufficientData when a burn-in leaves no sweep to count."""
+    if burn_in >= sweeps:
+        raise InsufficientData(f"burn-in of {burn_in} sweeps leaves none of {sweeps} to count")
+
+
 def energy(net: IsingNetwork, z) -> float:
     """E(z) = -(sum_{i<j} sigma_ij z_i z_j + sum_i h_i z_i)."""
     z = np.asarray(z, dtype=float)
@@ -548,6 +554,11 @@ def simulate_field(
     group. Otherwise a per-site loop makes one threshold lookup and compare
     per site update; beyond 12 nodes it computes each threshold on lookup.
     Both paths consume the stream alike and give bit-identical output.
+
+    Each chunk's latent bits and emissions are written one byte of the state
+    index at a time (see _byte_tables): one np.take of the byte's node bits
+    into latent, and one of its emission thresholds, which the chunk's
+    emission draws are compared with straight into emitted.
     """
     if sweeps < 1:
         raise OutOfRange(f"sweeps must be >= 1, got {sweeps}")
@@ -566,6 +577,7 @@ def simulate_field(
     flip = dynamics == "metropolis"
     levels, groups = _route(tables, sweeps, scan)
     walk = None if groups is None else _Walk(levels, groups, scan, flip)
+    byte_tables = _byte_tables(net)
     idx = 0
     done = 0
     while done < sweeps:
@@ -577,21 +589,48 @@ def simulate_field(
             path = walk.sweep(draws, idx)
         idx = path[-1]
         indices = np.fromiter(path, np.int64, count=chunk)
-        block = ((indices[:, None] >> np.arange(n)) & 1).astype(np.uint8)
-        latent[done : done + chunk] = block
-        # Correct when the draw falls below 1 - slip (mastered) or guess.
-        p_correct = np.where(block == 1, 1.0 - net.p_slip, net.p_guess)
-        emitted[done : done + chunk] = draws[:, width - n :] < p_correct
+        rows = slice(done, done + chunk)
+        for cols, bits, thresholds in byte_tables:
+            byte = indices >> cols.start
+            byte &= 255
+            # mode="clip" never clips a byte; it lets take write straight
+            # into out, where the default mode fills a buffered copy first.
+            np.take(bits, byte, axis=0, out=latent[rows, cols], mode="clip")
+            # Slice draws here: a view kept past the loop would hold this
+            # chunk's draws alive while the next chunk's are drawn.
+            np.less(
+                draws[:, width - n + cols.start : width - n + cols.stop],
+                np.take(thresholds, byte, axis=0, mode="clip"),
+                out=emitted[rows, cols].view(np.bool_),
+            )
         done += chunk
     return Trajectory(latent=latent, emitted=emitted, key=key)
 
 
+def _byte_tables(net: IsingNetwork) -> list[tuple[slice, np.ndarray, np.ndarray]]:
+    """Per byte of the packed state index, its w = min(8, n - 8k) nodes as a
+    slice (byte k holds nodes 8k to 8k + w - 1), then two tables with one row
+    per byte value: its w node bits (uint8), and the emission threshold each
+    bit gives its node. A response is correct when its draw falls below
+    1 - slip (mastered) or below guess (unmastered)."""
+    n = net.n_nodes
+    out = []
+    for lo in range(0, n, 8):
+        nodes = slice(lo, min(lo + 8, n))
+        bits = (np.arange(256)[:, None] >> np.arange(nodes.stop - lo)) & 1
+        thresholds = np.where(bits == 1, 1.0 - net.p_slip[nodes], net.p_guess[nodes])
+        out.append((nodes, bits.astype(np.uint8), thresholds))
+    return out
+
+
 def state_indices(latent: np.ndarray) -> np.ndarray:
     """Latent state per sweep packed as an integer (node j = bit j), built
-    one column at a time so no (sweeps, n) int64 copy is made."""
+    one column at a time through one int64 buffer, so no (sweeps, n) int64
+    copy is made and the allocator is not asked for a new column each time."""
     indices = np.zeros(latent.shape[0], dtype=np.int64)
+    column = np.empty_like(indices)
     for j in range(latent.shape[1]):
-        column = latent[:, j].astype(np.int64)
+        np.copyto(column, latent[:, j])
         column <<= j
         indices |= column
     return indices
@@ -610,10 +649,7 @@ def empirical_state_frequencies(
         raise OutOfRange(f"burn_in must be >= 0, got {burn_in}")
     if thin < 1:
         raise OutOfRange(f"thin must be >= 1, got {thin}")
-    if burn_in >= len(trace):
-        raise InsufficientData(
-            f"burn-in of {burn_in} sweeps leaves none of {len(trace)} to count"
-        )
+    require_sweeps_after_burn_in(burn_in, len(trace))
     n = trace.latent.shape[1]
     require_enumerable(n)
     indices = state_indices(trace.latent[burn_in::thin])

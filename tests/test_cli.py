@@ -804,13 +804,17 @@ class TestIsingCommand:
         assert "argument --burn-in: expected an integer >= 0" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_burn_in_covering_every_sweep_exits_one(self, tmp_path, capsys):
+    def test_burn_in_covering_every_sweep_exits_one(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("simulate_field ran")
+
+        monkeypatch.setattr("bktirt.cli.simulate_field", never)
         out = tmp_path / "freq.csv"
         code = dispatch(["ising", "--net", str(_ising_net(tmp_path)), "--sweeps", "100",
                          "--burn-in", "100", "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("InsufficientData:") and len(err.splitlines()) == 1
+        assert err == "InsufficientData: burn-in of 100 sweeps leaves none of 100 to count\n"
         assert not out.exists()
         assert not (tmp_path / "freq.manifest.json").exists()
 

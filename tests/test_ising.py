@@ -265,12 +265,14 @@ class TestSimulateField:
 
     @pytest.mark.parametrize("scan", ["fixed", "random"])
     @pytest.mark.parametrize("dynamics", ["glauber", "metropolis"])
-    @pytest.mark.parametrize("n", [1, 3, 4, 5, 13])
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 9, 13, 17])
     def test_stream_layout_matches_per_site_reference(self, monkeypatch, n, dynamics, scan):
         # At 150 sweeps the plan keeps n <= 12 on the per-site loop over the
         # 2^n tables; forcing it puts them on the sweep-table walk. n = 13
-        # computes thresholds on lookup. Every path must consume the stream
-        # exactly as one scalar draw per update.
+        # and 17 compute thresholds on lookup. Every path must consume the
+        # stream exactly as one scalar draw per update. Latent bits and
+        # emissions are written one byte of the state index at a time:
+        # n = 8 fills one byte, 9 starts a second and 17 a third.
         net = _random_net(n, seed=23 + n, low=-0.6, high=0.6, guess=0.2, slip=0.1)
         key = RngKey(23, (n,))
         latent, emitted = _per_site_reference(net, 150, key, dynamics, scan)
@@ -279,7 +281,8 @@ class TestSimulateField:
         if n <= ising_mod._TABLE_MAX_NODES:
             _force_walk(monkeypatch)
             groups = ising_mod.lookups_per_sweep(net, 150, dynamics, scan)
-            assert groups < n or n == 1
+            # From n = 8 no two positions' tables fit one group table.
+            assert groups < n if 1 < n < 8 else groups == n
             if n == 5:
                 assert groups > 1
             traces.append(simulate_field(net, 150, key, dynamics=dynamics, scan=scan))
@@ -353,8 +356,16 @@ class TestSimulateField:
             simulate_field(_random_net(2, seed=22), **args)
 
     def test_state_index_width_caps_the_node_count(self):
-        wide = simulate_field(_net(np.zeros((63, 63)), np.zeros(63)), 3, RngKey(24))
-        assert wide.latent.shape == (3, 63)
+        # Every node of the widest index, bits 56-62 (the eighth byte)
+        # included, must match the per-site reference.
+        net = _random_net(63, seed=24, low=-0.3, high=0.3, field_span=1.0, guess=0.2, slip=0.2)
+        for scan in ("fixed", "random"):
+            latent, emitted = _per_site_reference(net, 4, RngKey(24), "glauber", scan)
+            wide = simulate_field(net, 4, RngKey(24), scan=scan)
+            np.testing.assert_array_equal(wide.latent, latent)
+            np.testing.assert_array_equal(wide.emitted, emitted)
+            assert 0 < latent[:, 56:].sum() < latent[:, 56:].size
+            assert 0 < emitted[:, 56:].sum() < emitted[:, 56:].size
         with pytest.raises(TooLarge):
             simulate_field(_net(np.zeros((64, 64)), np.zeros(64)), 3, RngKey(24))
 
