@@ -17,6 +17,9 @@ from .errors import OutOfRange, Reducible
 from .params import BktParams
 from .rng import RngKey
 
+# Rows of latent that Trajectory.flip_rate compares at a time.
+_FLIP_BLOCK = 1 << 14
+
 
 def build_matrices(params: BktParams) -> tuple[np.ndarray, np.ndarray]:
     """Transition and emission matrices of the mastery chain.
@@ -142,15 +145,24 @@ def mastered_after(p_learn, p_forget, z, steps: int):
 class Trajectory:
     """Sampled latent/emitted paths plus the stream key that produced them:
     one row per step of a mastery chain, or per sweep of a network (then
-    one column per node)."""
+    one column per node).
+
+    ``states`` is optional: a network sampler keeps each sweep's latent
+    state packed into one integer (node j = bit j), in the narrowest
+    unsigned type that holds its 2^n states (int64 past 32 nodes), so that
+    counting states need not rebuild it from ``latent``. A mastery chain
+    leaves it None."""
 
     latent: np.ndarray
     emitted: np.ndarray
     key: RngKey
+    states: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if len(self.latent) != len(self.emitted) or len(self.latent) < 1:
             raise OutOfRange("latent and emitted must have equal length >= 1")
+        if self.states is not None and len(self.states) != len(self.latent):
+            raise OutOfRange("states must hold one entry per row of latent")
 
     def __len__(self) -> int:
         return self.latent.shape[0]
@@ -159,10 +171,12 @@ class Trajectory:
         """Share of site updates that changed their site. A network sweep
         updates each site once from an all-zero start, so a site differs from
         the previous sweep exactly when its update flipped it; under
-        Metropolis this is the acceptance rate."""
-        flips = np.count_nonzero(self.latent[0]) + np.count_nonzero(
-            self.latent[1:] != self.latent[:-1]
-        )
+        Metropolis this is the acceptance rate. Rows are compared a block at
+        a time, so no mask the size of ``latent`` is made."""
+        flips = np.count_nonzero(self.latent[0])
+        for lo in range(1, len(self), _FLIP_BLOCK):
+            hi = min(lo + _FLIP_BLOCK, len(self))
+            flips += np.count_nonzero(self.latent[lo:hi] != self.latent[lo - 1 : hi - 1])
         return flips / self.latent.size
 
 

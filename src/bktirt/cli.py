@@ -59,9 +59,11 @@ _MAX_POINTS = 2_000_000
 # its mastered count and one grid-sized temporary; measured +48 MB per 2*10^6
 # pairs), so this cap keeps it near 400 MB.
 _MAX_PAIRS = 2**24
-# An ising run peaks near 18 bytes per site update at n = 1 (its two uint8
-# traces and the int64 state arrays per sweep; tracemalloc measured 18, 14
-# and 10 bytes per site update at n = 1, 2 and 3), so this keeps it near 300 MB.
+# An ising run holds 2n + 1 to 2n + 4 bytes per sweep (its two uint8 traces
+# and one packed state index) plus about 2 MB of buffers for one chunk of
+# sweeps, so near 3 bytes per site update at n = 1. tracemalloc measured
+# 4.3, 3.4 and 3.1 bytes per site update at n = 1, 2 and 3 with 2^20 sweeps,
+# and 3.1 at n = 1 with 2^24, so this keeps it near 52 MB.
 _MAX_SITE_UPDATES = 2**24
 
 
@@ -427,7 +429,7 @@ def _cmd_ising(args: argparse.Namespace) -> int:
     if (updates := args.sweeps * net.n_nodes) > _MAX_SITE_UPDATES:
         raise TooLarge(
             f"--sweeps {args.sweeps} x {net.n_nodes} nodes is {updates:,} site updates, "
-            f"above the budget of {_MAX_SITE_UPDATES:,} (about 18 bytes each)"
+            f"above the budget of {_MAX_SITE_UPDATES:,} (about 3 bytes each)"
         )
     with run.phase("simulate_s"):
         trace = _lib.simulate_field(

@@ -32,11 +32,13 @@ def irf_4pl(theta, item: Irf4pl):
     """P(correct | theta) = c + (d - c) * logistic(a * (theta - b)).
 
     Clamped to [c, d]: at saturation the affine form can overshoot an
-    asymptote by one rounding ulp.
+    asymptote by one rounding ulp. A product a * (theta - b) past the float
+    range becomes +-inf, whose logistic is the exact asymptote, so its
+    overflow is not warned about.
     """
-    raw = item.c + (item.d - item.c) * logistic(
-        item.a * (np.asarray(theta, dtype=float) - item.b)
-    )
+    with np.errstate(over="ignore"):
+        z = item.a * (np.asarray(theta, dtype=float) - item.b)
+    raw = item.c + (item.d - item.c) * logistic(z)
     clipped = np.clip(raw, item.c, item.d)
     return float(clipped) if np.ndim(clipped) == 0 else clipped
 

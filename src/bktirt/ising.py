@@ -27,20 +27,28 @@ _TABLE_MAX_NODES = 12
 _INDEX_MAX_NODES = 63
 # Most (code, state) entries one group table of the sweep-table walk holds.
 _GROUP_ENTRIES = 1 << 18
-# The walk's cost model (see _plan), in ns: its fixed set-up, each table
-# entry built, and each site update a merged group saves. Measured by
-# timing the walk's build, and one 32,768-sweep chunk of _Walk.sweep
-# against _sweep_sites, on all-pairs and chain networks of n = 2 to 9,
-# both scans and dynamics: set-up about 40-130 us, 12-27 ns per entry,
-# and 100-780 ns saved per merged update (above 110 on all but two
-# shapes). The saving taken is below all of them, so on every shape the
-# shortest run _plan sends to the walk is past the run at which the
-# walk's build pays back.
-_WALK_SETUP_NS = 50_000
+# The walk's cost model (see _plan), in ns: its set-up and each table entry
+# built, against what it saves per sweep. Per sweep the per-site loop spends
+# a fixed amount plus an amount per site update beyond the walk's numpy work
+# per draw, and the walk spends one list lookup per group. Measured on
+# all-pairs and chain networks of n = 2 to 12, both scans and dynamics, on a
+# two-core VM: builds take 12-40 ns per entry, and one 16,384-sweep chunk of
+# _Walk.sweep saves 270-680 ns per sweep over _sweep_sites at n = 2, 290-830
+# at n = 3 and 330-1,580 from n = 4 on. The saving predicted below is under
+# each of them (closest: all-pairs n = 6 Metropolis on fixed scan, 354-380
+# against 330). Whole simulate_field runs, walk against loop, broke even at
+# 170-330 sweeps at n = 2 and 280-450 at n = 3 on fixed scan, where _plan
+# switches at 387-418 and 350-508, so it sends no run to the walk before
+# its build pays back.
+_WALK_SETUP_NS = 80_000
 _ENTRY_NS = 30
-_SAVED_NS = 100
+_LOOP_SWEEP_NS = 150
+_LOOP_SITE_NS = 50
+_LOOKUP_NS = 40
 # Buckets per node in the walk's rank tables (see _Walk): a power of two.
 _BUCKETS = 1 << 12
+# Sweeps simulated per chunk, and state indices counted per bincount.
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -332,8 +340,8 @@ def _groups(counts: list[int], n_states: int) -> list[int] | None:
 def _plan(counts: list[int], n_states: int, sweeps: int) -> list[int] | None:
     """The groups of the sweep-table walk where it pays, else None (the
     per-site loop). It pays when positions merge, so that a sweep takes
-    fewer lookups than it has sites, and when the site updates this saves
-    over all sweeps outweigh building the tables."""
+    fewer lookups than it has sites, and when what it saves per sweep over
+    the loop, over all sweeps, outweighs building the tables."""
     groups = _groups(counts, n_states)
     if groups is None or len(groups) == len(counts):
         return None
@@ -341,7 +349,7 @@ def _plan(counts: list[int], n_states: int, sweeps: int) -> list[int] | None:
     for size in groups:
         entries += math.prod(counts[start : start + size]) * n_states
         start += size
-    saved = sweeps * (len(counts) - len(groups)) * _SAVED_NS
+    saved = sweeps * (_LOOP_SWEEP_NS + len(counts) * _LOOP_SITE_NS - len(groups) * _LOOKUP_NS)
     return groups if saved > _WALK_SETUP_NS + entries * _ENTRY_NS else None
 
 
@@ -495,7 +503,7 @@ def _sweep_sites(tables: list, draws: np.ndarray, scan: str, flip: bool, idx: in
     # Fixed scan keeps its own indexed loop: the zip form below ran
     # 10-40% slower per update when given range(n) as the order.
     if scan == "fixed":
-        for row in draws[:, :n].tolist():
+        for row in _rows(draws[:, :n]):
             for j in range(n):
                 threshold = tables[j][idx]
                 if flip:
@@ -507,8 +515,8 @@ def _sweep_sites(tables: list, draws: np.ndarray, scan: str, flip: bool, idx: in
                     idx &= ~bit[j]
             path.append(idx)
     else:
-        orders = np.argsort(draws[:, :n], axis=1, kind="stable").tolist()
-        for order, row in zip(orders, draws[:, n : 2 * n].tolist()):
+        orders = _rows(np.argsort(draws[:, :n], axis=1, kind="stable"))
+        for order, row in zip(orders, _rows(draws[:, n : 2 * n])):
             for j, u in zip(order, row):
                 threshold = tables[j][idx]
                 if flip:
@@ -520,6 +528,13 @@ def _sweep_sites(tables: list, draws: np.ndarray, scan: str, flip: bool, idx: in
                     idx &= ~bit[j]
             path.append(idx)
     return path
+
+
+def _rows(block: np.ndarray) -> zip:
+    """The rows of a 2-D array as tuples of Python numbers, cut one at a
+    time from one flat list: a nested list would hold a list object per
+    row, about twice the memory and slower to loop over."""
+    return zip(*[iter(block.ravel().tolist())] * block.shape[1])
 
 
 def lookups_per_sweep(
@@ -558,7 +573,9 @@ def simulate_field(
     Each chunk's latent bits and emissions are written one byte of the state
     index at a time (see _byte_tables): one np.take of the byte's node bits
     into latent, and one of its emission thresholds, which the chunk's
-    emission draws are compared with straight into emitted.
+    emission draws are compared with straight into emitted. The state
+    indices themselves are kept as the trajectory's states, in the
+    narrowest type that holds 2^n of them (see _index_dtype).
     """
     if sweeps < 1:
         raise OutOfRange(f"sweeps must be >= 1, got {sweeps}")
@@ -573,6 +590,7 @@ def simulate_field(
     gen = key.generator()
     latent = np.empty((sweeps, n), dtype=np.uint8)
     emitted = np.empty((sweeps, n), dtype=np.uint8)
+    states = np.empty(sweeps, dtype=_index_dtype(n))
     tables = _thresholds(net, dynamics)
     flip = dynamics == "metropolis"
     levels, groups = _route(tables, sweeps, scan)
@@ -581,7 +599,7 @@ def simulate_field(
     idx = 0
     done = 0
     while done < sweeps:
-        chunk = min(sweeps - done, 1 << 15)
+        chunk = min(sweeps - done, _CHUNK)
         draws = gen.random((chunk, width))
         if walk is None:
             path = _sweep_sites(tables, draws, scan, flip, idx)
@@ -590,6 +608,7 @@ def simulate_field(
         idx = path[-1]
         indices = np.fromiter(path, np.int64, count=chunk)
         rows = slice(done, done + chunk)
+        states[rows] = indices
         for cols, bits, thresholds in byte_tables:
             byte = indices >> cols.start
             byte &= 255
@@ -604,7 +623,16 @@ def simulate_field(
                 out=emitted[rows, cols].view(np.bool_),
             )
         done += chunk
-    return Trajectory(latent=latent, emitted=emitted, key=key)
+    return Trajectory(latent=latent, emitted=emitted, key=key, states=states)
+
+
+def _index_dtype(n_nodes: int) -> type:
+    """The narrowest unsigned integer type that holds 2^n state indices, or
+    int64 from 33 nodes up to the 63-node cap."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if n_nodes <= 8 * np.dtype(dtype).itemsize:
+            return dtype
+    return np.int64
 
 
 def _byte_tables(net: IsingNetwork) -> list[tuple[slice, np.ndarray, np.ndarray]]:
@@ -641,6 +669,8 @@ def empirical_state_frequencies(
 ) -> np.ndarray:
     """Relative visit frequencies over all 2^n states, after burn-in/thinning.
 
+    Counts the trajectory's states, or for a trajectory without them
+    (built by hand) the indices state_indices packs from its latent bits.
     Raises OutOfRange for a negative burn-in or a thinning step below 1,
     InsufficientData when the burn-in leaves no sweep to count, and TooLarge
     beyond 20 nodes.
@@ -652,6 +682,11 @@ def empirical_state_frequencies(
     require_sweeps_after_burn_in(burn_in, len(trace))
     n = trace.latent.shape[1]
     require_enumerable(n)
-    indices = state_indices(trace.latent[burn_in::thin])
-    counts = np.bincount(indices, minlength=2**n).astype(float)
+    packed = trace.states is not None
+    counted = (trace.states if packed else trace.latent)[burn_in::thin]
+    counts = np.zeros(2**n, dtype=np.int64)
+    # bincount copies its input to intp, so it gets one block at a time.
+    for lo in range(0, len(counted), _CHUNK):
+        block = counted[lo : lo + _CHUNK]
+        counts += np.bincount(block if packed else state_indices(block), minlength=2**n)
     return counts / counts.sum()

@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import bktirt.chain as chain_mod
 from bktirt import (
     BktParams,
     RngKey,
+    Trajectory,
     build_matrices,
     marginal_at,
     mastered_after,
@@ -15,7 +17,7 @@ from bktirt import (
     stationary_closed_form,
     stationary_power_iteration,
 )
-from bktirt.errors import Reducible
+from bktirt.errors import OutOfRange, Reducible
 
 
 def _params(p_learn, p_forget, p_init=0.0, p_slip=0.0, p_guess=0.0):
@@ -212,3 +214,22 @@ class TestTrajectory:
     def test_minimum_length_enforced(self):
         with pytest.raises(ValueError):
             sample_trajectory(BktParams(0.2, 0.3, 0.1, 0.1, 0.1), 0, RngKey(1))
+
+    def test_a_mastery_chain_carries_no_state_index(self):
+        trajectory = sample_trajectory(BktParams(0.2, 0.3, 0.1, 0.1, 0.1), 50, RngKey(1))
+        assert trajectory.states is None
+
+    def test_flip_rate_compares_rows_across_blocks(self, monkeypatch):
+        # Blocks of 3 rows: every block border must still compare the rows
+        # on either side of it.
+        latent = np.array([[1, 0], [1, 1], [0, 1], [0, 1], [1, 0], [1, 0], [0, 0]], np.uint8)
+        trajectory = Trajectory(latent, latent, RngKey(0))
+        flips = 1 + 1 + 1 + 0 + 2 + 0 + 1
+        assert trajectory.flip_rate() == flips / latent.size
+        monkeypatch.setattr(chain_mod, "_FLIP_BLOCK", 3)
+        assert trajectory.flip_rate() == flips / latent.size
+
+    def test_states_must_match_the_rows(self):
+        latent = np.zeros((4, 2), np.uint8)
+        with pytest.raises(OutOfRange, match="states"):
+            Trajectory(latent, latent, RngKey(0), states=np.zeros(3, np.uint8))

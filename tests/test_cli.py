@@ -710,6 +710,16 @@ class TestIrfCommand:
         assert dispatch(["irf", "--c", "0.9", "--d", "0.1"]) == 1
         assert capsys.readouterr().err.startswith("OutOfRange:")
 
+    def test_overflowing_slope_gives_the_asymptotes_without_warnings(self, capsys):
+        # a * theta overflows to +-inf, whose logistic is exactly 0 or 1.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = dispatch(["irf", "--a", "1e308", "--b", "0", "--points", "3"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-3:] == ["-8.0,0.0", "0.0,0.5", "8.0,1.0"]
+
 
 def _ising_net(tmp_path):
     path = tmp_path / "net.json"

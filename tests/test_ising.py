@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import bktirt.ising as ising_mod
 from bktirt import (
     IsingNetwork,
     RngKey,
+    Trajectory,
     boltzmann_exact,
     conditional_prob,
     empirical_state_frequencies,
@@ -309,6 +311,17 @@ class TestSimulateField:
         assert ising_mod._plan([145] * 8, 256, 10**9) is None
         assert ising_mod._groups([10] * 5, 32) == [3, 2]
 
+    def test_plan_sends_a_few_hundred_sweeps_on_two_nodes_to_the_walk(self, monkeypatch):
+        # On two nodes the walk saves about 270-680 ns a sweep and pays
+        # back its set-up within about 330 sweeps.
+        net = _random_net(2, seed=36)
+        assert ising_mod.lookups_per_sweep(net, 400, "glauber", "fixed") < 2
+        walk = simulate_field(net, 400, RngKey(36))
+        monkeypatch.setattr(ising_mod, "_plan", lambda counts, n_states, sweeps: None)
+        loop = simulate_field(net, 400, RngKey(36))
+        np.testing.assert_array_equal(walk.latent, loop.latent)
+        np.testing.assert_array_equal(walk.emitted, loop.emitted)
+
     @pytest.mark.parametrize("scan", ["fixed", "random"])
     @pytest.mark.parametrize("dynamics", ["glauber", "metropolis"])
     def test_walk_matches_per_site_loop_on_draws_equal_to_thresholds(self, dynamics, scan):
@@ -477,6 +490,79 @@ class TestSimulateField:
         got = ising_mod.state_indices(latent)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
+
+
+def _frequencies_by_rebuild(latent, burn_in, thin):
+    """State frequencies counted from indices rebuilt out of the latent
+    bits in one piece, as they were before the sampler kept its index."""
+    counts = np.bincount(
+        ising_mod.state_indices(latent[burn_in::thin]), minlength=2 ** latent.shape[1]
+    ).astype(float)
+    return counts / counts.sum()
+
+
+class TestStateIndex:
+    @pytest.mark.parametrize("scan", ["fixed", "random"])
+    @pytest.mark.parametrize("dynamics", ["glauber", "metropolis"])
+    @pytest.mark.parametrize("n", [1, 4, 8, 9, 13, 17])
+    def test_frequencies_from_the_index_equal_the_rebuild(self, monkeypatch, n, dynamics, scan):
+        # In chunks of 64 sweeps, 301 sweeps end inside a chunk, and the
+        # burn-ins and thinnings below start and step across chunk borders.
+        # The chunk size must not change the output.
+        net = _random_net(n, seed=40 + n, low=-0.6, high=0.6)
+        key = RngKey(40, (n,))
+        whole = simulate_field(net, 301, key, dynamics=dynamics, scan=scan)
+        monkeypatch.setattr(ising_mod, "_CHUNK", 64)
+        trace = simulate_field(net, 301, key, dynamics=dynamics, scan=scan)
+        np.testing.assert_array_equal(trace.latent, whole.latent)
+        np.testing.assert_array_equal(trace.emitted, whole.emitted)
+        np.testing.assert_array_equal(trace.states, whole.states)
+        np.testing.assert_array_equal(trace.states, ising_mod.state_indices(trace.latent))
+        for burn_in, thin in ((0, 1), (70, 3), (63, 65), (300, 1)):
+            want = _frequencies_by_rebuild(trace.latent, burn_in, thin)
+            got = empirical_state_frequencies(trace, burn_in=burn_in, thin=thin)
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "n, dtype",
+        [(1, np.uint8), (8, np.uint8), (9, np.uint16), (16, np.uint16), (17, np.uint32),
+         (32, np.uint32), (33, np.int64), (63, np.int64)],
+    )
+    def test_states_take_the_narrowest_type(self, n, dtype):
+        net = _random_net(n, seed=50 + n, low=-0.3, high=0.3, field_span=1.0)
+        trace = simulate_field(net, 5, RngKey(50, (n,)))
+        assert trace.states.dtype == dtype
+        np.testing.assert_array_equal(trace.states, ising_mod.state_indices(trace.latent))
+
+    def test_a_hand_built_trajectory_is_counted_from_latent(self, monkeypatch):
+        latent = np.array([[0, 0], [1, 0], [1, 1], [1, 0], [0, 1], [1, 0]], dtype=np.uint8)
+        trace = Trajectory(latent, np.zeros_like(latent), RngKey(0))
+        assert trace.states is None
+        # Packed, the rows are 0, 1, 3, 1, 2, 1.
+        want = {(0, 1): [1, 3, 1, 1], (1, 2): [0, 3, 0, 0], (2, 3): [0, 1, 0, 1]}
+        for chunk in (ising_mod._CHUNK, 2):
+            monkeypatch.setattr(ising_mod, "_CHUNK", chunk)
+            for (burn_in, thin), counts in want.items():
+                got = empirical_state_frequencies(trace, burn_in=burn_in, thin=thin)
+                np.testing.assert_array_equal(got, np.array(counts) / sum(counts))
+
+    def test_peak_memory_per_site_update(self):
+        # At n = 1 a run holds 3 bytes per sweep (latent, emitted and the
+        # uint8 index) plus one chunk's buffers, about 81 bytes per sweep of
+        # the chunk. Rebuilding int64 indices to count states took 16 bytes
+        # per sweep more.
+        net = _net([[0.0]], [0.3], [0.1], [0.2])
+        sweeps = 2**18
+        simulate_field(net, 100, RngKey(60))  # first-call allocations stay out
+        tracemalloc.start()
+        try:
+            trace = simulate_field(net, sweeps, RngKey(60))
+            empirical_state_frequencies(trace, burn_in=100)
+            trace.flip_rate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * sweeps + 128 * ising_mod._CHUNK
 
 
 def _walk_for(net, dynamics, scan):
