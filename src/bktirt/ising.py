@@ -18,7 +18,6 @@ import numpy as np
 
 from .chain import Trajectory
 from .errors import InsufficientData, OutOfRange, TooLarge
-from .irt import logistic
 from .params import read_json
 from .rng import RngKey
 
@@ -94,12 +93,8 @@ class IsingNetwork:
             bad = np.flatnonzero((arr < 0) | (arr > 1) | np.isnan(arr))
             if bad.size:
                 raise OutOfRange(f"{name}[{bad[0]}] must lie in [0, 1], got {arr[bad[0]]}")
-        for name, arr in (
-            ("couplings", couplings),
-            ("fields", fields),
-            ("p_guess", p_guess),
-            ("p_slip", p_slip),
-        ):
+        names = ("couplings", "fields", "p_guess", "p_slip")
+        for name, arr in zip(names, (couplings, fields, p_guess, p_slip)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -234,74 +229,96 @@ def boltzmann_exact(net: IsingNetwork) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _state_index(net: IsingNetwork, z, node) -> int:
+    """State z packed as an index (node k = bit k), once z is n entries of
+    0 or 1 and node an int in [0, n); OutOfRange otherwise."""
+    n = net.n_nodes
+    if isinstance(node, bool) or not isinstance(node, (int, np.integer)) or not 0 <= node < n:
+        raise OutOfRange(f"node must be an int in [0, {n}), got {node!r}")
+    with contextlib.suppress(TypeError, ValueError):
+        bits = np.asarray(z)
+        if bits.shape == (n,) and bits.dtype.kind in "biuf" and np.all((bits == 0) | (bits == 1)):
+            return sum(1 << k for k in np.flatnonzero(bits).tolist())
+    raise OutOfRange(f"z must be {n} entries of 0 or 1, got {z!r}")
+
+
+def _threshold(local, own, glauber: bool):
+    """A node's update threshold from its local field and own bit, alike on
+    arrays and on one float: logistic(local) under Glauber, min(1, exp(-dE))
+    under Metropolis (dE = -local from 0, local from 1). Both take one exp
+    of -|s|, s the log-odds of the state moved toward, as irt.logistic."""
+    s = local if glauber else local * (1 - 2 * own)
+    e = np.exp(-abs(s))
+    # exp(min(s, 0)): e where s < 0, else 1. One term is 0, so it is exact.
+    up = e * (s < 0) + (s >= 0)
+    return up / (1.0 + e) if glauber else up
+
+
+class _LookupRow:
+    """One node's thresholds computed on lookup, for networks too large to
+    tabulate and for the step functions: [idx] is _threshold of field(idx)."""
+
+    def __init__(self, net: IsingNetwork, node: int, glauber: bool) -> None:
+        self.h, self.row = float(net.fields[node]), net.couplings[node].tolist()
+        self.node, self.glauber = node, glauber
+
+    def field(self, idx: int) -> float:
+        """Local field in state idx: h plus row[k] over its set bits k, ascending."""
+        local, row = self.h, self.row
+        while idx:
+            low = idx & -idx
+            local += row[low.bit_length() - 1]
+            idx ^= low
+        return local
+
+    def __getitem__(self, idx: int) -> float:
+        return float(_threshold(self.field(idx), idx >> self.node & 1, self.glauber))
+
+
 def conditional_prob(net: IsingNetwork, z, node: int) -> float:
     """P(z_node = 1 | all other nodes) = logistic(h_node + sigma_node . z)."""
-    z = np.asarray(z, dtype=float)
-    return float(logistic(net.fields[node] + float(net.couplings[node] @ z)))
+    idx = _state_index(net, z, node)
+    return _LookupRow(net, node, True)[idx]
 
 
 def glauber_step(net: IsingNetwork, z, node: int, gen: np.random.Generator) -> np.ndarray:
     """Resample one node from its exact conditional; consumes one uniform."""
+    threshold = conditional_prob(net, z, node)
     z_new = np.array(z, dtype=np.uint8)
-    z_new[node] = 1 if gen.random() < conditional_prob(net, z_new, node) else 0
+    z_new[node] = gen.random() < threshold
     return z_new
 
 
 def flip_energy_delta(net: IsingNetwork, z, node: int) -> float:
-    """Energy change from flipping one node (diagonal is zero, so the node's
-    own entry never contributes)."""
-    z = np.asarray(z, dtype=float)
-    local = net.fields[node] + float(net.couplings[node] @ z)
-    return -local if z[node] == 0 else local
+    """Energy change from flipping one node: -local from 0, local from 1."""
+    idx = _state_index(net, z, node)
+    local = _LookupRow(net, node, False).field(idx)
+    return local if idx >> node & 1 else -local
 
 
-def metropolis_step(
-    net: IsingNetwork, z, node: int, gen: np.random.Generator
-) -> np.ndarray:
-    """Propose flipping one node, accept with min(1, exp(-dE)); consumes one
-    uniform whether or not the flip is accepted."""
+def metropolis_step(net: IsingNetwork, z, node: int, gen: np.random.Generator) -> np.ndarray:
+    """Propose flipping one node, accept with min(1, exp(-dE)); consumes one uniform either way."""
+    idx = _state_index(net, z, node)
+    threshold = _LookupRow(net, node, False)[idx]
     z_new = np.array(z, dtype=np.uint8)
-    delta = flip_energy_delta(net, z_new, node)
-    accept = 1.0 if delta <= 0 else math.exp(-delta)
-    if gen.random() < accept:
-        z_new[node] ^= 1
+    z_new[node] ^= gen.random() < threshold
     return z_new
 
 
-class _LookupRow:
-    """One node's thresholds for a network too large to tabulate: ``[idx]``
-    evaluates the per-site formula on the bits of state index idx."""
-
-    def __init__(self, net: IsingNetwork, node: int, dynamics: str) -> None:
-        self.net, self.node, self.glauber = net, node, dynamics == "glauber"
-        self.shifts = np.arange(net.n_nodes)
-
-    def __getitem__(self, idx: int) -> float:
-        z = (idx >> self.shifts) & 1
-        if self.glauber:
-            return conditional_prob(self.net, z, self.node)
-        delta = flip_energy_delta(self.net, z, self.node)
-        return 1.0 if delta <= 0 else math.exp(-delta)
-
-
 def _thresholds(net: IsingNetwork, dynamics: str) -> list:
-    """Per node, the update threshold indexed by the packed state: under
-    Glauber the node is set when the draw falls below it, under Metropolis
-    it flips. Networks of at most 12 nodes get the whole 2^n list up front;
-    larger ones a row that computes each entry on lookup."""
-    n = net.n_nodes
+    """Per node, the threshold by packed state that a draw must fall below
+    to set (Glauber) or flip (Metropolis) the node: up to 12 nodes the 2^n
+    list, beyond a _LookupRow. Both are _threshold of the same float
+    additions, so a table entry equals its lookup exactly."""
+    n, glauber = net.n_nodes, dynamics == "glauber"
     if n > _TABLE_MAX_NODES:
-        return [_LookupRow(net, j, dynamics) for j in range(n)]
-    bits = _state_bits(n)
-    tables = []
-    for j in range(n):
-        local = net.fields[j] + bits.astype(float) @ net.couplings[j]
-        if dynamics == "glauber":
-            tables.append(logistic(local).tolist())
-        else:
-            delta = np.where(bits[:, j] == 0, -local, local)
-            tables.append(np.minimum(1.0, np.exp(-np.maximum(delta, 0.0))).tolist())
-    return tables
+        return [_LookupRow(net, j, glauber) for j in range(n)]
+    # Every node's field (row) in every state (column) by n doublings, the
+    # k-th appending the states with bit k set: _LookupRow.field's sums.
+    local = net.fields[:, None]
+    for k in range(n):
+        local = np.concatenate([local, local + net.couplings[:, k : k + 1]], axis=1)
+    return _threshold(local, _state_bits(n).T, glauber).tolist()
 
 
 def uniforms_per_sweep(n_nodes: int, scan: str) -> int:
@@ -547,11 +564,7 @@ def lookups_per_sweep(
 
 
 def simulate_field(
-    net: IsingNetwork,
-    sweeps: int,
-    key: RngKey,
-    dynamics: str = "glauber",
-    scan: str = "fixed",
+    net: IsingNetwork, sweeps: int, key: RngKey, dynamics: str = "glauber", scan: str = "fixed"
 ) -> Trajectory:
     """Run single-site dynamics from the all-unmastered state.
 
@@ -567,15 +580,16 @@ def simulate_field(
     among its node's distinct thresholds, and consecutive site updates are
     tabulated as groups (see _Walk), so a sweep costs one list lookup per
     group. Otherwise a per-site loop makes one threshold lookup and compare
-    per site update; beyond 12 nodes it computes each threshold on lookup.
-    Both paths consume the stream alike and give bit-identical output.
+    per site update; beyond 12 nodes each lookup computes its threshold.
+    Tables, lookups and step functions take _threshold of the same float
+    additions (see _thresholds), and the walk's ranks are exact, so every
+    path and the step functions agree by construction on the same stream.
 
     Each chunk's latent bits and emissions are written one byte of the state
     index at a time (see _byte_tables): one np.take of the byte's node bits
-    into latent, and one of its emission thresholds, which the chunk's
-    emission draws are compared with straight into emitted. The state
-    indices themselves are kept as the trajectory's states, in the
-    narrowest type that holds 2^n of them (see _index_dtype).
+    into latent, and one of its emission thresholds, which the emission
+    draws are compared with straight into emitted. The indices are kept as
+    the trajectory's states, in the narrowest type for 2^n (_index_dtype).
     """
     if sweeps < 1:
         raise OutOfRange(f"sweeps must be >= 1, got {sweeps}")
@@ -596,15 +610,11 @@ def simulate_field(
     levels, groups = _route(tables, sweeps, scan)
     walk = None if groups is None else _Walk(levels, groups, scan, flip)
     byte_tables = _byte_tables(net)
-    idx = 0
-    done = 0
+    idx = done = 0
     while done < sweeps:
         chunk = min(sweeps - done, _CHUNK)
         draws = gen.random((chunk, width))
-        if walk is None:
-            path = _sweep_sites(tables, draws, scan, flip, idx)
-        else:
-            path = walk.sweep(draws, idx)
+        path = walk.sweep(draws, idx) if walk else _sweep_sites(tables, draws, scan, flip, idx)
         idx = path[-1]
         indices = np.fromiter(path, np.int64, count=chunk)
         rows = slice(done, done + chunk)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -244,6 +245,28 @@ class TestSingleSiteDynamics:
                 energy(net, flipped) - energy(net, z), abs=1e-12
             )
 
+    @pytest.mark.parametrize(
+        "z, node",
+        [([2, 0], 0), ([0.5, 1], 0), ([0, 1], -1), ([0, 1, 0], 0), ([0, 1], 5),
+         ([[0, 1]], 0), (["0", "1"], 0), ([0, [1]], 0), ([0, 1], True), ([0, 1], 1.0)],
+    )
+    @pytest.mark.parametrize(
+        "function",
+        [conditional_prob, flip_energy_delta, glauber_step, metropolis_step],
+        ids=lambda function: function.__name__,
+    )
+    def test_state_must_be_n_bits_and_node_an_index(self, function, z, node):
+        net = _random_net(2, seed=11)
+        args = (RngKey(11).generator(),) if function.__name__.endswith("step") else ()
+        with pytest.raises(OutOfRange, match="^(z|node) must"):
+            function(net, z, node, *args)
+
+    def test_bits_of_any_numeric_type_and_integer_nodes_accepted(self):
+        net = _random_net(3, seed=12)
+        want = conditional_prob(net, [1, 0, 1], 1)
+        for z in ([True, False, True], [1.0, 0.0, 1.0], np.array([1, 0, 1], dtype=np.uint8)):
+            assert conditional_prob(net, z, np.int64(1)) == want
+
 
 class TestSimulateField:
     def test_deterministic_under_key(self):
@@ -321,6 +344,17 @@ class TestSimulateField:
         loop = simulate_field(net, 400, RngKey(36))
         np.testing.assert_array_equal(walk.latent, loop.latent)
         np.testing.assert_array_equal(walk.emitted, loop.emitted)
+
+    @pytest.mark.parametrize("scan", ["fixed", "random"])
+    @pytest.mark.parametrize("dynamics", ["glauber", "metropolis"])
+    def test_plan_keeps_runs_shorter_than_the_break_even_on_the_loop(self, dynamics, scan):
+        # Whole runs on all-pairs networks broke even, walk against loop, at
+        # 170 sweeps at the earliest on two nodes and 280 on three (see
+        # _WALK_SETUP_NS). A shorter run must keep the per-site loop; the
+        # predicted saving grows with the run, so the longest one decides.
+        for n, sweeps in ((2, 169), (3, 279)):
+            net = _random_net(n, seed=37 + n, low=-1.0, high=1.0, field_span=1.0)
+            assert ising_mod.lookups_per_sweep(net, sweeps, dynamics, scan) == n
 
     @pytest.mark.parametrize("scan", ["fixed", "random"])
     @pytest.mark.parametrize("dynamics", ["glauber", "metropolis"])
@@ -462,6 +496,31 @@ class TestSimulateField:
         m = len(range(burn_in, sweeps, thin))
         statistic = float(np.sum((freqs - exact) ** 2 * m / exact))
         assert statistic < chi2_dist.ppf(1.0 - 0.001, df=2**n - 1)
+
+    @pytest.mark.parametrize(
+        "n, dynamics, scan",
+        [(13, "glauber", "fixed"), (13, "metropolis", "random"),
+         (16, "glauber", "random"), (16, "metropolis", "fixed")],
+    )
+    def test_lookup_rows_pass_exact_chi_square(self, n, dynamics, scan):
+        # Past 12 nodes each threshold is computed on lookup by the routine
+        # the step functions use too, so the exact law is the oracle of its
+        # values. A state expected at least 5 times is a cell of its own;
+        # the rest are pooled into one cell.
+        net = _random_net(n, seed=300 + n, low=-1.0, high=1.0, field_span=2.5)
+        sweeps, burn_in, thin = 8000, 100, 3
+        assert ising_mod.lookups_per_sweep(net, sweeps, dynamics, scan) == n
+        which = ("glauber", "metropolis").index(dynamics)
+        trace = simulate_field(net, sweeps, RngKey(300, (n, which)), dynamics=dynamics, scan=scan)
+        m = len(range(burn_in, sweeps, thin))
+        observed = empirical_state_frequencies(trace, burn_in=burn_in, thin=thin) * m
+        expected = boltzmann_exact(net) * m
+        alone = expected >= 5
+        observed = np.append(observed[alone], observed[~alone].sum())
+        expected = np.append(expected[alone], expected[~alone].sum())
+        assert expected[-1] >= 5 and expected.size > 50
+        statistic = float(np.sum((observed - expected) ** 2 / expected))
+        assert statistic < chi2_dist.ppf(1.0 - 0.001, df=expected.size - 1)
 
     def test_frequencies_reject_bad_window(self):
         trace = simulate_field(_random_net(2, seed=21), 10, RngKey(21))
@@ -660,3 +719,107 @@ class TestBucketRanks:
         trace = simulate_field(net, 70000, key, dynamics=dynamics, scan=scan)
         np.testing.assert_array_equal(trace.latent, loop.latent)
         np.testing.assert_array_equal(trace.emitted, loop.emitted)
+
+
+class _Replay:
+    """Stands in for an RngKey and for its generator: serves the uniforms
+    of draws in order, row after row."""
+
+    def __init__(self, draws):
+        self.flat = iter(np.asarray(draws).ravel().tolist())
+
+    def generator(self):
+        return self
+
+    def random(self, size=None):
+        if size is None:
+            return next(self.flat)
+        return np.array([next(self.flat) for _ in range(size)])
+
+
+def _as_float(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _step_threshold(step, net, z, node):
+    """The threshold a step function compares its draw with in state z: the
+    least u in [0, 1] whose step leaves the node as u = 1.0 does, found by
+    bisection over the bit patterns, which order non-negative floats."""
+    def outcome(bits):
+        return step(net, z, node, _Replay([_as_float(bits)]))[node]
+
+    lo, hi = -1, struct.unpack("<q", struct.pack("<d", 1.0))[0]
+    stay = outcome(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if outcome(mid) == stay:
+            hi = mid
+        else:
+            lo = mid
+    return _as_float(hi)
+
+
+def _draws_on_thresholds(net, sweeps, dynamics, scan, seed):
+    """Uniforms for a run of sweeps in which about 30% of the update draws
+    equal the public step function's threshold at that point of the run
+    (thresholds of 1.0, which the generator never draws, excepted)."""
+    n = net.n_nodes
+    step = glauber_step if dynamics == "glauber" else metropolis_step
+    rng = np.random.default_rng(seed)
+    draws = rng.random((sweeps, ising_mod.uniforms_per_sweep(n, scan)))
+    z = np.zeros(n, dtype=np.uint8)
+    for row in draws:
+        order = range(n) if scan == "fixed" else np.argsort(row[:n], kind="stable")
+        updates = row[:n] if scan == "fixed" else row[n : 2 * n]
+        for pos, j in enumerate(order):
+            if rng.random() < 0.3:
+                threshold = _step_threshold(step, net, z, int(j))
+                if threshold < 1.0:
+                    updates[pos] = threshold
+            z = step(net, z, int(j), _Replay(updates[pos : pos + 1]))
+    return draws
+
+
+class TestOneThreshold:
+    """Tables, lookup rows and the public step functions take every
+    threshold from one routine, so they agree exactly, even on draws that
+    equal a threshold, where u < t fails by no margin at all."""
+
+    @pytest.mark.parametrize("dynamics", ["glauber", "metropolis"])
+    @pytest.mark.parametrize("n", [5, 8, 12])
+    def test_every_table_entry_equals_its_single_state_threshold(self, n, dynamics):
+        net = _random_net(n, seed=60 + n, low=-0.6, high=0.6, field_span=1.0)
+        tables = ising_mod._thresholds(net, dynamics)
+        for j, table in enumerate(tables):
+            row = ising_mod._LookupRow(net, j, dynamics == "glauber")
+            assert table == [row[idx] for idx in range(2**n)]
+        rng = np.random.default_rng(n)
+        step = glauber_step if dynamics == "glauber" else metropolis_step
+        for idx, j in zip(rng.integers(0, 2**n, 40).tolist(), rng.integers(0, n, 40).tolist()):
+            z = (idx >> np.arange(n)) & 1
+            assert tables[j][idx] == _step_threshold(step, net, z, j)
+            if dynamics == "glauber":
+                assert tables[j][idx] == conditional_prob(net, z, j)
+
+    @pytest.mark.parametrize("scan", ["fixed", "random"])
+    @pytest.mark.parametrize("dynamics", ["glauber", "metropolis"])
+    @pytest.mark.parametrize("n, sweeps", [(5, 60), (8, 30), (12, 20), (13, 20)])
+    def test_draws_equal_to_step_thresholds(self, n, sweeps, dynamics, scan):
+        # The per-site loop over tables (n <= 12) or lookup rows (n = 13),
+        # the walk where its group tables fit, and the per-site reference
+        # through the public step functions must take the same path.
+        net = _random_net(n, seed=50 + n, low=-0.6, high=0.6, field_span=1.0)
+        draws = _draws_on_thresholds(net, sweeps, dynamics, scan, seed=50 + n)
+        latent, _ = _per_site_reference(net, sweeps, _Replay(draws), dynamics, scan)
+        want = (latent.astype(np.int64) << np.arange(n)).sum(axis=1).tolist()
+        tables = ising_mod._thresholds(net, dynamics)
+        flip = dynamics == "metropolis"
+        assert ising_mod._sweep_sites(tables, draws, scan, flip, 0) == want
+        if n <= ising_mod._TABLE_MAX_NODES:
+            levels = [np.unique(table, return_inverse=True) for table in tables]
+            groups = ising_mod._groups(ising_mod._code_counts(levels, scan), 2**n)
+            # From n = 8 on random scan one position's table alone is too big.
+            assert (groups is None) == (n == 12 or (n == 8 and scan == "random"))
+            if groups is not None:
+                walk = ising_mod._Walk(levels, groups, scan, flip)
+                assert walk.sweep(draws, 0) == want
