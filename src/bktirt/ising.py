@@ -65,6 +65,8 @@ class IsingNetwork:
         p_guess = np.asarray(self.p_guess, dtype=float)
         p_slip = np.asarray(self.p_slip, dtype=float)
         n = fields.size
+        if n < 1:
+            raise OutOfRange(f"a network needs at least 1 node, got {n}")
         if couplings.shape != (n, n):
             raise OutOfRange(
                 f"couplings must be ({n}, {n}) to match {n} fields, "
@@ -502,7 +504,8 @@ class _Walk:
         for g, span in enumerate(self.spans):
             np.sum(values[span], axis=0, out=codes[:, g])
         codes += self.offsets
-        return _walk(self.rows, codes.ravel().tolist(), idx)[self.groups - 1 :: self.groups]
+        path = _walk(self.rows, codes.ravel().tolist(), idx)
+        return path if self.groups == 1 else path[self.groups - 1 :: self.groups]
 
 
 def _walk(rows: list, codes: list, idx: int) -> list[int]:

@@ -207,6 +207,15 @@ def _first_bad_line(lines: Iterable[str]) -> int | None:
     return None
 
 
+def _in_key_order(rows: np.ndarray) -> bool:
+    """Whether no row comes before the one above it in (skill, person,
+    attempt) order; keys are compared, as their differences wrap in int64."""
+    after = True
+    for key in (rows[:, _ATTEMPT], rows[:, _PERSON], rows[:, _SKILL]):
+        after = (key[1:] > key[:-1]) | (key[1:] == key[:-1]) & after
+    return bool(np.all(after))
+
+
 class ResponsePanel:
     """Longitudinal records (person, item, skill, attempt index, correct).
 
@@ -219,13 +228,16 @@ class ResponsePanel:
 
     def __init__(self, records) -> None:
         rows = np.asarray(records, dtype=np.int64).reshape(len(records), 5)
+        rows = np.array(rows, order="F")  # a copy, each column contiguous
+        if not _in_key_order(rows):
+            order = np.lexsort((rows[:, _ATTEMPT], rows[:, _PERSON], rows[:, _SKILL]))
+            rows = np.asfortranarray(rows[order])
+        rows.flags.writeable = False
+        person, skill, attempt = rows[:, _PERSON], rows[:, _SKILL], rows[:, _ATTEMPT]
+        # Checked in key order, so the value named does not depend on row order.
         bad = (rows[:, _CORRECT] != 0) & (rows[:, _CORRECT] != 1)
         if bad.any():
             raise InvalidPanel(f"correct must be 0 or 1, got {rows[bad, _CORRECT][0]}")
-        order = np.lexsort((rows[:, _ATTEMPT], rows[:, _PERSON], rows[:, _SKILL]))
-        rows = np.asfortranarray(rows[order])  # each column contiguous
-        rows.flags.writeable = False
-        person, skill, attempt = rows[:, _PERSON], rows[:, _SKILL], rows[:, _ATTEMPT]
         # Differences wrap around in int64 but are 0 only between equal values.
         new = (np.diff(skill, prepend=skill[:1] - 1) | np.diff(person, prepend=0)) != 0
         starts = np.flatnonzero(new)

@@ -63,9 +63,9 @@ def _pack(sequences: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pack_runs(flat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Packed block (x, sizes) of 0/1 response sequences stored end to end."""
+    """Packed responses x and step sizes of 0/1 sequences stored end to end."""
     _, dest, sizes = _layout(lengths)
-    x = np.empty(flat.size, dtype=np.int8)
+    x = np.empty(flat.size, dtype=np.intp)
     x[dest] = flat
     return x, sizes
 
@@ -136,6 +136,40 @@ def _cut(sizes: np.ndarray, length: int | None = None) -> _Cut:
     )
 
 
+def _prev(sizes: np.ndarray) -> np.ndarray:
+    """Position of the previous attempt of each response after step 0."""
+    first = int(sizes[:1].sum())
+    return np.arange(first, int(sizes.sum())) - np.repeat(sizes[:-1], sizes[1:])
+
+
+class _Block(NamedTuple):
+    """Packed 0/1 responses x, step sizes and cut (see _Cut), with what every
+    pass reuses: _prev of the block and of its later segments; ends[j], the
+    later-block positions where the segments that go on from stitch step j
+    end (full, at its last step); and the positions of the 1s and the 0s."""
+
+    x: np.ndarray
+    sizes: np.ndarray
+    cut: _Cut
+    prev: np.ndarray
+    later_prev: np.ndarray
+    ends: list[np.ndarray]
+    correct: np.ndarray
+    wrong: np.ndarray
+
+
+def _block(x: np.ndarray, sizes: np.ndarray, length: int | None = None) -> _Block:
+    """The block of packed responses x with these step sizes, cut into
+    segments of `length` attempts (chosen from the sizes unless given)."""
+    cut = _cut(sizes, length)
+    tail = cut.later.size - int(cut.sizes[-1:].sum())
+    going_on = [rows.size for rows in cut.rows[1:]] + [0]
+    ends = [tail + rows[:n] for rows, n in zip(cut.rows, going_on)]
+    correct = x == 1
+    return _Block(x, sizes, cut, _prev(sizes), _prev(cut.sizes), ends,
+                  np.flatnonzero(correct), np.flatnonzero(~correct))
+
+
 def cut_segments(lengths: np.ndarray) -> int:
     """How many segments, beyond each sequence's first, the forward and
     backward passes cut sequences of these lengths into; 0 when every
@@ -150,10 +184,9 @@ _EYE_U = np.array([[0.0], [1.0]])
 
 def _emissions(params: BktParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P(x | mastered) and P(x | unmastered) per packed response."""
-    correct = x == 1
     return (
-        np.where(correct, 1.0 - params.p_slip, params.p_slip),
-        np.where(correct, params.p_guess, 1.0 - params.p_guess),
+        np.array([params.p_slip, 1.0 - params.p_slip]).take(x),
+        np.array([1.0 - params.p_guess, params.p_guess]).take(x),
     )
 
 
@@ -178,12 +211,6 @@ def _mix(w_m, w_u, t_m, t_u):
     is (t_m[i], t_u[i]): a prior through forward transfer matrices, or
     backward transfer matrices applied to end values."""
     return w_m * t_m[0] + w_u * t_m[1], w_m * t_u[0] + w_u * t_u[1]
-
-
-def _prev(sizes: np.ndarray) -> np.ndarray:
-    """Position of the previous attempt of each response after step 0."""
-    first = int(sizes[:1].sum())
-    return np.arange(first, int(sizes.sum())) - np.repeat(sizes[:-1], sizes[1:])
 
 
 def _scan(params, emit_m, emit_u, sizes, prior_m, prior_u, out_m, out_u, scale):
@@ -226,12 +253,13 @@ def _scan_back(params, w_m, w_u, sizes, beta_m, beta_u) -> None:
         )
 
 
-def _forward(params: BktParams, x: np.ndarray, sizes: np.ndarray, cut: _Cut | None = None):
+def _forward(params: BktParams, block: _Block):
     """Scaled forward pass over a packed block.
 
     Returns, per response, the filtered mastered and unmastered
-    probabilities, each its joint term over their sum, and the realized
-    probability of the response given the attempts before it.
+    probabilities, each its joint term over their sum; the realized
+    probability of the response given the attempts before it; and its
+    emissions P(x | mastered), P(x | unmastered).
 
     The first segments run from the prior. Each later segment runs from
     both start states at once, which carries its transfer matrix normalized
@@ -239,7 +267,7 @@ def _forward(params: BktParams, x: np.ndarray, sizes: np.ndarray, cut: _Cut | No
     across sequences, one step per segment index, and each later response's
     terms are its segment prior times its matrix.
     """
-    cut = _cut(sizes) if cut is None else cut
+    x, cut = block.x, block.cut
     head, later = cut.head, cut.later
     emit_m, emit_u = _emissions(params, x)
     alpha_m, alpha_u, realized = np.empty(x.size), np.empty(x.size), np.empty(x.size)
@@ -250,41 +278,38 @@ def _forward(params: BktParams, x: np.ndarray, sizes: np.ndarray, cut: _Cut | No
     # reported after the pass, at the earliest attempt it occurs.
     with np.errstate(divide="ignore", invalid="ignore"):
         p_m, p_u = _scan(
-            params, emit_m[:head], emit_u[:head], sizes[: cut.length],
+            params, emit_m[:head], emit_u[:head], block.sizes[: cut.length],
             np.array([params.p_init]), np.array([1.0 - params.p_init]),
             alpha_m[:head], alpha_u[:head], realized[:head],
         )
         _scan(params, emit_m[later], emit_u[later], cut.sizes, _EYE_M, _EYE_U, mat_m, mat_u, scale)
-        # Segments that go on end full, at the later block's last step.
-        tail = later.size - int(cut.sizes[-1:].sum())
-        for rows, n in zip(cut.rows, [nxt.size for nxt in cut.rows[1:]] + [0]):
+        for rows, end in zip(cut.rows, block.ends):
             pi_m[rows], pi_u[rows] = p_m[: rows.size], p_u[: rows.size]
-            end = tail + rows[:n]
-            m, u = _mix(p_m[:n], p_u[:n], mat_m[:, end], mat_u[:, end])
+            m, u = _mix(p_m[: end.size], p_u[: end.size], mat_m[:, end], mat_u[:, end])
             total = m + u
             p_m, p_u = _predict(params, m / total, u / total)
         m, u = _mix(pi_m[cut.row], pi_u[cut.row], mat_m, mat_u)
         total = m + u
         alpha_m[later], alpha_u[later] = m / total, u / total
-        realized[later] = scale * total / np.concatenate((pi_m + pi_u, total[_prev(cut.sizes)]))
+        realized[later] = scale * total / np.concatenate((pi_m + pi_u, total[block.later_prev]))
     # A matrix row can fall below the float range against the other row
     # while the prior rests on it alone; the total then loses its digits.
     # Such a block, or one with a response of probability 0 after its
     # first segments, runs whole.
     if not (total >= 1e-200).all():
-        return _forward(params, x, sizes, _cut(sizes, sizes.size))
+        return _forward(params, _block(x, block.sizes, block.sizes.size))
     impossible = ~(realized > 0.0)
     if impossible.any():
         k = int(np.argmax(impossible))
-        attempt = int(np.searchsorted(np.cumsum(sizes), k, side="right")) + 1
+        attempt = int(np.searchsorted(np.cumsum(block.sizes), k, side="right")) + 1
         raise ZeroLikelihood(
             f"response {int(x[k])} at attempt {attempt} has probability 0 under "
             "the given parameters"
         )
-    return alpha_m, alpha_u, realized
+    return alpha_m, alpha_u, realized, emit_m, emit_u
 
 
-def _backward(params: BktParams, w_m: np.ndarray, w_u: np.ndarray, sizes: np.ndarray, cut: _Cut):
+def _backward(params: BktParams, w_m: np.ndarray, w_u: np.ndarray, block: _Block):
     """Scaled backward pass over a packed block; w is emission / realized.
 
     beta is 1 at each sequence's last attempt. Each later segment runs from
@@ -293,6 +318,7 @@ def _backward(params: BktParams, w_m: np.ndarray, w_u: np.ndarray, sizes: np.nda
     values are stitched from each sequence's last segment back, and the
     first segments then run from theirs.
     """
+    cut, sizes = block.cut, block.sizes
     head, later, n = cut.head, cut.later, cut.segments
     w_lm, w_lu = w_m[later], w_u[later]
     mat_m, mat_u = np.empty((2, 2, later.size))
@@ -314,16 +340,14 @@ def _backward(params: BktParams, w_m: np.ndarray, w_u: np.ndarray, sizes: np.nda
     return beta_m, beta_u
 
 
-def _estep(params: BktParams, x: np.ndarray, sizes: np.ndarray, cut: _Cut | None = None):
+def _estep(params: BktParams, block: _Block):
     """Log-likelihood and expected counts of a packed block.
 
     The counts map each parameter to (numerator, denominator) of its
     M-step ratio.
     """
-    cut = _cut(sizes) if cut is None else cut
-    alpha_m, alpha_u, realized = _forward(params, x, sizes, cut)
+    alpha_m, alpha_u, realized, w_m, w_u = _forward(params, block)
     loglik = float(np.log(realized).sum())
-    w_m, w_u = _emissions(params, x)
     w_m /= realized
     w_u /= realized
     del realized
@@ -331,25 +355,25 @@ def _estep(params: BktParams, x: np.ndarray, sizes: np.ndarray, cut: _Cut | None
     # favour, the backward messages of that state can overflow; the counts
     # are then not finite, and fit_baum_welch stops on them.
     with np.errstate(over="ignore", invalid="ignore"):
-        beta_m, beta_u = _backward(params, w_m, w_u, sizes, cut)
+        beta_m, beta_u = _backward(params, w_m, w_u, block)
 
         # Response k >= sizes[0] follows response prev[k - sizes[0]] of its
         # sequence; w * beta there is the message the transition carries.
-        first = int(sizes[0])
-        prev = _prev(sizes)
+        first, prev = int(block.sizes[0]), block.prev
         w_m *= beta_m
         w_u *= beta_u
-        xi01 = params.p_learn * float(np.dot(alpha_u[prev], w_m[first:]))
-        xi10 = params.p_forget * float(np.dot(alpha_m[prev], w_u[first:]))
+        # numpy's pairwise sum, not np.dot: BLAS splits a long dot product
+        # by its thread count, which would make the counts depend on it.
+        xi01 = params.p_learn * float((alpha_u[prev] * w_m[first:]).sum())
+        xi10 = params.p_forget * float((alpha_m[prev] * w_u[first:]).sum())
         gamma_m = np.multiply(alpha_m, beta_m, out=beta_m)
         gamma_u = np.multiply(alpha_u, beta_u, out=beta_u)
-    correct = x == 1
     return loglik, {
         "p_init": (float(gamma_m[:first].sum()), first),
         "p_learn": (xi01, float(gamma_u[prev].sum())),
         "p_forget": (xi10, float(gamma_m[prev].sum())),
-        "p_slip": (float(gamma_m[~correct].sum()), float(gamma_m.sum())),
-        "p_guess": (float(gamma_u[correct].sum()), float(gamma_u.sum())),
+        "p_slip": (float(gamma_m[block.wrong].sum()), float(gamma_m.sum())),
+        "p_guess": (float(gamma_u[block.correct].sum()), float(gamma_u.sum())),
     }
 
 
@@ -371,7 +395,7 @@ def _binary(responses: list) -> np.ndarray:
     """The responses as one boolean array (True for 1), checked in one
     comparison to accept exactly what ``x in (0, 1)`` accepts: a flat list
     of numbers compares as numbers, anything else item by item as Python
-    objects. No complex or object value reaches the int8 packing. Raises
+    objects. No complex or object value reaches the integer packing. Raises
     OutOfRange naming the first other response and its attempt."""
     try:
         values = np.asarray(responses)
@@ -398,7 +422,7 @@ def forward_filter(params: BktParams, responses) -> FilterResult:
     responses = list(responses)
     if not responses:
         raise OutOfRange("responses must be non-empty")
-    alpha_m, alpha_u, realized = _forward(params, *_pack([_binary(responses)]))
+    alpha_m, alpha_u, realized, _, _ = _forward(params, _block(*_pack([_binary(responses)])))
     prior_m, prior_u = _predict(params, alpha_m[:-1], alpha_u[:-1])
     predictive = (
         np.concatenate(([params.p_init], prior_m)) * (1.0 - params.p_slip)
@@ -407,17 +431,17 @@ def forward_filter(params: BktParams, responses) -> FilterResult:
     return FilterResult(alpha_m, predictive, float(np.log(realized).sum()))
 
 
-def _skill_block(panel: ResponsePanel, skill_id: int) -> tuple[np.ndarray, np.ndarray]:
-    """One skill's sequences, packed."""
+def _skill_block(panel: ResponsePanel, skill_id: int) -> _Block:
+    """One skill's sequences, as a block."""
     _, responses, lengths = panel.skill_block(skill_id)
     if not lengths.size:
         raise UnknownSkill(f"panel holds no records for skill {skill_id}")
-    return _pack_runs(responses, lengths)
+    return _block(*_pack_runs(responses, lengths))
 
 
 def sequence_loglik(params: BktParams, panel: ResponsePanel, skill_id: int) -> float:
     """Log-likelihood of every person's sequence for a skill."""
-    _, _, realized = _forward(params, *_skill_block(panel, skill_id))
+    realized = _forward(params, _skill_block(panel, skill_id))[2]
     return float(np.log(realized).sum())
 
 
@@ -508,10 +532,9 @@ def fit_baum_welch(
         validate_bkt(init, classic=classic, identified=identified)
     except DomainError as exc:
         raise InvalidInit(f"init violates the requested constraints: {exc}") from exc
-    x, sizes = _skill_block(panel, skill_id)
-    cut = _cut(sizes)
+    block = _skill_block(panel, skill_id)
     cause = ""
-    if x.min() == x.max() and not classic and not identified:
+    if not (block.correct.size and block.wrong.size) and not classic and not identified:
         cause = "every response is identical, so the likelihood peaks on the parameter boundary"
 
     constraint_set = tuple(
@@ -519,7 +542,7 @@ def fit_baum_welch(
     )
     # The nudged init is what the first E-step actually sees.
     current = _nudged(asdict(init), classic)
-    loglik, counts = _estep(current, x, sizes, cut)
+    loglik, counts = _estep(current, block)
     trace = [loglik]
     converged = False
     iterations = 0
@@ -533,7 +556,7 @@ def fit_baum_welch(
             break
         iterations += 1
         current = _mstep(counts, current, classic, identified)
-        loglik, counts = _estep(current, x, sizes, cut)
+        loglik, counts = _estep(current, block)
         trace.append(loglik)
         if abs(trace[-1] - trace[-2]) / (1.0 + abs(trace[-1])) < tol:
             converged = True

@@ -386,6 +386,30 @@ class TestFitCommand:
         manifest = json.loads((tmp_path / "report.manifest.json").read_text())
         assert manifest["work"]["cut_segments"] == 19
 
+    def test_fit_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # 12,000 responses: BLAS splits a dot product over 10,000 elements
+        # by its thread count, so no E-step sum may go through it.
+        rng = np.random.default_rng(10)
+        panel = tmp_path / "panel.csv"
+        panel.write_text(_HEADER + "".join(
+            f"{person},0,0,{attempt},{int(rng.random() < 0.3 + attempt / 50)}\n"
+            for person in range(400)
+            for attempt in range(1, 31)
+        ))
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"report{threads}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "bktirt.cli", "fit-bkt", "--panel", str(panel),
+                 "--skill", "0", "--max-iters", "20", "--out", str(out)],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
 
 _HEADER = "person_id,item_id,skill_id,attempt,correct\n"
 _INT_FIELD = re.compile(r"\s*[+-]?[0-9]+\s*")

@@ -90,6 +90,12 @@ class TestNetworkValidation:
         with pytest.raises(OutOfRange):
             _net([[0.0]], [0.0, 0.0])
 
+    def test_zero_nodes_rejected(self):
+        # As from_dict refuses "n": 0; simulating one would fail on an empty path.
+        with pytest.raises(OutOfRange, match="at least 1 node"):
+            IsingNetwork(couplings=np.zeros((0, 0)), fields=np.zeros(0),
+                         p_guess=np.zeros(0), p_slip=np.zeros(0))
+
     def test_non_finite_entries_rejected(self):
         # NaN passes the symmetry check (every comparison with it is false).
         with pytest.raises(OutOfRange, match="couplings"):

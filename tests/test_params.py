@@ -233,6 +233,32 @@ class TestColumnarPanelAgainstReference:
         assert again.skills() == want_skills
         assert all(again.sequences(skill) == want[skill] for skill in want_skills)
 
+    @settings(max_examples=300, deadline=None)
+    @given(_panels(), st.randoms(use_true_random=False))
+    def test_key_sorted_rows_load_like_shuffled_rows(self, records, random):
+        # Rows already in (skill, person, attempt) order skip the sort.
+        ordered = sorted(records, key=lambda rec: (rec[2], rec[0], rec[3]))
+        shuffled = random.sample(records, len(records))
+        outcomes = []
+        for rows in (ordered, shuffled):
+            try:
+                outcomes.append(ResponsePanel.from_records(rows).records.tolist())
+            except InvalidPanel as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_key_order_compares_across_the_int64_range(self, column):
+        # low - high wraps around to 1 in int64, so a check on the sign of
+        # the differences would take the rows (high, low) for sorted.
+        low, high = -(2**63), 2**63 - 1
+        records = [[0, 0, 0, 1, 1], [0, 0, 0, 1, 0]]
+        records[0][column], records[1][column] = high, low
+        for rows in (records, records[::-1]):
+            panel = ResponsePanel.from_records([tuple(rec) for rec in rows])
+            assert panel.records[:, column].tolist() == [low, high]
+            assert panel.records[:, 4].tolist() == [0, 1]
+
     def test_duplicate_named_by_its_key(self):
         with pytest.raises(InvalidPanel, match=r"duplicate .* key \(1, 7, 2\)"):
             ResponsePanel.from_records(

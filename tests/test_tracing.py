@@ -450,7 +450,7 @@ def _brute_em_step(params, sequences):
 
 
 def test_estep_expected_counts_match_path_enumeration():
-    from bktirt.tracing import _estep, _mstep, _pack
+    from bktirt.tracing import _block, _estep, _mstep, _pack
 
     rng = np.random.default_rng(77)
     for _ in range(20):
@@ -459,7 +459,7 @@ def test_estep_expected_counts_match_path_enumeration():
             rng.integers(0, 2, size=int(rng.integers(1, 7))).tolist()
             for _ in range(5)
         ]
-        _, counts = _estep(params, *_pack(sequences))
+        _, counts = _estep(params, _block(*_pack(sequences)))
         updated = _mstep(counts, params, classic=False, identified=False)
         want = _brute_em_step(params, sequences)
         got = (
@@ -476,7 +476,7 @@ class TestSegmentAndStitch:
     """Blocks cut into segments must give the uncut pass's numbers."""
 
     def test_cut_block_matches_uncut_loop(self):
-        from bktirt.tracing import _cut, _estep, _forward, _pack
+        from bktirt.tracing import _block, _estep, _forward, _pack
 
         rng = np.random.default_rng(78)
         for _ in range(30):
@@ -486,16 +486,16 @@ class TestSegmentAndStitch:
             sequences = [rng.integers(0, 2, size=n).tolist() for n in lengths]
             params = BktParams(*rng.uniform(0.02, 0.98, size=5))
             x, sizes = _pack(sequences)
-            whole, cut = _cut(sizes, sizes.size), _cut(sizes, length)
-            assert whole.segments == 0 and cut.segments > 0
+            whole, cut = _block(x, sizes, sizes.size), _block(x, sizes, length)
+            assert whole.cut.segments == 0 and cut.cut.segments > 0
 
-            stitched = _forward(params, x, sizes, cut)
-            for want, got in zip(_forward(params, x, sizes, whole), stitched):
+            stitched = _forward(params, cut)
+            for want, got in zip(_forward(params, whole), stitched):
                 assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
             assert np.all((stitched[0] >= 0.0) & (stitched[0] <= 1.0))
 
-            want_ll, want = _estep(params, x, sizes, whole)
-            got_ll, got = _estep(params, x, sizes, cut)
+            want_ll, want = _estep(params, whole)
+            got_ll, got = _estep(params, cut)
             assert abs(got_ll - want_ll) <= 1e-12 * abs(want_ll)
             assert list(got) == list(want)
             for name in want:
@@ -515,23 +515,23 @@ class TestSegmentAndStitch:
             assert _cut(sizes).segments == cut_segments(lengths) == segments
 
     def test_zero_likelihood_in_a_later_segment_names_its_attempt(self):
-        from bktirt.tracing import _cut, _estep, _pack
+        from bktirt.tracing import _block, _estep, _pack
 
         params = BktParams(0.0, 0.0, 0.0, 0.1, 0.0)
         responses = [0] * 5000
         responses[4320] = 1
         x, sizes = _pack([responses])
-        cut = _cut(sizes)
-        assert cut.length < 4321
+        cut = _block(x, sizes)
+        assert cut.cut.length < 4321
         message = "response 1 at attempt 4321 has probability 0"
         with pytest.raises(ZeroLikelihood, match=message):
             forward_filter(params, responses)
         with pytest.raises(ZeroLikelihood, match=message):
             sequence_loglik(params, _panel_from_sequences([responses, [0, 0]]), 7)
         # The E-step of fit_baum_welch, on parameters it has not nudged.
-        for plan in (cut, _cut(sizes, sizes.size)):
+        for block in (cut, _block(x, sizes, sizes.size)):
             with pytest.raises(ZeroLikelihood, match=message):
-                _estep(params, x, sizes, plan)
+                _estep(params, block)
 
     def test_prior_on_an_underflowed_start_state(self):
         # Mastered from the start and never forgetting, every response a
