@@ -39,7 +39,6 @@ _EXPORTS = {
     "empirical_state_frequencies": "ising",
     "energy": "ising",
     "equilibrium_gap": "bridge",
-    "expected_curves": "experiment",
     "fit_baum_welch": "tracing",
     "fit_irf_cd": "irt",
     "flip_energy_delta": "ising",

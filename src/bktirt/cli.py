@@ -393,14 +393,15 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             f"--people {config.n_people} x --items {config.n_items} is {pairs:,} "
             f"pairs, above the budget of {_MAX_PAIRS:,} (about 24 bytes each)"
         )
+    # Built first: slip + guess >= 1 is refused before anything is simulated.
+    item = config.irf()
     with run.phase("simulate_s"):
         curves = _lib.run_equilibrium_experiment(config)
     run.work.update(work_counts(config))
     summary_path = Path(args.out).with_suffix(".summary.json")
     with run.phase("write_s"):
-        item = config.irf()
         # Summarize first: it can reject the run, and then no file is written.
-        summary = _lib.summarize_curves(curves, item, args.min_count, _lib.expected_curves(config))
+        summary = _lib.summarize_curves(curves, item, args.min_count)
         write_curves_csv(curves, item, args.out)
         write_summary_json({"format_version": FORMAT_VERSION, **summary}, str(summary_path))
     return run.finish(args.out, summary_path)

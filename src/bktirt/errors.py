@@ -53,8 +53,8 @@ class InvalidInit(DomainError):
 
 
 class DimensionMismatch(DomainError):
-    """Arrays that must line up do not (ability vector against loadings,
-    a curve against its expectation's bin layout)."""
+    """Arrays that must line up do not (an ability vector against its
+    loadings)."""
 
 
 class InsufficientData(DomainError):

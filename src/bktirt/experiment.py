@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import mastered_after
-from .errors import DimensionMismatch, InsufficientData, OutOfRange
+from .errors import InsufficientData, OutOfRange
 from .irt import irf_4pl
 from .params import Irf4pl, _check_unit
 from .rng import DEFAULT_SEED, RngKey
@@ -38,9 +38,9 @@ _MAX_BINS = 2**20
 # count is exact both as a float64 bincount weight and as an int64 total.
 _MAX_OBSERVATIONS = 2**53
 
-# Pairs per block of persons, in the sampler and in expected_curves: 8192
-# values (64 KiB) per temporary. Full-grid temporaries would add about 3.5 MB
-# to the peak RSS of a 1000 x 100 run, more than the simulation itself needs.
+# Pairs per block of persons: 8192 values (64 KiB) per temporary. Full-grid
+# temporaries would add about 3.5 MB to the peak RSS of a 1000 x 100 run,
+# more than the simulation itself needs.
 _BLOCK_PAIRS = 8192
 
 # Stream layout: child(0) draws the population (people's learning rates, then
@@ -136,12 +136,14 @@ class BinnedCurve:
     """Pooled correct proportions by advantage bin for one step count.
 
     Bins are centered on multiples of the bin width, ordered ascending;
-    only bins that received observations are kept.
+    only bins that received observations are kept. ``expected`` is each
+    bin's exact expected proportion at this step count, over the same pairs.
     """
 
     iterations: int
     bin_centers: np.ndarray
     prop_correct: np.ndarray
+    expected: np.ndarray
     n_obs: np.ndarray
 
     def rows(self) -> list[tuple[float, int, float, int]]:
@@ -192,22 +194,35 @@ def run_equilibrium_experiment(config: SimConfig) -> dict[int, BinnedCurve]:
     the checkpoints, with an independent emission per checkpoint, at four
     draws per pair and checkpoint whatever R is. The mastered counts are
     held for the whole grid; other temporaries span one person block.
+
+    The same pass sums each bin's exact expectation. A pair started
+    unmastered is mastered after t steps with probability
+    lambda1 * (1 - r^t), with lambda1 = l / (l + f) and r = 1 - l - f, so it
+    answers correctly with probability g + (1 - s - g) * lambda1 * (1 - r^t);
+    every pair of a bin is replicated equally often, so the bin's expected
+    proportion is the mean of that probability over its pairs. It is written
+    out here rather than taken from the stay and gain laws, so that it
+    checks the sampler instead of repeating it.
     """
     pop = draw_population(config)
     checkpoints = sorted(set(config.iteration_counts))
     pair_bin, centers = _pair_bins(pop, config.bin_width)
     n_bins = centers.size
     reps = config.replications
+    spread = 1.0 - config.p_slip - config.p_guess
     stay_gen, gain_gen, slip_gen, guess_gen = (
         RngKey(config.seed, (_COUNT_STREAM, j)).generator() for j in range(_COUNT_STREAMS)
     )
     forget = pop.p_forget[None, :]
     mastered = np.zeros(pair_bin.shape, dtype=np.int64)
     correct = np.zeros((len(checkpoints), n_bins), dtype=np.int64)
+    expected = np.zeros((len(checkpoints), n_bins))
     blocks = _person_blocks(*pair_bin.shape)
-    for ci, gap in enumerate(np.diff(checkpoints, prepend=0).tolist()):
+    gaps = np.diff(checkpoints, prepend=0).tolist()
+    for ci, (t, gap) in enumerate(zip(checkpoints, gaps)):
         for rows in blocks:
             learn = pop.p_learn[rows, None]
+            bins = pair_bin[rows].ravel()
             # The closed form can round just past 0 or 1 when r < 0.
             stay = np.clip(mastered_after(learn, forget, 1, gap), 0.0, 1.0)
             gain = np.clip(mastered_after(learn, forget, 0, gap), 0.0, 1.0)
@@ -218,56 +233,23 @@ def run_equilibrium_experiment(config: SimConfig) -> dict[int, BinnedCurve]:
                 reps - m, config.p_guess
             )
             correct[ci] += np.bincount(
-                pair_bin[rows].ravel(), weights=hits.ravel(), minlength=n_bins
+                bins, weights=hits.ravel(), minlength=n_bins
             ).astype(np.int64)
-    observed = reps * np.bincount(pair_bin.ravel(), minlength=n_bins)
-    mask = observed > 0
+            lam1 = learn / (learn + forget)
+            r = 1.0 - learn - forget
+            p_pair = config.p_guess + spread * lam1 * (1.0 - r**t)
+            expected[ci] += np.bincount(bins, weights=p_pair.ravel(), minlength=n_bins)
+    pairs = np.bincount(pair_bin.ravel(), minlength=n_bins)
+    observed = reps * pairs
+    mask = pairs > 0
 
     return {
         t: BinnedCurve(
             iterations=t,
             bin_centers=centers[mask],
             prop_correct=correct[ci, mask] / observed[mask],
+            expected=expected[ci, mask] / pairs[mask],
             n_obs=observed[mask],
-        )
-        for ci, t in enumerate(checkpoints)
-    }
-
-
-def expected_curves(config: SimConfig) -> dict[int, BinnedCurve]:
-    """Exact expectation of ``run_equilibrium_experiment``'s curves, over
-    the same population (the config's own ``draw_population(config)``).
-
-    A pair started unmastered is mastered after t steps with probability
-    lambda1 * (1 - r^t), with lambda1 = l / (l + f) and r = 1 - l - f, so it
-    answers correctly with probability g + (1 - s - g) * lambda1 * (1 - r^t).
-    Every pair of a bin is replicated equally often, so a bin's expected
-    proportion is the mean of that probability over its pairs. The layout
-    (bins, n_obs) is the one the simulation produces. Pairs are summed over
-    the simulation's person blocks, so no temporary spans the whole grid.
-    """
-    population = draw_population(config)
-    pair_bin, centers = _pair_bins(population, config.bin_width)
-    pairs = np.bincount(pair_bin.ravel(), minlength=centers.size)
-    mask = pairs > 0
-    checkpoints = sorted(set(config.iteration_counts))
-    forget = population.p_forget[None, :]
-    spread = 1.0 - config.p_slip - config.p_guess
-    sums = np.zeros((len(checkpoints), centers.size))
-    for rows in _person_blocks(*pair_bin.shape):
-        learn = population.p_learn[rows, None]
-        bins = pair_bin[rows].ravel()
-        lam1 = learn / (learn + forget)
-        r = 1.0 - learn - forget
-        for ci, t in enumerate(checkpoints):
-            p_pair = config.p_guess + spread * lam1 * (1.0 - r**t)
-            sums[ci] += np.bincount(bins, weights=p_pair.ravel(), minlength=centers.size)
-    return {
-        t: BinnedCurve(
-            iterations=t,
-            bin_centers=centers[mask],
-            prop_correct=sums[ci, mask] / pairs[mask],
-            n_obs=config.replications * pairs[mask],
         )
         for ci, t in enumerate(checkpoints)
     }
@@ -291,17 +273,12 @@ def compare_to_irf(
     return max_abs, rmse
 
 
-def summarize_curves(
-    curves: dict[int, BinnedCurve],
-    item: Irf4pl,
-    min_count: int,
-    expected: dict[int, BinnedCurve],
-) -> dict:
+def summarize_curves(curves: dict[int, BinnedCurve], item: Irf4pl, min_count: int) -> dict:
     """Deviation summary per iteration count, as written beside the CSV.
 
     Deviations are taken over bins holding at least min_count observations:
-    from the equilibrium curve, and from the exact expectation ``expected``
-    (``expected_curves``) at the same step count.
+    from the equilibrium curve, and from each curve's exact expectation at
+    its step count (``BinnedCurve.expected``).
     """
     summary: dict = {"min_count": min_count, "max_abs_dev": {}, "weighted_rmse": {}}
     summary["expected_max_abs_dev"] = {}
@@ -310,9 +287,7 @@ def summarize_curves(
         max_abs, rmse = compare_to_irf(curve, item, min_count)
         summary["max_abs_dev"][str(t)] = max_abs
         summary["weighted_rmse"][str(t)] = rmse
-        if not np.array_equal(curve.bin_centers, expected[t].bin_centers):
-            raise DimensionMismatch(f"t={t}: expected curve has a different bin layout")
         mask = curve.n_obs >= min_count
-        dev = np.abs(curve.prop_correct[mask] - expected[t].prop_correct[mask])
+        dev = np.abs(curve.prop_correct[mask] - curve.expected[mask])
         summary["expected_max_abs_dev"][str(t)] = float(dev.max())
     return summary

@@ -16,16 +16,14 @@ from .rng import RngKey
 
 
 def logistic(z):
-    """Overflow-safe standard logistic, elementwise on arrays."""
+    """Overflow-safe standard logistic, elementwise on arrays: one exp of
+    -|z|, which never overflows, then e / (1 + e) where z < 0 and
+    1 / (1 + e) elsewhere."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    e = np.exp(-np.abs(z))
+    # One of the two terms is 0, so the numerator is exact.
+    out = (e * (z < 0) + (z >= 0)) / (1.0 + e)
+    return float(out) if out.ndim == 0 else out
 
 
 def irf_4pl(theta, item: Irf4pl):

@@ -18,6 +18,7 @@ import numpy as np
 
 from .chain import Trajectory
 from .errors import InsufficientData, OutOfRange, TooLarge
+from .irt import logistic
 from .params import read_json
 from .rng import RngKey
 
@@ -110,7 +111,8 @@ class IsingNetwork:
         "couplings" ([i, j, sigma] entries; default none), "fields" (n
         numbers; default 0) and "emissions" (n [guess, slip] pairs; default
         noiseless). A malformed entry raises OutOfRange naming its key and
-        index, and so does a key outside these four. A network file is read
+        index, and so does a key outside these four or a coupling pair
+        listed twice (in either order). A network file is read
         only to list its 2^n states, so "n" above 20 raises TooLarge before
         anything is allocated."""
         n = raw.get("n") if isinstance(raw, dict) else None
@@ -123,6 +125,7 @@ class IsingNetwork:
         if unknown:
             raise OutOfRange(f"unknown network keys: {unknown}")
         couplings = np.zeros((n, n))
+        listed: dict[tuple[int, int], int] = {}
         for idx, entry in enumerate(_json_list(raw, "couplings", [])):
             if not isinstance(entry, list) or len(entry) != 3:
                 raise OutOfRange(f"couplings[{idx}] must be [i, j, sigma], got {entry!r}")
@@ -132,7 +135,13 @@ class IsingNetwork:
                     f"couplings[{idx}] ({i!r}, {j!r}) must join two distinct "
                     f"nodes in [0, {n})"
                 )
-            couplings[i, j] = couplings[j, i] = _number(sigma, f"couplings[{idx}][2]")
+            sigma = _number(sigma, f"couplings[{idx}][2]")
+            first = listed.setdefault((min(i, j), max(i, j)), idx)
+            if first != idx:
+                raise OutOfRange(
+                    f"couplings[{idx}] ({i}, {j}) repeats the pair of couplings[{first}]"
+                )
+            couplings[i, j] = couplings[j, i] = sigma
         fields = [
             _number(h, f"fields[{idx}]")
             for idx, h in enumerate(_json_list(raw, "fields", [0.0] * n))
@@ -247,13 +256,11 @@ def _state_index(net: IsingNetwork, z, node) -> int:
 def _threshold(local, own, glauber: bool):
     """A node's update threshold from its local field and own bit, alike on
     arrays and on one float: logistic(local) under Glauber, min(1, exp(-dE))
-    under Metropolis (dE = -local from 0, local from 1). Both take one exp
-    of -|s|, s the log-odds of the state moved toward, as irt.logistic."""
-    s = local if glauber else local * (1 - 2 * own)
-    e = np.exp(-abs(s))
-    # exp(min(s, 0)): e where s < 0, else 1. One term is 0, so it is exact.
-    up = e * (s < 0) + (s >= 0)
-    return up / (1.0 + e) if glauber else up
+    = exp(min(s, 0)) under Metropolis, with dE = -local from 0 and local
+    from 1, so s = -dE is the log-odds of the flipped state."""
+    if glauber:
+        return logistic(local)
+    return np.exp(np.minimum(local * (1 - 2 * own), 0.0))
 
 
 class _LookupRow:

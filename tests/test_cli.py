@@ -657,6 +657,21 @@ class TestExperimentCommand:
         assert capsys.readouterr().err.startswith("OutOfRange: iteration_counts")
         assert list(tmp_path.iterdir()) == []
 
+    def test_slip_plus_guess_of_one_is_refused_before_simulating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # This used to simulate the whole run and only then fail.
+        def never(*args, **kwargs):
+            raise AssertionError("run_equilibrium_experiment ran")
+
+        monkeypatch.setattr("bktirt.cli.run_equilibrium_experiment", never)
+        argv = ["experiment", "--desk", "--slip", "0.6", "--guess", "0.6",
+                "--out", str(tmp_path / "o.csv")]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "OutOfRange: asymptotes must satisfy c < d, got c=0.6, d=0.4\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_rejected_summary_leaves_no_files(self, tmp_path, capsys):
         argv = ["experiment", "--people", "3", "--items", "2", "--reps", "2",
                 "--min-count", "100000000", "--out", str(tmp_path / "o.csv")]
@@ -665,7 +680,7 @@ class TestExperimentCommand:
         assert list(tmp_path.iterdir()) == []
 
     def test_manifest_reports_phases_and_work(self, tmp_path, monkeypatch):
-        drawn = []
+        drawn, created = [], []
 
         class Counting:
             def __init__(self, gen):
@@ -679,8 +694,12 @@ class TestExperimentCommand:
                 drawn.append(draws.size)
                 return draws
 
+        def counting(key):
+            created.append(key)
+            return Counting(original(key))
+
         original = RngKey.generator
-        monkeypatch.setattr(RngKey, "generator", lambda key: Counting(original(key)))
+        monkeypatch.setattr(RngKey, "generator", counting)
         out = tmp_path / "w.csv"
         argv = ["experiment", "--people", "5", "--items", "4", "--reps", "3",
                 "--iters", "1,2", "--min-count", "1", "--out", str(out)]
@@ -692,6 +711,8 @@ class TestExperimentCommand:
             "pairs": 20, "keyed_streams": 5, "binomial_draws": sum(drawn),
         }
         assert sum(drawn) == 4 * 20 * 2
+        # One pass: the population stream and the four count streams.
+        assert len(created) == manifest["work"]["keyed_streams"]
         summary = json.loads((tmp_path / "w.summary.json").read_text())
         assert set(summary["expected_max_abs_dev"]) == {"1", "2"}
 
@@ -872,12 +893,14 @@ class TestIsingCommand:
             ({"n": 2, "feilds": [5.0, 5.0]}, "feilds"),
             ({"n": 3, "couplings": [[0, 1, 1e308], [0, 2, 1e308], [1, 2, 1e308]]},
              "fields and couplings"),
+            ({"n": 2, "couplings": [[0, 1, 1], [1, 0, 2]]},
+             "couplings[1] (1, 0) repeats the pair of couplings[0]"),
         ],
         ids=["missing-n", "index-past-n", "negative-index", "self-coupling",
              "fractional-n", "fractional-index", "short-emission", "bool-n",
              "short-coupling", "string-coupling", "short-fields", "nan-coupling",
              "overflowing-field", "emission-above-one", "unknown-key",
-             "overflowing-energy"],
+             "overflowing-energy", "repeated-pair"],
     )
     def test_malformed_network_exits_one(self, tmp_path, capsys, net, where):
         net_path = tmp_path / "net.json"

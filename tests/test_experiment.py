@@ -17,7 +17,6 @@ from bktirt import (
     SimConfig,
     compare_to_irf,
     draw_population,
-    expected_curves,
     irf_4pl,
     marginal_at,
     run_equilibrium_experiment,
@@ -32,7 +31,9 @@ FAMILY_ALPHA = 1e-3
 
 
 def _binomial_p_values(curves, expected):
-    """Exact two-sided binomial p-value of every (step count, bin) cell.
+    """Exact two-sided binomial p-value of every (step count, bin) cell of
+    ``curves`` against the exact expectation that the ``expected`` curves
+    carry at the same step count.
 
     A bin's correct count is a sum of independent Bernoulli draws whose
     means average to the expected proportion; its tails are no heavier than
@@ -42,7 +43,7 @@ def _binomial_p_values(curves, expected):
     for t, curve in curves.items():
         np.testing.assert_array_equal(curve.bin_centers, expected[t].bin_centers)
         np.testing.assert_array_equal(curve.n_obs, expected[t].n_obs)
-        for prop, n, p in zip(curve.prop_correct, curve.n_obs, expected[t].prop_correct):
+        for prop, n, p in zip(curve.prop_correct, curve.n_obs, expected[t].expected):
             k = int(round(prop * n))
             assert abs(k - prop * n) < 1e-6
             p_values.append(binomtest(k, int(n), float(p)).pvalue)
@@ -255,21 +256,18 @@ class TestExpectedCurves:
     CONFIG = SimConfig.desk(iteration_counts=(1, 2, 5, 50), seed=16)
 
     @pytest.fixture(scope="class")
-    def runs(self):
-        config = self.CONFIG
-        curves = run_equilibrium_experiment(config)
-        return curves, expected_curves(config)
+    def curves(self):
+        return run_equilibrium_experiment(self.CONFIG)
 
-    def test_counts_match_exact_expectation(self, runs):
-        curves, expected = runs
-        p_values = _binomial_p_values(curves, expected)
+    def test_counts_match_exact_expectation(self, curves):
+        p_values = _binomial_p_values(curves, curves)
         assert p_values.min() >= FAMILY_ALPHA / p_values.size
 
-    def test_detects_a_one_step_bias(self, runs):
+    def test_detects_a_one_step_bias(self, curves):
         # A kernel that ran one step short would be told apart from noise.
-        curves, _ = runs
+        # The shifted run has the same population, so the same bins.
         config = SimConfig.desk(iteration_counts=(2, 3, 6), seed=16)
-        shifted = expected_curves(config)
+        shifted = run_equilibrium_experiment(config)
         short = {t + 1: curves[t] for t in (1, 2, 5)}
         p_values = _binomial_p_values(short, shifted)
         assert p_values.min() < FAMILY_ALPHA / p_values.size
@@ -285,16 +283,15 @@ class TestExpectedCurves:
             p_guess=config.p_guess,
         )
         want = config.p_guess + (1.0 - config.p_slip - config.p_guess) * marginal_at(chain, 4)
-        curve = expected_curves(config)[4]
+        curve = run_equilibrium_experiment(config)[4]
         assert curve.n_obs.tolist() == [5]
-        assert abs(curve.prop_correct[0] - want) < 1e-12
+        assert abs(curve.expected[0] - want) < 1e-12
 
-    def test_summary_reports_deviation_from_expectation(self, runs):
-        curves, expected = runs
-        summary = summarize_curves(curves, self.CONFIG.irf(), 200, expected)
+    def test_summary_reports_deviation_from_expectation(self, curves):
+        summary = summarize_curves(curves, self.CONFIG.irf(), 200)
         for t, curve in curves.items():
             mask = curve.n_obs >= 200
-            want = np.abs(curve.prop_correct - expected[t].prop_correct)[mask].max()
+            want = np.abs(curve.prop_correct - curve.expected)[mask].max()
             assert summary["expected_max_abs_dev"][str(t)] == want
 
 
@@ -339,6 +336,7 @@ class TestCompareToIrf:
             iterations=t,
             bin_centers=centers,
             prop_correct=np.asarray(props),
+            expected=np.asarray(props),
             n_obs=np.full(centers.size, 500),
         )
 
@@ -354,6 +352,7 @@ class TestCompareToIrf:
             iterations=curve.iterations,
             bin_centers=curve.bin_centers,
             prop_correct=curve.prop_correct + 0.02,
+            expected=curve.expected,
             n_obs=curve.n_obs,
         )
         max_abs, _ = compare_to_irf(shifted, item)
@@ -385,7 +384,7 @@ class TestCsvAndSummary:
             assert abs(float(irf_value) - irf_4pl(float(center), item)) < 1e-12
             assert 0.0 <= float(prop) <= 1.0 and int(n_obs) > 0
 
-        summary = summarize_curves(curves, item, 1, expected_curves(config))
+        summary = summarize_curves(curves, item, 1)
         # The CLI adds format_version when it writes the file.
         assert list(summary) == ["min_count", "max_abs_dev", "weighted_rmse",
                                  "expected_max_abs_dev"]

@@ -21,22 +21,18 @@ from bktirt import (
     IsingNetwork,
     ResponsePanel,
     RngKey,
-    SimConfig,
     Trajectory,
     classic_limit,
     empirical_state_frequencies,
-    expected_curves,
     fit_baum_welch,
     fit_irf_cd,
     forward_filter,
     marginal_at,
-    run_equilibrium_experiment,
     sample_trajectory,
     simulate_dynamic_irt,
     simulate_field,
 )
-from bktirt.errors import DimensionMismatch, ForgettingNonzero, OutOfRange, Reducible
-from bktirt.experiment import summarize_curves
+from bktirt.errors import ForgettingNonzero, OutOfRange, Reducible
 
 
 def test_every_exported_name_resolves_once():
@@ -254,7 +250,6 @@ _NET = IsingNetwork(
 )
 _TRACE = Trajectory(np.zeros((3, 2), np.uint8), np.zeros((3, 2), np.uint8), RngKey(0))
 _PANEL = ResponsePanel.from_records([(1, 1, 7, 1, 1), (1, 1, 7, 2, 0)])
-_SMALL = SimConfig(n_people=2, n_items=2, replications=2, iteration_counts=(1,))
 
 
 @pytest.mark.parametrize(
@@ -265,13 +260,6 @@ _SMALL = SimConfig(n_people=2, n_items=2, replications=2, iteration_counts=(1,))
         (lambda: marginal_at(_PARAMS, -1), OutOfRange),
         (lambda: Trajectory(np.zeros(2), np.zeros(3), RngKey(0)), OutOfRange),
         (lambda: sample_trajectory(_PARAMS, 0, RngKey(0)), OutOfRange),
-        (
-            lambda: summarize_curves(
-                run_equilibrium_experiment(_SMALL), _SMALL.irf(), 1,
-                expected_curves(SimConfig(**{**vars(_SMALL), "bin_width": 0.5})),
-            ),
-            DimensionMismatch,
-        ),
         (
             lambda: simulate_dynamic_irt(
                 DynamicIrtConfig(theta0=0.0, noise_sd=0.0, difficulties=(0.0,)), 0, RngKey(0)
