@@ -9,7 +9,7 @@ correct). All operations are pure functions of their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -151,12 +151,18 @@ class Trajectory:
     state packed into one integer (node j = bit j), in the narrowest
     unsigned type that holds its 2^n states (int64 past 32 nodes), so that
     counting states need not rebuild it from ``latent``. A mastery chain
-    leaves it None."""
+    leaves it None.
+
+    ``work`` holds the counters of the run that made it, by name; a network
+    sampler sets ``uniforms_drawn`` and ``lookups_per_sweep`` (the threshold
+    lookups one sweep of the path it took costs). A mastery chain leaves it
+    empty. It takes no part in equality."""
 
     latent: np.ndarray
     emitted: np.ndarray
     key: RngKey
     states: np.ndarray | None = None
+    work: dict[str, int] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.latent) != len(self.emitted) or len(self.latent) < 1:

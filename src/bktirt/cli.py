@@ -317,8 +317,6 @@ def _cmd_filter(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit_bkt(args: argparse.Namespace) -> int:
-    from .tracing import cut_segments
-
     run = _Run(args, [])
     with run.phase("load_s"):
         panel = _lib.ResponsePanel.from_csv(args.panel)
@@ -342,14 +340,7 @@ def _cmd_fit_bkt(args: argparse.Namespace) -> int:
             tol=args.tol,
             max_iters=args.max_iters,
         )
-    _, _, lengths = panel.skill_block(args.skill)
-    run.work.update(
-        records=len(panel.records),
-        sequences=int(lengths.size),
-        responses=int(lengths.sum()),
-        em_iterations=report.iterations,
-        cut_segments=cut_segments(lengths),
-    )
+    run.work.update(records=len(panel.records), **report.work, em_iterations=report.iterations)
     payload = {**json.loads(report.to_json()), "format_version": FORMAT_VERSION}
     return run.json(payload, args.out)
 
@@ -421,7 +412,7 @@ def _cmd_irf(args: argparse.Namespace) -> int:
 
 
 def _cmd_ising(args: argparse.Namespace) -> int:
-    from .ising import lookups_per_sweep, require_sweeps_after_burn_in, uniforms_per_sweep
+    from .ising import require_sweeps_after_burn_in
 
     run = _Run(args, [args.seed])
     with run.phase("load_s"):
@@ -440,12 +431,7 @@ def _cmd_ising(args: argparse.Namespace) -> int:
         freqs = _lib.empirical_state_frequencies(trace, burn_in=args.burn_in)
     with run.phase("exact_s"):
         exact = _lib.boltzmann_exact(net) if args.exact else None
-    run.work.update(
-        sweeps=args.sweeps,
-        site_updates=updates,
-        uniforms_drawn=args.sweeps * uniforms_per_sweep(net.n_nodes, args.scan),
-        lookups_per_sweep=lookups_per_sweep(net, args.sweeps, args.dynamics, args.scan),
-    )
+    run.work.update(sweeps=args.sweeps, site_updates=updates, **trace.work)
     header = ["state_index", "frequency"] + (["exact_prob"] if args.exact else [])
     rows = (
         [idx, repr(float(freq))] + ([repr(float(exact[idx]))] if args.exact else [])

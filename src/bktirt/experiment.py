@@ -219,13 +219,15 @@ def run_equilibrium_experiment(config: SimConfig) -> dict[int, BinnedCurve]:
     expected = np.zeros((len(checkpoints), n_bins))
     blocks = _person_blocks(*pair_bin.shape)
     gaps = np.diff(checkpoints, prepend=0).tolist()
+    # Mastered, then unmastered: the stay and gain laws as one broadcast.
+    start = np.array([1, 0])[:, None, None]
     for ci, (t, gap) in enumerate(zip(checkpoints, gaps)):
         for rows in blocks:
             learn = pop.p_learn[rows, None]
             bins = pair_bin[rows].ravel()
             # The closed form can round just past 0 or 1 when r < 0.
-            stay = np.clip(mastered_after(learn, forget, 1, gap), 0.0, 1.0)
-            gain = np.clip(mastered_after(learn, forget, 0, gap), 0.0, 1.0)
+            law = mastered_after(learn, forget, start, gap)
+            stay, gain = np.clip(law, 0.0, 1.0, out=law)
             m = mastered[rows]
             m = stay_gen.binomial(m, stay) + gain_gen.binomial(reps - m, gain)
             mastered[rows] = m

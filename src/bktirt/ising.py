@@ -157,23 +157,6 @@ class IsingNetwork:
         p_guess, p_slip = np.array(emissions).reshape(n, 2).T
         return cls(couplings=couplings, fields=np.array(fields), p_guess=p_guess, p_slip=p_slip)
 
-    def to_dict(self) -> dict:
-        n = self.n_nodes
-        upper = [
-            [i, j, float(self.couplings[i, j])]
-            for i in range(n)
-            for j in range(i + 1, n)
-            if self.couplings[i, j] != 0.0
-        ]
-        return {
-            "n": n,
-            "couplings": upper,
-            "fields": [float(h) for h in self.fields],
-            "emissions": [
-                [float(g), float(s)] for g, s in zip(self.p_guess, self.p_slip)
-            ],
-        }
-
     @classmethod
     def from_json_file(cls, path: str) -> "IsingNetwork":
         with open(path, encoding="utf-8") as handle:
@@ -564,15 +547,6 @@ def _rows(block: np.ndarray) -> zip:
     return zip(*[iter(block.ravel().tolist())] * block.shape[1])
 
 
-def lookups_per_sweep(
-    net: IsingNetwork, sweeps: int, dynamics: str = "glauber", scan: str = "fixed"
-) -> int:
-    """Threshold lookups one sweep of simulate_field costs: the number of
-    groups on the sweep-table walk, n on the per-site loop."""
-    _, groups = _route(_thresholds(net, dynamics), sweeps, scan)
-    return net.n_nodes if groups is None else len(groups)
-
-
 def simulate_field(
     net: IsingNetwork, sweeps: int, key: RngKey, dynamics: str = "glauber", scan: str = "fixed"
 ) -> Trajectory:
@@ -600,6 +574,8 @@ def simulate_field(
     into latent, and one of its emission thresholds, which the emission
     draws are compared with straight into emitted. The indices are kept as
     the trajectory's states, in the narrowest type for 2^n (_index_dtype).
+    Its work counts the uniforms drawn and the lookups per sweep of the path
+    taken: the walk's groups, or n on the per-site loop.
     """
     if sweeps < 1:
         raise OutOfRange(f"sweeps must be >= 1, got {sweeps}")
@@ -643,7 +619,11 @@ def simulate_field(
                 out=emitted[rows, cols].view(np.bool_),
             )
         done += chunk
-    return Trajectory(latent=latent, emitted=emitted, key=key, states=states)
+    work = {
+        "uniforms_drawn": sweeps * width,
+        "lookups_per_sweep": n if groups is None else len(groups),
+    }
+    return Trajectory(latent=latent, emitted=emitted, key=key, states=states, work=work)
 
 
 def _index_dtype(n_nodes: int) -> type:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -168,13 +168,6 @@ def _block(x: np.ndarray, sizes: np.ndarray, length: int | None = None) -> _Bloc
     correct = x == 1
     return _Block(x, sizes, cut, _prev(sizes), _prev(cut.sizes), ends,
                   np.flatnonzero(correct), np.flatnonzero(~correct))
-
-
-def cut_segments(lengths: np.ndarray) -> int:
-    """How many segments, beyond each sequence's first, the forward and
-    backward passes cut sequences of these lengths into; 0 when every
-    sequence runs whole."""
-    return _cut(_layout(lengths)[2]).segments
 
 
 # Start-state rows of a transfer matrix before its first attempt: the identity.
@@ -454,6 +447,11 @@ class FitReport:
     maximum on the parameter boundary or left the E-step without finite
     counts (then it never counts as converged). degenerate_cause says
     which; the JSON form carries it only on a degenerate fit.
+
+    work holds the fit's counters from the block it ran on: sequences,
+    responses and cut_segments (segments beyond each sequence's first that
+    the passes cut sequences into; 0 when every sequence ran whole). It
+    takes no part in equality, hashing or the JSON form.
     """
 
     params: BktParams
@@ -463,6 +461,7 @@ class FitReport:
     constraint_set: tuple[str, ...]
     degenerate_data: bool = False
     degenerate_cause: str = ""
+    work: dict[str, int] = field(default_factory=dict, compare=False)
 
     @property
     def stop_reason(self) -> str:
@@ -472,6 +471,7 @@ class FitReport:
 
     def to_json(self) -> str:
         raw = asdict(self)
+        del raw["work"]
         if not self.degenerate_data:
             del raw["degenerate_cause"]
         return json.dumps({**raw, "stop_reason": self.stop_reason})
@@ -569,4 +569,9 @@ def fit_baum_welch(
         constraint_set=constraint_set,
         degenerate_data=bool(cause),
         degenerate_cause=cause,
+        work={
+            "sequences": int(block.sizes[0]),
+            "responses": int(block.x.size),
+            "cut_segments": block.cut.segments,
+        },
     )

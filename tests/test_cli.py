@@ -386,6 +386,24 @@ class TestFitCommand:
         manifest = json.loads((tmp_path / "report.manifest.json").read_text())
         assert manifest["work"]["cut_segments"] == 19
 
+    def test_skill_block_is_derived_once(self, tmp_path, monkeypatch):
+        # The manifest's counters come from the fit's own block, not from
+        # a second pass over the panel.
+        from bktirt import ResponsePanel
+
+        calls = []
+        original = ResponsePanel.skill_block
+
+        def counting(panel, skill_id):
+            calls.append(skill_id)
+            return original(panel, skill_id)
+
+        monkeypatch.setattr(ResponsePanel, "skill_block", counting)
+        out = tmp_path / "report.json"
+        assert dispatch(["fit-bkt", "--panel", str(_panel_csv(tmp_path)), "--skill", "7",
+                         "--max-iters", "3", "--out", str(out)]) == 0
+        assert calls == [7]
+
     def test_fit_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # 12,000 responses: BLAS splits a dot product over 10,000 elements
         # by its thread count, so no E-step sum may go through it.
@@ -842,6 +860,25 @@ class TestIsingCommand:
         assert code == 0
         manifest = json.loads((tmp_path / "freq.manifest.json").read_text())
         assert manifest["work"]["lookups_per_sweep"] == lookups
+
+    @pytest.mark.parametrize("sweeps", [50, 5000])
+    def test_thresholds_are_derived_once(self, tmp_path, monkeypatch, sweeps):
+        # The manifest's counters come from the sampler's own route, not
+        # from rebuilding the threshold tables after the run.
+        import bktirt.ising as ising_mod
+
+        calls = []
+        original = ising_mod._thresholds
+
+        def counting(net, dynamics):
+            calls.append(dynamics)
+            return original(net, dynamics)
+
+        monkeypatch.setattr(ising_mod, "_thresholds", counting)
+        out = tmp_path / "freq.csv"
+        assert dispatch(["ising", "--net", str(_ising_net(tmp_path)), "--sweeps",
+                         str(sweeps), "--out", str(out)]) == 0
+        assert calls == ["glauber"]
 
     def test_zero_sweeps_exit_two_naming_the_flag(self, tmp_path, capsys):
         out = tmp_path / "freq.csv"

@@ -111,21 +111,25 @@ class TestNetworkValidation:
                 simulate_field(net, 20, RngKey(25), dynamics=dynamics)
         assert np.all(np.isfinite(probs)) and probs.sum() == pytest.approx(1.0)
 
+    _RAW = {"n": 3, "couplings": [[0, 1, 0.4], [2, 1, -0.3]], "fields": [0.1, -0.2, 0.3],
+            "emissions": [[0.1, 0.2], [0.0, 0.0], [0.3, 0.1]]}
+
     def test_dict_round_trip(self):
-        net = _random_net(3, seed=1)
-        again = IsingNetwork.from_dict(net.to_dict())
-        np.testing.assert_allclose(again.couplings, net.couplings)
-        np.testing.assert_allclose(again.fields, net.fields)
-        np.testing.assert_allclose(again.p_guess, net.p_guess)
+        net = IsingNetwork.from_dict(self._RAW)
+        assert net.couplings.tolist() == [[0.0, 0.4, 0.0], [0.4, 0.0, -0.3], [0.0, -0.3, 0.0]]
+        assert net.fields.tolist() == [0.1, -0.2, 0.3]
+        assert net.p_guess.tolist() == [0.1, 0.0, 0.3]
+        assert net.p_slip.tolist() == [0.2, 0.0, 0.1]
 
     def test_json_file_round_trip(self, tmp_path):
         import json
 
-        net = _random_net(4, seed=2)
         path = tmp_path / "net.json"
-        path.write_text(json.dumps(net.to_dict()))
+        path.write_text(json.dumps(self._RAW))
         again = IsingNetwork.from_json_file(str(path))
-        np.testing.assert_allclose(again.couplings, net.couplings)
+        net = IsingNetwork.from_dict(self._RAW)
+        for name in ("couplings", "fields", "p_guess", "p_slip"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(net, name))
 
 
 class TestEnergy:
@@ -308,15 +312,15 @@ class TestSimulateField:
         key = RngKey(23, (n,))
         latent, emitted = _per_site_reference(net, 150, key, dynamics, scan)
         traces = [simulate_field(net, 150, key, dynamics=dynamics, scan=scan)]
-        assert ising_mod.lookups_per_sweep(net, 150, dynamics, scan) == n
+        assert traces[0].work["lookups_per_sweep"] == n
         if n <= ising_mod._TABLE_MAX_NODES:
             _force_walk(monkeypatch)
-            groups = ising_mod.lookups_per_sweep(net, 150, dynamics, scan)
+            traces.append(simulate_field(net, 150, key, dynamics=dynamics, scan=scan))
+            groups = traces[-1].work["lookups_per_sweep"]
             # From n = 8 no two positions' tables fit one group table.
             assert groups < n if 1 < n < 8 else groups == n
             if n == 5:
                 assert groups > 1
-            traces.append(simulate_field(net, 150, key, dynamics=dynamics, scan=scan))
         for trace in traces:
             np.testing.assert_array_equal(trace.latent, latent)
             np.testing.assert_array_equal(trace.emitted, emitted)
@@ -325,13 +329,16 @@ class TestSimulateField:
     def test_plan_sends_long_runs_on_small_networks_to_the_walk(self):
         # The shapes of the benchmark's two ising jobs, and a short run.
         small = _random_net(4, seed=30, low=-1.0, high=1.0, field_span=1.0)
-        assert ising_mod.lookups_per_sweep(small, 10**6, "metropolis", "fixed") == 1
+        tables = ising_mod._thresholds(small, "metropolis")
+        assert ising_mod._route(tables, 10**6, "fixed")[1] == [4]
         large = _random_net(8, seed=31, low=-0.5, high=0.5, field_span=1.0)
-        assert ising_mod.lookups_per_sweep(large, 20000, "glauber", "random") == 8
+        tables = ising_mod._thresholds(large, "glauber")
+        assert ising_mod._route(tables, 20000, "random")[1] is None
         short = _random_net(3, seed=32)
         for dynamics in ("glauber", "metropolis"):
             for scan in ("fixed", "random"):
-                assert ising_mod.lookups_per_sweep(short, 150, dynamics, scan) == 3
+                trace = simulate_field(short, 150, RngKey(32), dynamics=dynamics, scan=scan)
+                assert trace.work["lookups_per_sweep"] == 3
         # The rule itself: four positions of ten codes over 16 states merge
         # into one table, worth building only for a long enough run.
         assert ising_mod._plan([10] * 4, 16, 10**6) == [4]
@@ -344,8 +351,8 @@ class TestSimulateField:
         # On two nodes the walk saves about 270-680 ns a sweep and pays
         # back its set-up within about 330 sweeps.
         net = _random_net(2, seed=36)
-        assert ising_mod.lookups_per_sweep(net, 400, "glauber", "fixed") < 2
         walk = simulate_field(net, 400, RngKey(36))
+        assert walk.work["lookups_per_sweep"] < 2
         monkeypatch.setattr(ising_mod, "_plan", lambda counts, n_states, sweeps: None)
         loop = simulate_field(net, 400, RngKey(36))
         np.testing.assert_array_equal(walk.latent, loop.latent)
@@ -360,7 +367,8 @@ class TestSimulateField:
         # predicted saving grows with the run, so the longest one decides.
         for n, sweeps in ((2, 169), (3, 279)):
             net = _random_net(n, seed=37 + n, low=-1.0, high=1.0, field_span=1.0)
-            assert ising_mod.lookups_per_sweep(net, sweeps, dynamics, scan) == n
+            trace = simulate_field(net, sweeps, RngKey(37), dynamics=dynamics, scan=scan)
+            assert trace.work["lookups_per_sweep"] == n
 
     @pytest.mark.parametrize("scan", ["fixed", "random"])
     @pytest.mark.parametrize("dynamics", ["glauber", "metropolis"])
@@ -390,11 +398,12 @@ class TestSimulateField:
         for dynamics in ("glauber", "metropolis"):
             for scan in ("fixed", "random"):
                 key = RngKey(33)
-                assert ising_mod.lookups_per_sweep(net, 70000, dynamics, scan) < 4
                 walk = simulate_field(net, 70000, key, dynamics=dynamics, scan=scan)
+                assert walk.work["lookups_per_sweep"] < 4
                 monkeypatch.setattr(ising_mod, "_plan", lambda counts, n_states, sweeps: None)
                 loop = simulate_field(net, 70000, key, dynamics=dynamics, scan=scan)
                 monkeypatch.undo()
+                assert loop.work["lookups_per_sweep"] == 4
                 np.testing.assert_array_equal(walk.latent, loop.latent)
                 np.testing.assert_array_equal(walk.emitted, loop.emitted)
 
@@ -515,9 +524,9 @@ class TestSimulateField:
         # the rest are pooled into one cell.
         net = _random_net(n, seed=300 + n, low=-1.0, high=1.0, field_span=2.5)
         sweeps, burn_in, thin = 8000, 100, 3
-        assert ising_mod.lookups_per_sweep(net, sweeps, dynamics, scan) == n
         which = ("glauber", "metropolis").index(dynamics)
         trace = simulate_field(net, sweeps, RngKey(300, (n, which)), dynamics=dynamics, scan=scan)
+        assert trace.work["lookups_per_sweep"] == n
         m = len(range(burn_in, sweeps, thin))
         observed = empirical_state_frequencies(trace, burn_in=burn_in, thin=thin) * m
         expected = boltzmann_exact(net) * m
@@ -721,8 +730,8 @@ class TestBucketRanks:
         walk, _, _ = _walk_for(net, dynamics, scan)
         assert np.all(walk.buckets.reshape(4, 2)[:, 0] == -1)
         _force_walk(monkeypatch)
-        assert ising_mod.lookups_per_sweep(net, 70000, dynamics, scan) < 4
         trace = simulate_field(net, 70000, key, dynamics=dynamics, scan=scan)
+        assert trace.work["lookups_per_sweep"] < 4
         np.testing.assert_array_equal(trace.latent, loop.latent)
         np.testing.assert_array_equal(trace.emitted, loop.emitted)
 

@@ -2,16 +2,27 @@
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from bktirt import BktParams, DynamicIrtConfig, Irf4pl, MirtIrf, ResponsePanel, validate_bkt
+from bktirt import (
+    BktParams,
+    DynamicIrtConfig,
+    Irf4pl,
+    IsingNetwork,
+    MirtIrf,
+    ResponsePanel,
+    validate_bkt,
+)
 from bktirt.errors import (
+    DomainError,
     ForgettingNonzero,
     InvalidPanel,
     OutOfRange,
@@ -280,3 +291,107 @@ class TestColumnarPanelAgainstReference:
         panel = ResponsePanel.from_records([])
         assert panel.skills() == []
         assert panel.sequences(7) == {}
+
+
+# JSON values as json.loads returns them: NaN and the infinities included,
+# which json writes and reads as NaN and Infinity. Integers stay within 25,
+# so no node count asks for a large network.
+_json_scalars = (
+    st.none() | st.booleans() | st.integers(-25, 25) | st.floats() | st.text(max_size=4)
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+# A number a reader should take, or a near miss of one.
+_near_numbers = st.floats(-0.5, 1.5) | st.sampled_from(
+    [0, 1, -1, True, None, "0.5", [0.5], math.nan, math.inf, -math.inf, 1e308]
+)
+
+
+@st.composite
+def _near_objects(draw, valid):
+    """An object drawn from ``valid``, then at most two faults: a key
+    dropped, a key added, or a value swapped for a near miss or any JSON
+    value."""
+    raw = draw(valid)
+    keys = sorted(raw)
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(["drop", "add", "near", "any"]))
+        key = draw(st.sampled_from(keys))
+        if fault == "drop":
+            raw.pop(key, None)
+        elif fault == "add":
+            raw[draw(st.text(max_size=4))] = draw(_json_values)
+        else:
+            raw[key] = draw(_near_numbers if fault == "near" else _json_values)
+    return raw
+
+
+_bkt_objects = st.fixed_dictionaries({name: st.floats(0.0, 1.0) for name in BktParams._FIELDS})
+
+
+@st.composite
+def _networks(draw):
+    """A valid network object of 1 to 6 nodes, then at most two faults
+    inside it: "n" swapped (-1 to 25, or any JSON scalar), a near-miss
+    coupling entry (a node off the end, the same node twice, a bad
+    strength, any JSON value), a pair listed again, or a field or emission
+    pair swapped or dropped."""
+    n = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    couplings = [
+        [i, j, draw(st.floats(-1.0, 1.0))]
+        for i, j in draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    ]
+    fields = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    emissions = draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+                              min_size=n, max_size=n))
+    node = st.integers(-1, n) | _json_scalars
+    listed = [entry[:2] for entry in couplings]
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(["n", "coupling", "repeat", "field", "emission"]))
+        if fault == "n":
+            n = draw(st.integers(-1, 25) | _json_scalars)
+        elif fault == "coupling":
+            couplings.append(draw(st.tuples(node, node, _near_numbers).map(list) | _json_values))
+        elif fault == "repeat" and listed:
+            i, j = draw(st.sampled_from(listed))
+            couplings.append([j, i, draw(_near_numbers)])
+        elif fault == "field":
+            k = draw(st.integers(0, len(fields)))
+            fields[k:k + 1] = draw(st.lists(_near_numbers | _json_values, max_size=2))
+        elif fault == "emission":
+            k = draw(st.integers(0, len(emissions)))
+            emissions[k:k + 1] = draw(st.lists(st.lists(_near_numbers, min_size=1, max_size=3)
+                                               | _json_values, max_size=2))
+    raw = {"n": n, "couplings": couplings, "fields": fields, "emissions": emissions}
+    return draw(_near_objects(st.just(raw)))
+
+
+class TestJsonReadersFuzzed:
+    """Each JSON reader either builds its object or raises a DomainError
+    subclass, whatever JSON value it is handed."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_json_values | _near_objects(_bkt_objects))
+    def test_bkt_params_build_or_raise_a_domain_error(self, raw):
+        try:
+            params = BktParams.from_json(json.dumps(raw))
+        except DomainError as exc:
+            event(type(exc).__name__)
+        else:
+            event("built")
+            assert params == BktParams(**raw)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_json_values | _networks())
+    def test_ising_network_builds_or_raises_a_domain_error(self, raw):
+        try:
+            net = IsingNetwork.from_dict(json.loads(json.dumps(raw)))
+        except DomainError as exc:
+            event(type(exc).__name__)
+        else:
+            event("built")
+            assert net.n_nodes == raw["n"]

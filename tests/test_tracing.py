@@ -503,16 +503,32 @@ class TestSegmentAndStitch:
                     assert abs(b - a) <= 1e-12 * abs(a), name
 
     def test_cut_only_when_it_pays(self):
-        from bktirt.tracing import _cut, _pack, cut_segments
+        from bktirt.tracing import _cut, _pack
 
         # Many short sequences are never cut; 16 sequences of 3,000 attempts
         # are cut into segments of 55: each into its first and 54 later ones.
+        # A fit reports the cut of the block it ran on.
         rng = np.random.default_rng(79)
         wide = rng.integers(5, 61, size=3000)
+        init = BktParams(0.3, 0.2, 0.1, 0.15, 0.15)
         for lengths, segments in ((wide, 0), ([3000] * 16, 16 * 54), ([10], 0)):
             lengths = np.asarray(lengths)
-            _, sizes = _pack([np.zeros(n, dtype=int) for n in lengths])
-            assert _cut(sizes).segments == cut_segments(lengths) == segments
+            sequences = [rng.integers(0, 2, size=n) for n in lengths]
+            _, sizes = _pack(sequences)
+            report = fit_baum_welch(_panel_from_sequences(sequences), 7, init, max_iters=1)
+            assert _cut(sizes).segments == report.work["cut_segments"] == segments
+
+    def test_work_stays_out_of_equality_hashing_and_json(self):
+        import dataclasses
+
+        sequences = [[1, 0, 1], [0], [1, 1]]
+        init = BktParams(0.3, 0.2, 0.1, 0.15, 0.15)
+        report = fit_baum_welch(_panel_from_sequences(sequences), 7, init, max_iters=2)
+        assert report.work == {"sequences": 3, "responses": 6, "cut_segments": 0}
+        bare = dataclasses.replace(report, work={})
+        assert bare == report and hash(bare) == hash(report)
+        assert bare.to_json() == report.to_json()
+        assert "work" not in json.loads(report.to_json())
 
     def test_zero_likelihood_in_a_later_segment_names_its_attempt(self):
         from bktirt.tracing import _block, _estep, _pack
