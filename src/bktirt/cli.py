@@ -16,11 +16,18 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import re
 import sys
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING
+
+# One BLAS thread per command unless the caller set a count: no command's
+# work is a large matrix product, and an idle BLAS worker spins on a core.
+# Set here, before .rng loads numpy, so that `import bktirt` sets nothing.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import bktirt
 
@@ -388,7 +395,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     item = config.irf()
     with run.phase("simulate_s"):
         curves = _lib.run_equilibrium_experiment(config)
-    run.work.update(work_counts(config))
+    run.work.update(work_counts(config, curves))
     summary_path = Path(args.out).with_suffix(".summary.json")
     with run.phase("write_s"):
         # Summarize first: it can reject the run, and then no file is written.

@@ -38,6 +38,10 @@ _MAX_BINS = 2**20
 # count is exact both as a float64 bincount weight and as an int64 total.
 _MAX_OBSERVATIONS = 2**53
 
+# Step counts allowed: the closed-form laws raise r to the count, and past
+# 2^53 a count is neither exact as a float64 nor convertible when huge.
+_MAX_ITERATIONS = 2**53
+
 # Pairs per block of persons: 8192 values (64 KiB) per temporary. Full-grid
 # temporaries would add about 3.5 MB to the peak RSS of a 1000 x 100 run,
 # more than the simulation itself needs.
@@ -45,9 +49,10 @@ _BLOCK_PAIRS = 8192
 
 # Stream layout: child(0) draws the population (people's learning rates, then
 # items' forgetting rates); child(1, j) for j = 0..3 draws the stay, gain,
-# slip and guess binomials of run_equilibrium_experiment, each stream in
-# (checkpoint, person, item) order. No stream depends on the person blocks,
-# so the output does not either.
+# slip and guess binomials of run_equilibrium_experiment, stay and gain in
+# (checkpoint, person, item) order, slip and guess in (checkpoint, bin) order
+# over the bins that hold pairs. No stream depends on the person blocks, so
+# the output does not either.
 _POPULATION_STREAM = 0
 _COUNT_STREAM = 1
 _COUNT_STREAMS = 4
@@ -77,6 +82,8 @@ class SimConfig:
             )
         if not self.iteration_counts or min(self.iteration_counts) < 1:
             raise OutOfRange("iteration_counts must be non-empty with entries >= 1")
+        if max(self.iteration_counts) > _MAX_ITERATIONS:
+            raise OutOfRange("iteration_counts entries must be <= 2^53")
         if not (self.bin_width > 0 and math.isfinite(self.bin_width)):
             raise OutOfRange(f"bin_width must be finite and > 0, got {self.bin_width}")
         if 2 * math.floor(_BIN_SPAN / self.bin_width) + 1 > _MAX_BINS:
@@ -168,15 +175,16 @@ def _person_blocks(n_people: int, n_items: int) -> list[slice]:
     return [slice(start, start + rows) for start in range(0, n_people, rows)]
 
 
-def work_counts(config: SimConfig) -> dict[str, int]:
-    """Work a run does under the stream layout above: (person, item) pairs,
-    keyed generators created, and binomial draws (four per pair and
-    checkpoint)."""
+def work_counts(config: SimConfig, curves: dict[int, BinnedCurve]) -> dict[str, int]:
+    """Work the run of ``config`` that returned ``curves`` did under the
+    stream layout above: (person, item) pairs, keyed generators created,
+    and binomial draws (two per pair and checkpoint, plus two per occupied
+    bin and checkpoint)."""
     pairs = config.n_people * config.n_items
     return {
         "pairs": pairs,
         "keyed_streams": 1 + _COUNT_STREAMS,
-        "binomial_draws": _COUNT_STREAMS * pairs * len(set(config.iteration_counts)),
+        "binomial_draws": sum(2 * (pairs + curve.n_obs.size) for curve in curves.values()),
     }
 
 
@@ -189,11 +197,16 @@ def run_equilibrium_experiment(config: SimConfig) -> dict[int, BinnedCurve]:
     level. Its mastered count jumps from one checkpoint to the next, a gap
     of d steps, as M_k = Bin(M_{k-1}, stay) + Bin(R - M_{k-1}, gain), with
     stay and gain the closed-form d-step mastery laws from the mastered and
-    unmastered states; its correct count is C_k = Bin(M_k, 1 - slip) +
-    Bin(R - M_k, guess). That is the joint law of the replicated chains at
-    the checkpoints, with an independent emission per checkpoint, at four
-    draws per pair and checkpoint whatever R is. The mastered counts are
-    held for the whole grid; other temporaries span one person block.
+    unmastered states. That is the joint law of the replicated chains at the
+    checkpoints. Given the mastered counts, a pair's correct count would be
+    Bin(M_k, 1 - slip) + Bin(R - M_k, guess), drawn afresh per checkpoint
+    and independent across pairs. Only bin totals are written, and
+    binomials sharing one p add up to one binomial, so a bin of P pairs
+    with mastered total M draws its correct count as C_k = Bin(M, 1 - slip)
+    + Bin(R * P - M, guess): the same law, at two draws per pair and
+    checkpoint plus two per occupied bin and checkpoint, whatever R is. The
+    mastered counts are held for the whole grid; other temporaries span one
+    person block.
 
     The same pass sums each bin's exact expectation. A pair started
     unmastered is mastered after t steps with probability
@@ -215,7 +228,7 @@ def run_equilibrium_experiment(config: SimConfig) -> dict[int, BinnedCurve]:
     )
     forget = pop.p_forget[None, :]
     mastered = np.zeros(pair_bin.shape, dtype=np.int64)
-    correct = np.zeros((len(checkpoints), n_bins), dtype=np.int64)
+    bin_mastered = np.zeros((len(checkpoints), n_bins), dtype=np.int64)
     expected = np.zeros((len(checkpoints), n_bins))
     blocks = _person_blocks(*pair_bin.shape)
     gaps = np.diff(checkpoints, prepend=0).tolist()
@@ -231,27 +244,27 @@ def run_equilibrium_experiment(config: SimConfig) -> dict[int, BinnedCurve]:
             m = mastered[rows]
             m = stay_gen.binomial(m, stay) + gain_gen.binomial(reps - m, gain)
             mastered[rows] = m
-            hits = slip_gen.binomial(m, 1.0 - config.p_slip) + guess_gen.binomial(
-                reps - m, config.p_guess
-            )
-            correct[ci] += np.bincount(
-                bins, weights=hits.ravel(), minlength=n_bins
+            bin_mastered[ci] += np.bincount(
+                bins, weights=m.ravel(), minlength=n_bins
             ).astype(np.int64)
             lam1 = learn / (learn + forget)
             r = 1.0 - learn - forget
             p_pair = config.p_guess + spread * lam1 * (1.0 - r**t)
             expected[ci] += np.bincount(bins, weights=p_pair.ravel(), minlength=n_bins)
     pairs = np.bincount(pair_bin.ravel(), minlength=n_bins)
-    observed = reps * pairs
     mask = pairs > 0
+    bin_mastered, observed = bin_mastered[:, mask], reps * pairs[mask]
+    correct = slip_gen.binomial(bin_mastered, 1.0 - config.p_slip) + guess_gen.binomial(
+        observed - bin_mastered, config.p_guess
+    )
 
     return {
         t: BinnedCurve(
             iterations=t,
             bin_centers=centers[mask],
-            prop_correct=correct[ci, mask] / observed[mask],
+            prop_correct=correct[ci] / observed,
             expected=expected[ci, mask] / pairs[mask],
-            n_obs=observed[mask],
+            n_obs=observed,
         )
         for ci, t in enumerate(checkpoints)
     }

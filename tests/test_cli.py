@@ -675,6 +675,16 @@ class TestExperimentCommand:
         assert capsys.readouterr().err.startswith("OutOfRange: iteration_counts")
         assert list(tmp_path.iterdir()) == []
 
+    def test_huge_iteration_count_exits_one(self, tmp_path, capsys):
+        # 10^400 used to reach the closed-form laws and overflow there.
+        for iters in ("1" + "0" * 400, str(2**53 + 1)):
+            argv = ["experiment", "--desk", "--iters", iters, "--out", str(tmp_path / "e.csv")]
+            assert dispatch(argv) == 1
+            assert capsys.readouterr().err == (
+                "OutOfRange: iteration_counts entries must be <= 2^53\n"
+            )
+            assert list(tmp_path.iterdir()) == []
+
     def test_slip_plus_guess_of_one_is_refused_before_simulating(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -728,7 +738,10 @@ class TestExperimentCommand:
         assert manifest["work"] == {
             "pairs": 20, "keyed_streams": 5, "binomial_draws": sum(drawn),
         }
-        assert sum(drawn) == 4 * 20 * 2
+        # Stay and gain per pair and checkpoint, slip and guess per CSV row
+        # (one per occupied bin and checkpoint).
+        rows = len(out.read_text().splitlines()) - 2
+        assert sum(drawn) == 2 * 20 * 2 + 2 * rows
         # One pass: the population stream and the four count streams.
         assert len(created) == manifest["work"]["keyed_streams"]
         summary = json.loads((tmp_path / "w.summary.json").read_text())
@@ -1015,9 +1028,10 @@ _MANIFEST_KEYS = ["format_version", "command", "seeds", "version", "duration_s",
          {"records": 300, "sequences": 30, "responses": 300, "em_iterations": 3,
           "cut_segments": 0}),
         (["bridge", "--params", "{params}"], {"load_s", "bridge_s", "write_s"}, {}),
+        # Two draws per pair, and two per bin: 5 of the 65 bins hold pairs.
         (["experiment", "--people", "4", "--items", "3", "--reps", "2", "--iters", "1",
           "--min-count", "1"], {"simulate_s", "write_s"},
-         {"pairs": 12, "keyed_streams": 5, "binomial_draws": 48}),
+         {"pairs": 12, "keyed_streams": 5, "binomial_draws": 2 * (12 + 5)}),
         (["irf", "--points", "7"], {"evaluate_s", "write_s"}, {"points": 7}),
         (["ising", "--net", "{net}", "--sweeps", "20"],
          {"load_s", "simulate_s", "frequencies_s", "exact_s", "write_s"},

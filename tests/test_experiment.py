@@ -68,6 +68,9 @@ class TestSimConfig:
             SimConfig(iteration_counts=())
         with pytest.raises(OutOfRange):
             SimConfig(iteration_counts=(0,))
+        with pytest.raises(OutOfRange, match=r"iteration_counts entries must be <= 2\^53"):
+            SimConfig(iteration_counts=(2, 2**53 + 1))
+        assert SimConfig(iteration_counts=(2**53,)).iteration_counts == (2**53,)
         with pytest.raises(OutOfRange):
             SimConfig(bin_width=0.0)
         with pytest.raises(OutOfRange, match="finite"):
@@ -172,7 +175,8 @@ class TestRunExperiment:
             np.testing.assert_array_equal(base[t].prop_correct, again[t].prop_correct)
 
     def test_block_size_does_not_change_curves(self, monkeypatch, tmp_path):
-        # Each count stream is consumed in (checkpoint, person, item) order,
+        # The stay and gain streams are consumed in (checkpoint, person, item)
+        # order and the slip and guess streams in (checkpoint, bin) order,
         # whatever the person blocks, so every block size writes the same bytes.
         # With 4 items, 1 and 3 pairs give one person per block, and 12 gives
         # three persons per block with a short last block.
@@ -231,6 +235,51 @@ class TestRunExperiment:
             products = dev[:, j] * dev[:, k]
             z = (products.mean() - want) / (products.std(ddof=1) / math.sqrt(seeds))
             assert abs(z) < 4.5, ((j, k), products.mean(), want, z)
+
+    def test_bin_count_sums_independent_pairs(self, monkeypatch):
+        # One bin holding four pairs with different fixed rates, rerun under
+        # many seeds. Each pair's count is Binomial(R, p_pair) and the pairs
+        # are independent, so the bin's count has mean sum R p_pair and
+        # variance sum R p_pair (1 - p_pair). That is below the pooled
+        # Binomial(4 R, mean p_pair) variance by R sum (p_pair - mean)^2, so a
+        # sampler that pooled the pairs before the mastered chain would fail.
+        learn, forget, reps, checkpoints, seeds = [0.6, 0.02], [0.01, 0.3], 50, (2, 5), 1000
+        population = Population(
+            p_learn=np.array(learn),
+            p_forget=np.array(forget),
+            theta=np.log(learn),
+            b=np.log(forget),
+        )
+        monkeypatch.setattr(
+            "bktirt.experiment.draw_population", lambda config, key=None: population
+        )
+        counts = np.empty((seeds, 2))
+        for seed in range(seeds):
+            # Width 16 makes a one-bin grid, so every pair shares it.
+            config = SimConfig(
+                n_people=2, n_items=2, replications=reps,
+                iteration_counts=checkpoints, seed=seed, bin_width=16.0,
+            )
+            curves = run_equilibrium_experiment(config)
+            assert [curves[t].n_obs.tolist() for t in checkpoints] == [[4 * reps]] * 2
+            counts[seed] = [curves[t].prop_correct[0] * 4 * reps for t in checkpoints]
+
+        spread = 1.0 - config.p_slip - config.p_guess
+        l, f = np.array(learn)[:, None], np.array(forget)[None, :]
+        lam1, r = l / (l + f), 1.0 - l - f
+
+        def z_score(values, want):
+            return (values.mean() - want) / (values.std(ddof=1) / math.sqrt(seeds))
+
+        for j, t in enumerate(checkpoints):
+            p = (config.p_guess + spread * lam1 * (1.0 - r**t)).ravel()
+            mean = reps * p.sum()
+            var = reps * np.sum(p * (1.0 - p))
+            pooled = 4 * reps * p.mean() * (1.0 - p.mean())
+            squares = (counts[:, j] - mean) ** 2
+            assert abs(z_score(counts[:, j], mean)) < 4.5, (t, counts[:, j].mean(), mean)
+            assert abs(z_score(squares, var)) < 4.5, (t, squares.mean(), var)
+            assert abs(z_score(squares, pooled)) > 4.5, (t, squares.mean(), pooled)
 
     def test_full_scale_fifty_steps_within_sharpened_bound(self):
         # The default 1000 x 100 x 1000 run: within 0.02 of the equilibrium
@@ -320,11 +369,15 @@ class TestWorkCounts:
             return Counted(original(key))
 
         monkeypatch.setattr(RngKey, "generator", counting)
-        run_equilibrium_experiment(config)
-        work = work_counts(config)
+        curves = run_equilibrium_experiment(config)
+        work = work_counts(config, curves)
         assert work["pairs"] == 24
         assert work["keyed_streams"] == seen["streams"] == 5
-        assert work["binomial_draws"] == seen["binomials"] == 4 * 24 * 2
+        # Stay and gain per pair, slip and guess per occupied bin, at each
+        # of the two checkpoints.
+        bins = [curve.n_obs.size for curve in curves.values()]
+        assert bins == [10, 10]
+        assert work["binomial_draws"] == seen["binomials"] == 2 * (24 + 10) * 2
         assert "uniforms_drawn" not in work
 
 

@@ -130,14 +130,18 @@ def test_the_cli_resolves_library_names_through_the_package():
 _SRC = str(Path(bktirt.__file__).parents[1])
 
 
-def _fresh_modules(tmp_path: Path, statement: str, *argv: str) -> set[str]:
+def _fresh_modules(
+    tmp_path: Path, statement: str, *argv: str, env: dict[str, str] | None = None
+) -> set[str]:
     """sys.modules of a fresh interpreter, started in ``tmp_path`` with
-    ``argv`` as sys.argv[1:], after it runs ``statement``."""
+    ``argv`` as sys.argv[1:] and ``env`` (default: this one's) as its
+    environment, after it runs ``statement``."""
     script = f"import sys\n{statement}\nprint(*sys.modules, file=sys.stderr)\n"
-    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    env = os.environ if env is None else env
+    path = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv],
-        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        cwd=tmp_path, env={**env, "PYTHONPATH": path},
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -148,6 +152,36 @@ def test_import_bktirt_loads_no_submodule_and_no_numpy(tmp_path):
     loaded = _fresh_modules(tmp_path, "import bktirt")
     assert "bktirt" in loaded
     assert sorted(m for m in loaded if m.startswith("bktirt.") or m == "numpy") == []
+
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+def test_the_cli_runs_one_blas_thread_unless_told_otherwise(tmp_path):
+    # This process imported bktirt.cli, so its environment carries the
+    # settings; each child starts without them.
+    unset = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+    _fresh_modules(
+        tmp_path,
+        "import os, bktirt.cli\n"
+        "tasks = os.listdir('/proc/self/task')\n"
+        "assert len(tasks) == 1, tasks\n"
+        f"assert [os.environ[v] for v in {_BLAS_THREADS}] == ['1'] * 3",
+        env=unset,
+    )
+    _fresh_modules(
+        tmp_path,
+        "import os, bktirt.cli\nassert os.environ['OPENBLAS_NUM_THREADS'] == '2'",
+        env={**unset, "OPENBLAS_NUM_THREADS": "2"},
+    )
+    _fresh_modules(
+        tmp_path,
+        "import os, bktirt, bktirt.chain, bktirt.params, bktirt.experiment\n"
+        "import bktirt.ising, bktirt.tracing, bktirt.bridge, bktirt.irt\n"
+        f"assert [v for v in {_BLAS_THREADS} if v in os.environ] == []",
+        env=unset,
+    )
 
 
 def test_star_import_and_dir_list_every_exported_name(tmp_path):
