@@ -3,19 +3,24 @@
 State convention, fixed everywhere in this package: index 0 = unmastered,
 index 1 = mastered. Transition rows give the law of the next latent state;
 emission rows give the law of the response (column 0 = incorrect, 1 =
-correct). All operations are pure functions of their inputs.
+correct). All operations are pure functions of their inputs. The closed
+forms (``stationary_closed_form``, ``marginal_at``) take and return floats;
+the functions that make arrays import numpy themselves, so the closed forms
+load without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import OutOfRange, Reducible
 from .params import BktParams
 from .rng import RngKey
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Rows of latent that Trajectory.flip_rate compares at a time.
 _FLIP_BLOCK = 1 << 14
@@ -30,6 +35,8 @@ def build_matrices(params: BktParams) -> tuple[np.ndarray, np.ndarray]:
     list the mastered row first are the same matrices with both rows and
     columns permuted.)
     """
+    import numpy as np
+
     transition = np.array(
         [
             [1.0 - params.p_learn, params.p_learn],
@@ -59,6 +66,8 @@ class StationaryDist:
     periodic: bool = False
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.lambda0, self.lambda1])
 
 
@@ -91,6 +100,8 @@ def stationary_power_iteration(
     chain leaves that one-step gap large, in which case the two-cycle
     average is returned with the periodic flag set.
     """
+    import numpy as np
+
     t = np.asarray(transition, dtype=float)
     a00, a01, a10, a11 = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
     v0, v1 = 1.0, 0.0
@@ -135,6 +146,8 @@ def mastered_after(p_learn, p_forget, z, steps: int):
     mastered column of row z of the steps-th power of the transition matrix.
     Requires p_learn + p_forget > 0; arguments broadcast as numpy arrays.
     """
+    import numpy as np
+
     p_learn = np.asarray(p_learn, dtype=float)
     p_forget = np.asarray(p_forget, dtype=float)
     lam1 = p_learn / (p_learn + p_forget)
@@ -179,6 +192,8 @@ class Trajectory:
         the previous sweep exactly when its update flipped it; under
         Metropolis this is the acceptance rate. Rows are compared a block at
         a time, so no mask the size of ``latent`` is made."""
+        import numpy as np
+
         flips = np.count_nonzero(self.latent[0])
         for lo in range(1, len(self), _FLIP_BLOCK):
             hi = min(lo + _FLIP_BLOCK, len(self))
@@ -193,6 +208,8 @@ def sample_trajectory(params: BktParams, steps: int, key: RngKey) -> Trajectory:
     (first entry the initial state, then one per transition), row 1 drives
     the emissions. Identical keys therefore give identical trajectories.
     """
+    import numpy as np
+
     if steps < 1:
         raise OutOfRange(f"steps must be >= 1, got {steps}")
     draws = key.generator().random((2, steps))

@@ -220,6 +220,12 @@ def run_equilibrium_experiment(config: SimConfig) -> dict[int, BinnedCurve]:
     pop = draw_population(config)
     checkpoints = sorted(set(config.iteration_counts))
     pair_bin, centers = _pair_bins(pop, config.bin_width)
+    # Relabel each pair to its bin's rank among the bins that hold pairs, so
+    # the per-block sums span the occupied bins, not the whole grid.
+    pairs = np.bincount(pair_bin.ravel(), minlength=centers.size)
+    occupied = pairs > 0
+    pair_bin = (np.cumsum(occupied) - 1)[pair_bin]
+    centers, pairs = centers[occupied], pairs[occupied]
     n_bins = centers.size
     reps = config.replications
     spread = 1.0 - config.p_slip - config.p_guess
@@ -251,9 +257,7 @@ def run_equilibrium_experiment(config: SimConfig) -> dict[int, BinnedCurve]:
             r = 1.0 - learn - forget
             p_pair = config.p_guess + spread * lam1 * (1.0 - r**t)
             expected[ci] += np.bincount(bins, weights=p_pair.ravel(), minlength=n_bins)
-    pairs = np.bincount(pair_bin.ravel(), minlength=n_bins)
-    mask = pairs > 0
-    bin_mastered, observed = bin_mastered[:, mask], reps * pairs[mask]
+    observed = reps * pairs
     correct = slip_gen.binomial(bin_mastered, 1.0 - config.p_slip) + guess_gen.binomial(
         observed - bin_mastered, config.p_guess
     )
@@ -261,9 +265,9 @@ def run_equilibrium_experiment(config: SimConfig) -> dict[int, BinnedCurve]:
     return {
         t: BinnedCurve(
             iterations=t,
-            bin_centers=centers[mask],
+            bin_centers=centers,
             prop_correct=correct[ci] / observed,
-            expected=expected[ci, mask] / pairs[mask],
+            expected=expected[ci] / pairs,
             n_obs=observed,
         )
         for ci, t in enumerate(checkpoints)

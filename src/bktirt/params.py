@@ -14,9 +14,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import (
     ForgettingNonzero,
@@ -24,6 +22,9 @@ from .errors import (
     OutOfRange,
     Unidentified,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def read_json(text: str):
@@ -70,8 +71,12 @@ class BktParams:
     _FIELDS = ("p_init", "p_learn", "p_forget", "p_slip", "p_guess")
 
     def __post_init__(self) -> None:
+        # Kept as plain floats: a JSON 1 reads back as 1.0 and -0.0 as 0.0,
+        # both exact, so every output prints each probability the same way.
         for name in self._FIELDS:
-            _check_unit(name, getattr(self, name))
+            value = getattr(self, name)
+            _check_unit(name, value)
+            object.__setattr__(self, name, float(value) + 0.0)
 
     def to_json(self) -> str:
         return json.dumps({name: getattr(self, name) for name in self._FIELDS})
@@ -210,6 +215,8 @@ def _first_bad_line(lines: Iterable[str]) -> int | None:
 def _in_key_order(rows: np.ndarray) -> bool:
     """Whether no row comes before the one above it in (skill, person,
     attempt) order; keys are compared, as their differences wrap in int64."""
+    import numpy as np
+
     after = True
     for key in (rows[:, _ATTEMPT], rows[:, _PERSON], rows[:, _SKILL]):
         after = (key[1:] > key[:-1]) | (key[1:] == key[:-1]) & after
@@ -224,9 +231,14 @@ class ResponsePanel:
     response sequence per skill. ``records`` is a read-only (N, 5) int64
     array in the CSV's column order, sorted by (skill, person, attempt); each
     sequence is a run of rows, and ``_starts`` holds the first row of each.
+
+    The one type in this module that holds arrays: its methods import
+    numpy, so that the scalar bundles above load without it.
     """
 
     def __init__(self, records) -> None:
+        import numpy as np
+
         rows = np.asarray(records, dtype=np.int64).reshape(len(records), 5)
         rows = np.array(rows, order="F")  # a copy, each column contiguous
         if not _in_key_order(rows):
@@ -262,15 +274,21 @@ class ResponsePanel:
         return cls(list(records))
 
     def __eq__(self, other: object) -> bool:
+        import numpy as np
+
         same = isinstance(other, ResponsePanel)
         return same and np.array_equal(self.records, other.records)
 
     def skills(self) -> list[int]:
+        import numpy as np
+
         return np.unique(self.records[:, _SKILL]).tolist()
 
     def skill_block(self, skill_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One skill's persons (ascending), their responses end to end in
         attempt order, and the length of each person's sequence."""
+        import numpy as np
+
         lo, hi = (np.searchsorted(self.records[:, _SKILL], skill_id, side)
                   for side in ("left", "right"))
         starts = self._starts[slice(*np.searchsorted(self._starts, (lo, hi)))]
@@ -279,6 +297,8 @@ class ResponsePanel:
 
     def sequences(self, skill_id: int) -> dict[int, list[int]]:
         """Responses per person for one skill, ordered by attempt index."""
+        import numpy as np
+
         persons, responses, lengths = self.skill_block(skill_id)
         runs = np.split(responses, np.cumsum(lengths)[:-1])
         return {person: run.tolist() for person, run in zip(persons.tolist(), runs)}
@@ -287,6 +307,8 @@ class ResponsePanel:
     def from_csv(cls, path: str) -> "ResponsePanel":
         """The header, then rows of five unquoted base-10 integers within
         int64; empty lines are skipped."""
+        import numpy as np
+
         with open(path, encoding="utf-8") as handle:
             header = handle.readline().rstrip("\n").split(",")
         if header != PANEL_CSV_HEADER:
@@ -308,6 +330,8 @@ class ResponsePanel:
         return cls(rows)
 
     def to_csv(self, path: str) -> None:
+        import numpy as np
+
         with open(path, "w", newline="", encoding="utf-8") as handle:
             handle.write(",".join(PANEL_CSV_HEADER) + "\n")
             np.savetxt(handle, self.records, fmt="%d", delimiter=",")

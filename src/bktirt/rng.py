@@ -4,13 +4,16 @@ All sampling in this package draws from counter-based Philox generators keyed
 by an integer seed plus a path of nonnegative integers. Distinct paths give
 statistically independent streams regardless of the order they are consumed
 in, so parallel work can be scheduled freely without changing results.
+A key is a plain value; numpy is imported only when a generator is made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Fixed default so bare CLI invocations are reproducible; pass seed="auto"
 # on the command line to opt into entropy.
@@ -28,5 +31,7 @@ class RngKey:
         return RngKey(self.seed, self.path + path)
 
     def generator(self) -> np.random.Generator:
+        import numpy as np
+
         seq = np.random.SeedSequence(self.seed, spawn_key=self.path)
         return np.random.Generator(np.random.Philox(seq))

@@ -62,6 +62,10 @@ class TestStationary:
         payload = json.loads(capsys.readouterr().out)
         assert payload["periodic"] is True
 
+    def test_negative_zero_prints_as_zero(self, capsys):
+        assert dispatch(["stationary", "--p-learn", "-0.0", "--p-forget", "0.5"]) == 0
+        assert capsys.readouterr().out == '{"lambda0":1.0,"lambda1":0.0}\n'
+
 
 class TestArgumentErrors:
     def test_unknown_flag_exits_two(self, capsys):
@@ -567,6 +571,14 @@ class TestBridgeCommand:
         assert err.startswith("OutOfRange:") and len(err.splitlines()) == 1
         assert where in err
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_integer_probabilities_print_as_floats(self, capsys, tmp_path):
+        path = tmp_path / "params.json"
+        path.write_text('{"p_init": 0, "p_learn": 0.5, "p_forget": 0.5, "p_slip": 0, '
+                        '"p_guess": 1}')
+        assert dispatch(["bridge", "--params", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert '"c":1.0,"d":1.0,' in out and json.loads(out)["p_correct"] == 1.0
 
     def test_nonergodic_exits_one(self, capsys, tmp_path):
         path = tmp_path / "absorbing.json"

@@ -160,11 +160,13 @@ _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
 def test_the_cli_runs_one_blas_thread_unless_told_otherwise(tmp_path):
     # This process imported bktirt.cli, so its environment carries the
-    # settings; each child starts without them.
+    # settings; each child starts without them. The CLI module does not
+    # load numpy itself, so numpy is imported after it, as a command that
+    # builds arrays would: BLAS starts its threads when numpy loads.
     unset = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
     _fresh_modules(
         tmp_path,
-        "import os, bktirt.cli\n"
+        "import os, bktirt.cli, numpy\n"
         "tasks = os.listdir('/proc/self/task')\n"
         "assert len(tasks) == 1, tasks\n"
         f"assert [os.environ[v] for v in {_BLAS_THREADS}] == ['1'] * 3",
@@ -196,23 +198,57 @@ def test_star_import_and_dir_list_every_exported_name(tmp_path):
     )
 
 
+_MODELS = ["bktirt.experiment", "bktirt.ising", "bktirt.tracing", "bktirt.irt"]
+_ANY = ["numpy", "bktirt.chain", "bktirt.params", "bktirt.bridge", *_MODELS]
+
+
 @pytest.mark.parametrize(
-    "call, loads, skips",
+    "command, code, loads, skips",
     [
-        (None, [], ["chain", "params", "experiment", "ising", "tracing", "bridge", "irt"]),
-        ("stationary_closed_form", ["chain"], ["experiment", "ising", "tracing", "bridge", "irt"]),
-        ("run_equilibrium_experiment", ["experiment"], ["ising", "tracing"]),
-        ("fit_baum_welch", ["tracing"], ["ising", "experiment"]),
+        (["--version"], 0, [], _ANY),
+        (["--help"], 0, [], _ANY),
+        (["--no-such-flag"], 2, [], _ANY),
+        ("stationary_closed_form", 0, ["bktirt.chain"], ["numpy", "bktirt.bridge", *_MODELS]),
+        ("bkt_to_irt", 0, ["bktirt.bridge"], ["numpy", *_MODELS]),
+        ("run_equilibrium_experiment", 0, ["numpy", "bktirt.experiment"],
+         ["bktirt.ising", "bktirt.tracing"]),
+        ("fit_baum_welch", 0, ["numpy", "bktirt.tracing"], ["bktirt.ising", "bktirt.experiment"]),
+        ("simulate_field", 0, ["numpy", "bktirt.ising"], ["bktirt.experiment", "bktirt.tracing"]),
     ],
-    ids=["version", "stationary", "experiment", "fit-bkt"],
+    ids=["version", "help", "usage-error", "stationary", "bridge", "experiment", "fit-bkt",
+         "ising"],
 )
-def test_a_command_loads_only_the_modules_it_runs(tmp_path, call, loads, skips):
-    argv = ["--version"] if call is None else _smallest_commands(tmp_path)[call]
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, command, code, loads, skips):
+    # Only the commands that build arrays load numpy.
+    argv = command if isinstance(command, list) else _smallest_commands(tmp_path)[command]
     loaded = _fresh_modules(
-        tmp_path, "from bktirt.cli import dispatch\nassert dispatch(sys.argv[1:]) == 0", *argv
+        tmp_path,
+        "from bktirt.cli import dispatch\n"
+        f"assert dispatch(sys.argv[1:]) == {code}",
+        *argv,
     )
-    assert [m for m in loads if f"bktirt.{m}" not in loaded] == []
-    assert [m for m in skips if f"bktirt.{m}" in loaded] == []
+    assert [m for m in loads if m not in loaded] == []
+    assert [m for m in skips if m in loaded] == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "filter", "fit-bkt", "experiment", "irf", "ising"])
+def test_numpy_loads_before_a_run_starts_its_clock(tmp_path, command):
+    # A run's clock starts when its _Run is made: numpy's import must fall
+    # in no phase of the manifest and not in its duration_s.
+    argvs = {argv[0]: argv for argv in _smallest_commands(tmp_path).values()}
+    argvs["filter"] = ["filter", "--params", str(tmp_path / "params.json"), "--responses", "1,0"]
+    _fresh_modules(
+        tmp_path,
+        "import bktirt.cli as cli\n"
+        "def started(run, *args, _init=cli._Run.__init__):\n"
+        "    assert 'numpy' in sys.modules\n"
+        "    _init(run, *args)\n"
+        "    started.runs += 1\n"
+        "started.runs = 0\n"
+        "cli._Run.__init__ = started\n"
+        "assert cli.dispatch(sys.argv[1:]) == 0 and started.runs == 1",
+        *argvs[command],
+    )
 
 
 def _raised_name(node: ast.expr) -> str:

@@ -66,6 +66,14 @@ def test_exact_zero_and_one_are_legal():
     validate_bkt(BktParams(0.0, 1.0, 0.0, 0.0, 1.0))
 
 
+def test_fields_are_plain_floats_without_negative_zero():
+    params = BktParams(0, 1, -0.0, np.float64(0.25), 0.5)
+    values = [getattr(params, name) for name in BktParams._FIELDS]
+    assert [type(v) for v in values] == [float] * 5
+    assert [math.copysign(1.0, v) for v in values] == [1.0] * 5
+    assert values == [0.0, 1.0, 0.0, 0.25, 0.5]
+
+
 def test_validate_is_idempotent():
     rng = np.random.default_rng(11)
     for _ in range(100):
