@@ -36,11 +36,17 @@ class SkillEquilibrium:
 
 
 def _require_ergodic(p_learn: float, p_forget: float) -> None:
+    """NonErgodic unless the chain is irreducible and aperiodic: both rates
+    above 0, and not both 1."""
     if p_learn <= 0.0 or p_forget <= 0.0:
         raise NonErgodic(
             "equilibrium map needs p_learn > 0 and p_forget > 0 "
             f"(got p_learn={p_learn}, p_forget={p_forget}); with p_forget = 0 "
             "use classic_limit instead"
+        )
+    if p_learn + p_forget == 2.0:
+        raise NonErgodic(
+            "p_learn = p_forget = 1 is a period-2 chain; marginals never converge"
         )
 
 
@@ -48,7 +54,11 @@ def bkt_to_irt(params: BktParams) -> SkillEquilibrium:
     """Equilibrium response law of a skill's mastery chain.
 
     p_correct mixes the stationary mastery mass through the emissions:
-    p_guess + ((1 - p_slip) - p_guess) * lambda1.
+    p_guess + ((1 - p_slip) - p_guess) * lambda1. The chain must be ergodic:
+    NonErgodic when a rate is 0, or for the period-2 chain p_learn =
+    p_forget = 1, whose marginals never settle. Any emissions are mapped:
+    when p_guess > 1 - p_slip the curve decreases (c > d), as criterion 1
+    draws it, and when they are equal it is flat.
     """
     _require_ergodic(params.p_learn, params.p_forget)
     lam1 = stationary_closed_form(params).lambda1
@@ -129,10 +139,6 @@ def equilibrium_gap(params: BktParams, t: int) -> float:
     emissions. Decays geometrically at rate |1 - p_learn - p_forget|.
     """
     _require_ergodic(params.p_learn, params.p_forget)
-    if params.p_learn + params.p_forget == 2.0:
-        raise NonErgodic(
-            "p_learn = p_forget = 1 is a period-2 chain; marginals never converge"
-        )
     spread = (1.0 - params.p_slip) - params.p_guess
     p_t = params.p_guess + spread * marginal_at(params, t)
     p_eq = params.p_guess + spread * stationary_closed_form(params).lambda1

@@ -167,9 +167,10 @@ class Trajectory:
     leaves it None.
 
     ``work`` holds the counters of the run that made it, by name; a network
-    sampler sets ``uniforms_drawn`` and ``lookups_per_sweep`` (the threshold
-    lookups one sweep of the path it took costs). A mastery chain leaves it
-    empty. It takes no part in equality."""
+    sampler sets ``uniforms_drawn``, ``rerun_sweeps`` (the sweeps its
+    repair rounds ran again) and ``serial_sweeps`` (the sweeps its per-site
+    loop ran after the round cap). A mastery chain leaves it empty. It takes
+    no part in equality."""
 
     latent: np.ndarray
     emitted: np.ndarray

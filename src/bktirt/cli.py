@@ -454,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mastery-chain and item-response toolkit",
     )
     parser.add_argument("--version", action="version", version=bktirt.__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # dispatch names a missing command itself (see there).
+    sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("stationary", help="closed-form stationary distribution")
     _bkt_flags(p, with_init=False)
@@ -563,7 +564,14 @@ _CLOSED_FORM = ("stationary", "bridge")
 
 def dispatch(argv: list[str]) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        # parse_args, but with a missing command named only when nothing
+        # else is left over: an unknown option before the command is named.
+        args, extras = parser.parse_known_args(argv)
+        if args.command is None and set(extras) <= {"--"}:
+            parser.error("the following arguments are required: command")
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
         args._argv = list(argv)
         if args.command not in _CLOSED_FORM:
             import numpy  # noqa: F401

@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,30 +26,12 @@ from .rng import RngKey
 _EXACT_MAX_NODES = 20
 _TABLE_MAX_NODES = 12
 _INDEX_MAX_NODES = 63
-# Most (code, state) entries one group table of the sweep-table walk holds.
-_GROUP_ENTRIES = 1 << 18
-# The walk's cost model (see _plan), in ns: its set-up and each table entry
-# built, against what it saves per sweep. Per sweep the per-site loop spends
-# a fixed amount plus an amount per site update beyond the walk's numpy work
-# per draw, and the walk spends one list lookup per group. Measured on
-# all-pairs and chain networks of n = 2 to 12, both scans and dynamics, on a
-# two-core VM: builds take 12-40 ns per entry, and one 16,384-sweep chunk of
-# _Walk.sweep saves 270-680 ns per sweep over _sweep_sites at n = 2, 290-830
-# at n = 3 and 330-1,580 from n = 4 on. The saving predicted below is under
-# each of them (closest: all-pairs n = 6 Metropolis on fixed scan, 354-380
-# against 330). Whole simulate_field runs, walk against loop, broke even at
-# 170-330 sweeps at n = 2 and 280-450 at n = 3 on fixed scan, where _plan
-# switches at 387-418 and 350-508, so it sends no run to the walk before
-# its build pays back.
-_WALK_SETUP_NS = 80_000
-_ENTRY_NS = 30
-_LOOP_SWEEP_NS = 150
-_LOOP_SITE_NS = 50
-_LOOKUP_NS = 40
-# Buckets per node in the walk's rank tables (see _Walk): a power of two.
-_BUCKETS = 1 << 12
 # Sweeps simulated per chunk, and state indices counted per bincount.
 _CHUNK = 1 << 14
+# Sweeps per block of the block sampler, and its repair rounds per chunk
+# before the per-site loop finishes the chunk (see _Blocks).
+_BLOCK = 32
+_ROUNDS = 4
 
 
 @dataclass(frozen=True)
@@ -297,11 +280,12 @@ def metropolis_step(net: IsingNetwork, z, node: int, gen: np.random.Generator) -
     return z_new
 
 
-def _thresholds(net: IsingNetwork, dynamics: str) -> list:
+def _thresholds(net: IsingNetwork, dynamics: str) -> np.ndarray | list:
     """Per node, the threshold by packed state that a draw must fall below
-    to set (Glauber) or flip (Metropolis) the node: up to 12 nodes the 2^n
-    list, beyond a _LookupRow. Both are _threshold of the same float
-    additions, so a table entry equals its lookup exactly."""
+    to set (Glauber) or flip (Metropolis) the node: up to 12 nodes one
+    (n, 2^n) array, a row per node, beyond a _LookupRow per node. Both are
+    _threshold of the same float additions, so a table entry equals its
+    lookup exactly."""
     n, glauber = net.n_nodes, dynamics == "glauber"
     if n > _TABLE_MAX_NODES:
         return [_LookupRow(net, j, glauber) for j in range(n)]
@@ -310,7 +294,7 @@ def _thresholds(net: IsingNetwork, dynamics: str) -> list:
     local = net.fields[:, None]
     for k in range(n):
         local = np.concatenate([local, local + net.couplings[:, k : k + 1]], axis=1)
-    return _threshold(local, _state_bits(n).T, glauber).tolist()
+    return _threshold(local, _state_bits(n).T, glauber)
 
 
 def uniforms_per_sweep(n_nodes: int, scan: str) -> int:
@@ -319,189 +303,167 @@ def uniforms_per_sweep(n_nodes: int, scan: str) -> int:
     return (3 if scan == "random" else 2) * n_nodes
 
 
-def _code_counts(levels: list, scan: str) -> list[int]:
-    """Per position of a sweep, how many codes its draw can take: the
-    len(s_j) + 1 ranks of node j under fixed scan; under random scan the
-    sum over nodes, since the code also names the node visited."""
-    counts = [s.size + 1 for s, _ in levels]
-    return [sum(counts)] * len(counts) if scan == "random" else counts
+class _Blocks:
+    """The block sampler: a chunk's sweeps as blocks of _BLOCK consecutive
+    sweeps that advance side by side, one numpy step per site update.
 
+    A sweep is a deterministic function of the state it starts from and its
+    draws, and chains driven by the same draws from different states soon
+    meet and then move together (Propp & Wilson 1996). Block 0 starts from
+    the chunk's true state. Every other block starts from a guess: one
+    sweep from that true state on the last draws of the block before it,
+    which is often that block's true end already. A block is exact once its
+    start equals the end of its predecessor and that block is exact.
 
-def _groups(counts: list[int], n_states: int) -> list[int] | None:
-    """One sweep's positions split into runs of consecutive positions, each
-    as long as the product of its code counts times n_states stays within
-    _GROUP_ENTRIES: the length of every run, or None when one position
-    alone exceeds it."""
-    groups: list[int] = []
-    entries = _GROUP_ENTRIES + 1
-    for count in counts:
-        if count * n_states > _GROUP_ENTRIES:
-            return None
-        if entries * count <= _GROUP_ENTRIES:
-            groups[-1] += 1
-            entries *= count
-        else:
-            groups.append(1)
-            entries = count * n_states
-    return groups
-
-
-def _plan(counts: list[int], n_states: int, sweeps: int) -> list[int] | None:
-    """The groups of the sweep-table walk where it pays, else None (the
-    per-site loop). It pays when positions merge, so that a sweep takes
-    fewer lookups than it has sites, and when what it saves per sweep over
-    the loop, over all sweeps, outweighs building the tables."""
-    groups = _groups(counts, n_states)
-    if groups is None or len(groups) == len(counts):
-        return None
-    entries, start = 0, 0
-    for size in groups:
-        entries += math.prod(counts[start : start + size]) * n_states
-        start += size
-    saved = sweeps * (_LOOP_SWEEP_NS + len(counts) * _LOOP_SITE_NS - len(groups) * _LOOKUP_NS)
-    return groups if saved > _WALK_SETUP_NS + entries * _ENTRY_NS else None
-
-
-def _route(tables: list, sweeps: int, scan: str) -> tuple[list, list[int] | None]:
-    """Rank levels of the threshold tables and the walk's groups, or
-    ([], None) for the per-site loop. Networks beyond _TABLE_MAX_NODES have
-    no tables and always take the loop."""
-    if len(tables) > _TABLE_MAX_NODES:
-        return [], None
-    levels = [np.unique(table, return_inverse=True) for table in tables]
-    return levels, _plan(_code_counts(levels, scan), 2 ** len(tables), sweeps)
-
-
-class _Walk:
-    """Sweep tables: whole groups of site updates as one list lookup each.
-
-    A draw u updates node j from state x exactly when u < t_j[x]. With s_j
-    the sorted distinct values of t_j and s_j[pos_j[x]] == t_j[x], that
-    holds exactly when the rank r = searchsorted(s_j, u, "right") is at
-    most pos_j[x]: the same float comparisons as the per-site loop, so the
-    output is bit-identical. F_j[r, x] is the state after that update, and
-    composing the maps of a group's positions gives its table G[code, x],
-    where the code is the mixed-radix number of the positions' ranks, the
-    first position lowest. Under random scan a position's code is node j's
-    offset plus its rank, so one map serves every position.
-
-    Ranks come from one bucket table per node. A draw u falls in bucket
-    b = floor(u * M), with M = _BUCKETS a power of two, so u * M and b are
-    exact. Where no threshold of s_j lies in [b/M, (b+1)/M), every u in
-    bucket b has the rank searchsorted(s_j, b/M, "left"), and the table
-    holds that rank's code: times the position's weight under fixed scan,
-    plus the node's offset under random scan. A bucket holding a threshold,
-    one exactly at b/M included, holds -1 instead, and the few draws that
-    land in one get their exact rank, searchsorted(s_j, u, "right"), from
-    one search over all nodes' thresholds as a fix-up.
+    Each repair round runs again, side by side, every block whose start
+    differs from its predecessor's end, from that end, each stopping at the
+    first sweep where its new state equals its old one: from there on its
+    old path is the new one. Block 0 is exact, and each round makes the
+    first block in doubt exact. After _ROUNDS rounds, _sweep_sites runs the
+    chunk on from the first block still in doubt until its path meets the
+    old one, so a chain that never meets itself costs what the per-site
+    loop costs. Each lane compares its draws with the same thresholds as the
+    per-site loop, so the states are the same.
     """
 
-    def __init__(self, levels: list, groups: list[int], scan: str, flip: bool) -> None:
-        n = len(levels)
-        states = np.arange(2**n)
-        maps = []
-        for j, (s, pos) in enumerate(levels):
-            hit = np.arange(s.size + 1)[:, None] <= pos
-            bit = 1 << j
-            maps.append(
-                np.where(hit, states ^ bit, states)
-                if flip
-                else np.where(hit, states | bit, states & ~bit)
-            )
-        if scan == "random":
-            maps = [np.concatenate(maps)] * n
-        self.scan, self.groups = scan, len(groups)
-        # Each position's weight in its group's code, the group's rows of
-        # positions, and its first row in the stacked tables.
-        weights = np.empty((n, 1), dtype=np.int64)
-        self.spans: list[slice] = []
-        self.offsets = np.empty(len(groups), dtype=np.int64)
-        self.rows: list = []
-        # Every row holds the same 2^n int objects, not one object per entry.
-        shared = states.astype(object)
-        position = 0
-        for g, size in enumerate(groups):
-            self.spans.append(slice(position, position + size))
-            self.offsets[g] = len(self.rows)
-            table = states[None, :]
-            for step in maps[position : position + size]:
-                weights[position] = table.shape[0]
-                table = step[:, table].reshape(-1, states.size)
-                position += 1
-            self.rows += shared[table].tolist()
-        # Node j's rank i is entry firsts[j] + i of the codes: the node's
-        # offset plus its rank, a position's code under random scan (sweep
-        # weights it by position once the nodes are placed), and under
-        # fixed scan the rank times the position's weight.
-        sizes = np.array([s.size + 1 for s, _ in levels])
-        firsts = sizes.cumsum() - sizes
-        node = np.repeat(np.arange(n), sizes)
-        self.codes = np.arange(node.size)
-        if scan == "fixed":
-            self.codes = (self.codes - firsts[node]) * weights[node, 0]
-            self.weights = None
-        else:
-            self.weights = weights
-        # Bucket b of node j is entry j * (M + 1) + b, and threshold t lies
-        # in bucket floor(t * M). Rank i fills the buckets after the one
-        # holding s_j[i - 1] up to the one holding s_j[i]. A bound of 1.0
-        # closes each node's thresholds, so its last rank runs to bucket M,
-        # which holds u = 1.0 alone, a draw the generator never makes.
-        # Every bucket that ends a rank is flagged.
-        stride = _BUCKETS + 1
-        one = np.ones(1)
-        bounds = np.concatenate([part for s, _ in levels for part in (s, one)])
-        ends = (bounds * _BUCKETS).astype(np.int64) + node * stride
-        widths = ends.copy()
-        widths[1:] -= ends[:-1]
-        widths[0] += 1
-        self.buckets = np.repeat(self.codes, widths)
-        self.buckets[ends] = -1
-        # Complex numbers sort by real part, then imaginary part. So one
-        # search over the (bucket entry, threshold) keys ranks a flagged
-        # draw among its own node's thresholds, as searchsorted(s_j, u,
-        # "right") does, plus the entries of the nodes before it: the
-        # index of its code. Each node's closing key sorts after every draw
-        # in its last bucket.
-        self.keys = ends + 1j * bounds
-        self.keys.imag[firsts + sizes - 1] = np.inf
-        self.starts = np.arange(0, n * stride, stride)[:, None]
+    def __init__(self, net: IsingNetwork, dynamics: str, scan: str) -> None:
+        n = self.n = net.n_nodes
+        self.fields, self.scan = net.fields, scan
+        self.glauber = dynamics == "glauber"
+        # Up to 12 nodes each step gathers its thresholds from the 2^n
+        # table; beyond, it sums each lane's field as _LookupRow does.
+        self.thresholds = _thresholds(net, dynamics)
+        self.table = self.thresholds if isinstance(self.thresholds, np.ndarray) else None
+        # Row k holds coupling (j, k) at column j: the k-th addend of node
+        # j's field.
+        self.columns = np.ascontiguousarray(net.couplings.T)
+        self.masks = 1 << np.arange(n)[:, None]
+        self.rerun = self.serial = 0
 
-    def sweep(self, draws: np.ndarray, idx: int) -> list[int]:
-        """The state after each sweep in a chunk of draws, from state idx."""
-        n, chunk = self.starts.shape[0], draws.shape[0]
-        stride = _BUCKETS + 1
+    @cached_property
+    def rows(self) -> list:
+        """The thresholds as _sweep_sites reads them, built on first use."""
+        return self.thresholds if self.table is None else self.table.tolist()
+
+    def chunk(self, draws: np.ndarray, idx: int) -> np.ndarray:
+        """The state index after each sweep in a chunk of draws, from state
+        idx."""
+        n, chunk = self.n, draws.shape[0]
+        size = min(_BLOCK, chunk)
+        blocks = -(-chunk // size)
         picks = draws[:, :n] if self.scan == "fixed" else draws[:, n : 2 * n]
-        # One row per position, so each step below runs over contiguous
-        # rows. Casting u * M to an integer truncates it, which for u >= 0
-        # is the floor.
-        cells = np.empty((n, chunk), dtype=np.int64)
-        np.multiply(picks.T, _BUCKETS, out=cells, casting="unsafe")
-        if self.scan == "fixed":
-            cells += self.starts
-        else:
-            order = np.argsort(draws[:, :n], axis=1, kind="stable")
-            order *= stride
-            cells += order.T
-        values = self.buckets[cells]
-        flagged = np.flatnonzero(values < 0)
-        if flagged.size:
-            query = cells.ravel()[flagged] + 1j * picks[flagged % chunk, flagged // chunk]
-            values.ravel()[flagged] = self.codes[np.searchsorted(self.keys, query, "right")]
-        if self.weights is not None:
-            values *= self.weights
-        codes = np.empty((chunk, self.groups), dtype=np.int64)
-        for g, span in enumerate(self.spans):
-            np.sum(values[span], axis=0, out=codes[:, g])
-        codes += self.offsets
-        path = _walk(self.rows, codes.ravel().tolist(), idx)
-        return path if self.groups == 1 else path[self.groups - 1 :: self.groups]
+        updates = _by_sweep(picks, size, blocks)
+        nodes = None
+        if self.scan == "random":
+            nodes = _by_sweep(np.argsort(draws[:, :n], axis=1, kind="stable"), size, blocks)
+        # paths[b, t] is block b's state after its sweep t.
+        paths = np.empty((blocks, size), dtype=np.int64)
+        starts = np.full(blocks, idx, dtype=np.int64)
+        # Block b > 0 guesses its start: one sweep from idx on the last
+        # draws of block b - 1, its true end wherever chains meet that soon.
+        guess = starts[1:]
+        self._sweep(guess, updates[-1][:, :-1], None if nodes is None else nodes[-1][:, :-1])
+        states = starts.copy()
+        for t in range(size):
+            self._sweep(states, updates[t], None if nodes is None else nodes[t])
+            paths[:, t] = states
+        rounds = 0
+        while (doubt := np.flatnonzero(starts[1:] != paths[:-1, -1]) + 1).size:
+            if rounds < _ROUNDS:
+                rounds += 1
+                starts[doubt] = paths[doubt - 1, -1]
+                self._repair(paths, starts, doubt, updates, nodes)
+            else:
+                self._finish(paths, starts, int(doubt[0]), draws)
+        return paths.ravel()[:chunk]
+
+    def _repair(self, paths, starts, lanes, updates, nodes) -> None:
+        """Run the blocks in lanes again from their starts, each until its
+        new state meets its old one."""
+        states = starts[lanes]
+        for t in range(paths.shape[1]):
+            picks = None if nodes is None else nodes[t][:, lanes]
+            self._sweep(states, updates[t][:, lanes], picks)
+            self.rerun += lanes.size
+            met = paths[lanes, t] == states
+            paths[lanes, t] = states
+            if met.any():
+                lanes, states = lanes[~met], states[~met]
+                if not lanes.size:
+                    return
+
+    def _finish(self, paths, starts, block: int, draws: np.ndarray) -> None:
+        """Run the chunk on with _sweep_sites from the exact end before
+        block, in pieces of one block, then two, four and so on, until its
+        path meets the old one or the chunk ends."""
+        size, chunk = paths.shape[1], draws.shape[0]
+        path = paths.ravel()
+        lo, length = block * size, size
+        while lo < chunk:
+            hi = min(lo + length, chunk)
+            start = int(path[lo - 1])
+            new = _sweep_sites(self.rows, draws[lo:hi], self.scan, not self.glauber, start)
+            new = np.fromiter(new, np.int64, count=hi - lo)
+            met = (path[lo:hi] == new).any()
+            path[lo:hi] = new
+            self.serial += hi - lo
+            if met:
+                break
+            lo, length = hi, 2 * length
+        # The blocks up to the last sweep run are exact now.
+        last = (hi - 1) // size
+        starts[block : last + 1] = paths[block - 1 : last, -1]
+
+    def _sweep(self, states: np.ndarray, draws: np.ndarray, nodes: np.ndarray | None) -> None:
+        """One sweep of every lane, in place: states holds each lane's
+        state index, draws[p] each lane's update draw at position p, and
+        under random scan nodes[p] the node it visits."""
+        n, table = self.n, self.table
+        if nodes is not None:
+            bits = 1 << nodes
+            clears = ~bits
+            if table is not None:
+                offsets = nodes << n
+        for p in range(n):
+            if nodes is None:
+                node, bit, clear = p, 1 << p, ~(1 << p)
+            else:
+                node, bit, clear = nodes[p], bits[p], clears[p]
+            if table is None:
+                threshold = self._lookup(states, node)
+            elif nodes is None:
+                threshold = table[p].take(states)
+            else:
+                threshold = table.take(offsets[p] + states)
+            if self.glauber:
+                states &= clear
+                states |= (draws[p] < threshold) * bit
+            else:
+                states ^= (draws[p] < threshold) * bit
+
+    def _lookup(self, states: np.ndarray, node) -> np.ndarray:
+        """Each lane's threshold of node (one int, or one per lane) in its
+        state: the field h plus the couplings of the state's set bits,
+        added in ascending bit order as in _LookupRow.field. A bit that is
+        not set adds its coupling times 0.0, a zero, which leaves the field
+        as it is but for the sign of a zero field, and _threshold is the
+        same at 0.0 and -0.0."""
+        terms = ((states & self.masks) != 0).astype(float)
+        terms *= self.columns[:, node, None] if isinstance(node, int) else self.columns[:, node]
+        local = self.fields[node] + terms[0]
+        for term in terms[1:]:
+            local += term
+        return _threshold(local, states >> node & 1, self.glauber)
 
 
-def _walk(rows: list, codes: list, idx: int) -> list[int]:
-    # Its own function: the comprehension shares idx with its scope, which
-    # would slow every other use of idx there.
-    return [idx := rows[code][idx] for code in codes]
+def _by_sweep(block: np.ndarray, size: int, blocks: int) -> np.ndarray:
+    """A (sweeps, n) block of a chunk as (size, n, blocks): [t][p] holds
+    every block's column p at its sweep t, zero-padded past the chunk's
+    last sweep."""
+    short = size * blocks - block.shape[0]
+    if short:
+        block = np.concatenate([block, np.zeros((short, block.shape[1]), dtype=block.dtype)])
+    return block.reshape(blocks, size, -1).transpose(1, 2, 0).copy()
 
 
 def _sweep_sites(tables: list, draws: np.ndarray, scan: str, flip: bool, idx: int) -> list[int]:
@@ -559,23 +521,24 @@ def simulate_field(
     update draws taken in that order, then n emission draws. The state is
     packed into one int64 index, so networks beyond 63 nodes raise TooLarge.
 
-    Networks of at most 12 nodes get each node's update thresholds as a 2^n
-    table. Where it pays (see _plan), a draw is then reduced to its rank
-    among its node's distinct thresholds, and consecutive site updates are
-    tabulated as groups (see _Walk), so a sweep costs one list lookup per
-    group. Otherwise a per-site loop makes one threshold lookup and compare
-    per site update; beyond 12 nodes each lookup computes its threshold.
-    Tables, lookups and step functions take _threshold of the same float
-    additions (see _thresholds), and the walk's ranks are exact, so every
-    path and the step functions agree by construction on the same stream.
+    Sweeps run in chunks of _CHUNK, each cut into blocks of _BLOCK sweeps
+    that advance side by side with one numpy step per site update, block 0
+    from the true state and the others from guesses, and then are repaired
+    exactly (see _Blocks). A step gathers its thresholds from the 2^n table
+    up to 12 nodes and sums each lane's field beyond; a chunk whose blocks
+    still disagree after _ROUNDS repair rounds is finished by the per-site
+    loop, _sweep_sites. Tables, lookups and step functions take _threshold
+    of the same float additions (see _thresholds), so every path and the
+    step functions agree by construction on the same stream.
 
     Each chunk's latent bits and emissions are written one byte of the state
     index at a time (see _byte_tables): one np.take of the byte's node bits
     into latent, and one of its emission thresholds, which the emission
     draws are compared with straight into emitted. The indices are kept as
     the trajectory's states, in the narrowest type for 2^n (_index_dtype).
-    Its work counts the uniforms drawn and the lookups per sweep of the path
-    taken: the walk's groups, or n on the per-site loop.
+    Its work counts the uniforms drawn, the sweeps the repair rounds ran
+    again (rerun_sweeps) and the sweeps the per-site loop ran after the
+    round cap (serial_sweeps).
     """
     if sweeps < 1:
         raise OutOfRange(f"sweeps must be >= 1, got {sweeps}")
@@ -591,18 +554,14 @@ def simulate_field(
     latent = np.empty((sweeps, n), dtype=np.uint8)
     emitted = np.empty((sweeps, n), dtype=np.uint8)
     states = np.empty(sweeps, dtype=_index_dtype(n))
-    tables = _thresholds(net, dynamics)
-    flip = dynamics == "metropolis"
-    levels, groups = _route(tables, sweeps, scan)
-    walk = None if groups is None else _Walk(levels, groups, scan, flip)
+    sampler = _Blocks(net, dynamics, scan)
     byte_tables = _byte_tables(net)
     idx = done = 0
     while done < sweeps:
         chunk = min(sweeps - done, _CHUNK)
         draws = gen.random((chunk, width))
-        path = walk.sweep(draws, idx) if walk else _sweep_sites(tables, draws, scan, flip, idx)
-        idx = path[-1]
-        indices = np.fromiter(path, np.int64, count=chunk)
+        indices = sampler.chunk(draws, idx)
+        idx = int(indices[-1])
         rows = slice(done, done + chunk)
         states[rows] = indices
         for cols, bits, thresholds in byte_tables:
@@ -621,7 +580,8 @@ def simulate_field(
         done += chunk
     work = {
         "uniforms_drawn": sweeps * width,
-        "lookups_per_sweep": n if groups is None else len(groups),
+        "rerun_sweeps": sampler.rerun,
+        "serial_sweeps": sampler.serial,
     }
     return Trajectory(latent=latent, emitted=emitted, key=key, states=states, work=work)
 

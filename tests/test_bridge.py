@@ -74,6 +74,16 @@ class TestBktToIrt:
         with pytest.raises(NonErgodic):
             bkt_to_irt(BktParams(0.5, 0.3, 0.0, 0.1, 0.1))
 
+    def test_period_two_chain_rejected_and_decreasing_curve_mapped(self):
+        # equilibrium_gap refuses the period-2 chain, and so does the map.
+        with pytest.raises(NonErgodic, match="period-2"):
+            bkt_to_irt(BktParams(0.5, 1.0, 1.0, 0.0, 1.0))
+        # A guess above 1 - slip gives a decreasing curve, which criterion 1
+        # draws and the map keeps.
+        eq = bkt_to_irt(BktParams(0.5, 0.3, 0.1, 0.5, 0.7))
+        assert eq.c == 0.7 and eq.d == 0.5
+        assert eq.p_correct == pytest.approx(0.7 - 0.2 * 0.75, abs=1e-12)
+
     def test_correct_probability_monotone_in_rates(self):
         # Learning helps, forgetting hurts, whenever 1 - p_slip > p_guess.
         rng = np.random.default_rng(45)

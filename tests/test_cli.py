@@ -18,7 +18,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from bktirt import BktParams, RngKey, bkt_to_irt, forward_filter
+from bktirt import BktParams, IsingNetwork, RngKey, bkt_to_irt, forward_filter, simulate_field
 from bktirt.cli import build_parser, dispatch
 
 
@@ -73,6 +73,22 @@ class TestArgumentErrors:
 
     def test_unknown_command_exits_two(self, capsys):
         assert dispatch(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [(["--nope"], "unrecognized arguments: --nope"),
+         (["--nope=3", "-x"], "unrecognized arguments: --nope=3 -x"),
+         ([], "the following arguments are required: command"),
+         (["--"], "the following arguments are required: command"),
+         (["--nope", "stationary", "--p-learn", "0.3", "--p-forget", "0.1"],
+          "unrecognized arguments: --nope")],
+        ids=["option", "two-options", "bare", "separator", "option-then-command"],
+    )
+    def test_an_unknown_option_without_a_command_is_named(self, capsys, argv, err):
+        # Without a command, an unknown option used to be reported as the
+        # missing command; a bare call still is.
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err == f"bktirt: error: {err}\n"
 
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code = dispatch(
@@ -586,6 +602,16 @@ class TestBridgeCommand:
         assert dispatch(["bridge", "--params", str(path)]) == 1
         assert capsys.readouterr().err.startswith("NonErgodic:")
 
+    def test_period_two_chain_exits_one_with_one_line(self, capsys, tmp_path):
+        path = tmp_path / "periodic.json"
+        path.write_text('{"p_init": 0.5, "p_learn": 1, "p_forget": 1, "p_slip": 0, '
+                        '"p_guess": 1}')
+        out = tmp_path / "eq.json"
+        assert dispatch(["bridge", "--params", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("NonErgodic: p_learn = p_forget = 1") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestExperimentCommand:
     def test_writes_curves_summary_manifest_reproducibly(self, tmp_path):
@@ -867,29 +893,38 @@ class TestIsingCommand:
         manifest = json.loads((tmp_path / "freq.manifest.json").read_text())
         assert manifest["work"] == {
             "sweeps": 300, "site_updates": 600, "uniforms_drawn": sum(drawn),
-            "lookups_per_sweep": 2,
+            "rerun_sweeps": manifest["work"]["rerun_sweeps"], "serial_sweeps": 0,
         }
+        assert 0 <= manifest["work"]["rerun_sweeps"] < 300
         assert set(manifest["phases"]) == {
             "load_s", "simulate_s", "frequencies_s", "exact_s", "write_s",
         }
         assert all(value >= 0.0 for value in manifest["phases"].values())
         assert 0.0 < manifest["diagnostics"]["flip_rate"] < 1.0
 
-    @pytest.mark.parametrize("sweeps, lookups", [(50, 2), (5000, 1)])
-    def test_manifest_names_the_sweep_path(self, tmp_path, sweeps, lookups):
-        # A short run keeps the per-site loop (one lookup per node); a long
-        # one merges both nodes' updates into one sweep-table lookup.
+    @pytest.mark.parametrize("scan", ["fixed", "random"])
+    @pytest.mark.parametrize("raw", [{"n": 2, "couplings": [[0, 1, 0.5]]}, {"n": 4}],
+                             ids=["meets", "never-meets"])
+    def test_manifest_counts_the_repair_and_the_per_site_loop(self, tmp_path, raw, scan):
+        # Metropolis flips every node of a network with no field and no
+        # coupling every sweep, so its blocks never meet their guesses and
+        # the per-site loop runs most of the run.
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(raw))
         out = tmp_path / "freq.csv"
-        code = dispatch(["ising", "--net", str(_ising_net(tmp_path)), "--sweeps",
-                         str(sweeps), "--out", str(out)])
-        assert code == 0
-        manifest = json.loads((tmp_path / "freq.manifest.json").read_text())
-        assert manifest["work"]["lookups_per_sweep"] == lookups
+        assert dispatch(["ising", "--net", str(path), "--sweeps", "5000", "--dynamics",
+                         "metropolis", "--scan", scan, "--seed", "4", "--out", str(out)]) == 0
+        work = json.loads((tmp_path / "freq.manifest.json").read_text())["work"]
+        trace = simulate_field(IsingNetwork.from_dict(raw), 5000, RngKey(4),
+                               dynamics="metropolis", scan=scan)
+        assert trace.work["rerun_sweeps"] == work["rerun_sweeps"] > 0
+        assert trace.work["serial_sweeps"] == work["serial_sweeps"]
+        assert (work["serial_sweeps"] > 4000) == (raw == {"n": 4})
 
     @pytest.mark.parametrize("sweeps", [50, 5000])
     def test_thresholds_are_derived_once(self, tmp_path, monkeypatch, sweeps):
-        # The manifest's counters come from the sampler's own route, not
-        # from rebuilding the threshold tables after the run.
+        # The manifest's counters come from the sampler's own run, not from
+        # rebuilding the threshold tables after it.
         import bktirt.ising as ising_mod
 
         calls = []
@@ -1047,7 +1082,8 @@ _MANIFEST_KEYS = ["format_version", "command", "seeds", "version", "duration_s",
         (["irf", "--points", "7"], {"evaluate_s", "write_s"}, {"points": 7}),
         (["ising", "--net", "{net}", "--sweeps", "20"],
          {"load_s", "simulate_s", "frequencies_s", "exact_s", "write_s"},
-         {"sweeps": 20, "site_updates": 40, "uniforms_drawn": 80, "lookups_per_sweep": 2}),
+         {"sweeps": 20, "site_updates": 40, "uniforms_drawn": 80, "rerun_sweeps": 0,
+          "serial_sweeps": 0}),
     ],
     ids=["simulate", "filter", "fit-bkt", "bridge", "experiment", "irf", "ising"],
 )

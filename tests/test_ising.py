@@ -66,13 +66,6 @@ def _per_site_reference(net, sweeps, key, dynamics, scan):
     return np.array(latent), np.array(emitted, dtype=np.uint8)
 
 
-def _force_walk(monkeypatch):
-    """Send every tabulated network to the sweep-table walk."""
-    monkeypatch.setattr(
-        ising_mod, "_plan", lambda counts, n_states, sweeps: ising_mod._groups(counts, n_states)
-    )
-
-
 class TestNetworkValidation:
     def test_asymmetric_couplings_rejected(self):
         with pytest.raises(OutOfRange):
@@ -302,110 +295,24 @@ class TestSimulateField:
     @pytest.mark.parametrize("dynamics", ["glauber", "metropolis"])
     @pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 9, 13, 17])
     def test_stream_layout_matches_per_site_reference(self, monkeypatch, n, dynamics, scan):
-        # At 150 sweeps the plan keeps n <= 12 on the per-site loop over the
-        # 2^n tables; forcing it puts them on the sweep-table walk. n = 13
-        # and 17 compute thresholds on lookup. Every path must consume the
-        # stream exactly as one scalar draw per update. Latent bits and
-        # emissions are written one byte of the state index at a time:
-        # n = 8 fills one byte, 9 starts a second and 17 a third.
+        # Every path must consume the stream exactly as one scalar draw per
+        # update: the block sampler over the 2^n tables (n <= 12) or its
+        # per-lane field sums (n = 13 and 17), and with no repair round the
+        # per-site loop that finishes a chunk. Latent bits and emissions are
+        # written one byte of the state index at a time: n = 8 fills one
+        # byte, 9 starts a second and 17 a third.
         net = _random_net(n, seed=23 + n, low=-0.6, high=0.6, guess=0.2, slip=0.1)
         key = RngKey(23, (n,))
         latent, emitted = _per_site_reference(net, 150, key, dynamics, scan)
         traces = [simulate_field(net, 150, key, dynamics=dynamics, scan=scan)]
-        assert traces[0].work["lookups_per_sweep"] == n
-        if n <= ising_mod._TABLE_MAX_NODES:
-            _force_walk(monkeypatch)
-            traces.append(simulate_field(net, 150, key, dynamics=dynamics, scan=scan))
-            groups = traces[-1].work["lookups_per_sweep"]
-            # From n = 8 no two positions' tables fit one group table.
-            assert groups < n if 1 < n < 8 else groups == n
-            if n == 5:
-                assert groups > 1
+        assert traces[0].work["serial_sweeps"] == 0
+        monkeypatch.setattr(ising_mod, "_ROUNDS", 0)
+        traces.append(simulate_field(net, 150, key, dynamics=dynamics, scan=scan))
+        assert traces[-1].work["rerun_sweeps"] == 0
         for trace in traces:
             np.testing.assert_array_equal(trace.latent, latent)
             np.testing.assert_array_equal(trace.emitted, emitted)
             assert 0.0 < trace.flip_rate() < 1.0
-
-    def test_plan_sends_long_runs_on_small_networks_to_the_walk(self):
-        # The shapes of the benchmark's two ising jobs, and a short run.
-        small = _random_net(4, seed=30, low=-1.0, high=1.0, field_span=1.0)
-        tables = ising_mod._thresholds(small, "metropolis")
-        assert ising_mod._route(tables, 10**6, "fixed")[1] == [4]
-        large = _random_net(8, seed=31, low=-0.5, high=0.5, field_span=1.0)
-        tables = ising_mod._thresholds(large, "glauber")
-        assert ising_mod._route(tables, 20000, "random")[1] is None
-        short = _random_net(3, seed=32)
-        for dynamics in ("glauber", "metropolis"):
-            for scan in ("fixed", "random"):
-                trace = simulate_field(short, 150, RngKey(32), dynamics=dynamics, scan=scan)
-                assert trace.work["lookups_per_sweep"] == 3
-        # The rule itself: four positions of ten codes over 16 states merge
-        # into one table, worth building only for a long enough run.
-        assert ising_mod._plan([10] * 4, 16, 10**6) == [4]
-        assert ising_mod._plan([10] * 4, 16, 150) is None
-        # Positions that cannot merge keep the per-site loop at any length.
-        assert ising_mod._plan([145] * 8, 256, 10**9) is None
-        assert ising_mod._groups([10] * 5, 32) == [3, 2]
-
-    def test_plan_sends_a_few_hundred_sweeps_on_two_nodes_to_the_walk(self, monkeypatch):
-        # On two nodes the walk saves about 270-680 ns a sweep and pays
-        # back its set-up within about 330 sweeps.
-        net = _random_net(2, seed=36)
-        walk = simulate_field(net, 400, RngKey(36))
-        assert walk.work["lookups_per_sweep"] < 2
-        monkeypatch.setattr(ising_mod, "_plan", lambda counts, n_states, sweeps: None)
-        loop = simulate_field(net, 400, RngKey(36))
-        np.testing.assert_array_equal(walk.latent, loop.latent)
-        np.testing.assert_array_equal(walk.emitted, loop.emitted)
-
-    @pytest.mark.parametrize("scan", ["fixed", "random"])
-    @pytest.mark.parametrize("dynamics", ["glauber", "metropolis"])
-    def test_plan_keeps_runs_shorter_than_the_break_even_on_the_loop(self, dynamics, scan):
-        # Whole runs on all-pairs networks broke even, walk against loop, at
-        # 170 sweeps at the earliest on two nodes and 280 on three (see
-        # _WALK_SETUP_NS). A shorter run must keep the per-site loop; the
-        # predicted saving grows with the run, so the longest one decides.
-        for n, sweeps in ((2, 169), (3, 279)):
-            net = _random_net(n, seed=37 + n, low=-1.0, high=1.0, field_span=1.0)
-            trace = simulate_field(net, sweeps, RngKey(37), dynamics=dynamics, scan=scan)
-            assert trace.work["lookups_per_sweep"] == n
-
-    @pytest.mark.parametrize("scan", ["fixed", "random"])
-    @pytest.mark.parametrize("dynamics", ["glauber", "metropolis"])
-    def test_walk_matches_per_site_loop_on_draws_equal_to_thresholds(self, dynamics, scan):
-        # A uniform equal to a threshold does not update (u < t fails); the
-        # walk's rank must agree exactly there, which random draws never test.
-        n = 4
-        net = _random_net(n, seed=35, low=-1.0, high=1.0, field_span=1.0)
-        tables = ising_mod._thresholds(net, dynamics)
-        levels = [np.unique(table, return_inverse=True) for table in tables]
-        counts = ising_mod._code_counts(levels, scan)
-        flip = dynamics == "metropolis"
-        walk = ising_mod._Walk(levels, ising_mod._groups(counts, 2**n), scan, flip)
-        rng = np.random.default_rng(35)
-        values = np.concatenate([np.unique(table) for table in tables] + [[0.0]])
-        draws = rng.random((4000, ising_mod.uniforms_per_sweep(n, scan)))
-        update = slice(0, n) if scan == "fixed" else slice(n, 2 * n)
-        draws[:, update] = rng.choice(values, size=(4000, n))
-        for start in (0, 5, 15):
-            assert walk.sweep(draws, start) == ising_mod._sweep_sites(
-                tables, draws, scan, flip, start
-            )
-
-    def test_walk_matches_per_site_loop_over_many_chunks(self, monkeypatch):
-        # Long enough for the plan's own choice, and to cross chunk borders.
-        net = _random_net(4, seed=33, low=-1.0, high=1.0, field_span=1.0)
-        for dynamics in ("glauber", "metropolis"):
-            for scan in ("fixed", "random"):
-                key = RngKey(33)
-                walk = simulate_field(net, 70000, key, dynamics=dynamics, scan=scan)
-                assert walk.work["lookups_per_sweep"] < 4
-                monkeypatch.setattr(ising_mod, "_plan", lambda counts, n_states, sweeps: None)
-                loop = simulate_field(net, 70000, key, dynamics=dynamics, scan=scan)
-                monkeypatch.undo()
-                assert loop.work["lookups_per_sweep"] == 4
-                np.testing.assert_array_equal(walk.latent, loop.latent)
-                np.testing.assert_array_equal(walk.emitted, loop.emitted)
 
     @pytest.mark.parametrize(
         "kwargs, match",
@@ -526,7 +433,7 @@ class TestSimulateField:
         sweeps, burn_in, thin = 8000, 100, 3
         which = ("glauber", "metropolis").index(dynamics)
         trace = simulate_field(net, sweeps, RngKey(300, (n, which)), dynamics=dynamics, scan=scan)
-        assert trace.work["lookups_per_sweep"] == n
+        assert trace.work["serial_sweeps"] == 0
         m = len(range(burn_in, sweeps, thin))
         observed = empirical_state_frequencies(trace, burn_in=burn_in, thin=thin) * m
         expected = boltzmann_exact(net) * m
@@ -639,103 +546,6 @@ class TestStateIndex:
         assert peak < 3 * sweeps + 128 * ising_mod._CHUNK
 
 
-def _walk_for(net, dynamics, scan):
-    """The sweep-table walk over every merge the group budget allows, with
-    the threshold tables it was built from."""
-    tables = ising_mod._thresholds(net, dynamics)
-    levels = [np.unique(table, return_inverse=True) for table in tables]
-    groups = ising_mod._groups(ising_mod._code_counts(levels, scan), 2**net.n_nodes)
-    walk = ising_mod._Walk(levels, groups, scan, dynamics == "metropolis")
-    return walk, tables, len(groups)
-
-
-def _assert_walk_exact(net, dynamics, scan, values, rows=3000, seed=0):
-    """Walk and per-site loop agree on update draws picked from values."""
-    n = net.n_nodes
-    walk, tables, _ = _walk_for(net, dynamics, scan)
-    rng = np.random.default_rng(seed)
-    draws = rng.random((rows, ising_mod.uniforms_per_sweep(n, scan)))
-    update = slice(0, n) if scan == "fixed" else slice(n, 2 * n)
-    draws[:, update] = rng.choice(values, size=(rows, n))
-    for start in (0, 2**n - 1):
-        assert walk.sweep(draws, start) == ising_mod._sweep_sites(
-            tables, draws, scan, dynamics == "metropolis", start
-        )
-
-
-def _bucket_edges(tables):
-    """Draws on the start of every bucket holding a threshold and of the
-    next one, one ulp below each, and the thresholds with their two ulp
-    neighbours, all within [0, 1)."""
-    m = ising_mod._BUCKETS
-    levels = np.unique(np.concatenate([np.asarray(table) for table in tables]))
-    starts = np.unique(np.floor(levels * m))
-    starts = np.concatenate([starts, starts + 1]) / m
-    edges = np.concatenate([
-        starts, np.nextafter(starts, 0.0),
-        levels, np.nextafter(levels, 0.0), np.nextafter(levels, 1.0), [0.0],
-    ])
-    return np.unique(edges[(edges >= 0.0) & (edges < 1.0)])
-
-
-class TestBucketRanks:
-    """The walk finds each draw's rank in a bucket table of M buckets per
-    node, with an exact searchsorted for draws in a bucket that holds a
-    threshold. These inputs sit on the edges of that lookup."""
-
-    @pytest.mark.parametrize("scan", ["fixed", "random"])
-    @pytest.mark.parametrize("dynamics", ["glauber", "metropolis"])
-    @pytest.mark.parametrize("n", [4, 5])
-    def test_draws_on_bucket_starts_and_one_ulp_below(self, n, dynamics, scan):
-        net = _random_net(n, seed=40 + n, low=-1.0, high=1.0, field_span=1.0)
-        _, tables, groups = _walk_for(net, dynamics, scan)
-        if n == 5:
-            assert groups > 1
-        _assert_walk_exact(net, dynamics, scan, _bucket_edges(tables), seed=n)
-
-    @pytest.mark.parametrize("scan", ["fixed", "random"])
-    def test_glauber_threshold_of_one_half_on_a_bucket_start(self, scan):
-        # Zero fields: a node whose neighbours are all unmastered has local
-        # field 0, so its threshold is logistic(0) = 0.5 = (M/2)/M exactly.
-        net = _random_net(4, seed=44, low=-1.0, high=1.0, field_span=0.0)
-        tables = ising_mod._thresholds(net, "glauber")
-        assert all(table[0] == 0.5 for table in tables)
-        values = np.array([0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 0.25, 0.75])
-        _assert_walk_exact(net, "glauber", scan, values, seed=44)
-        _assert_walk_exact(net, "glauber", scan, _bucket_edges(tables), seed=45)
-
-    @pytest.mark.parametrize("scan", ["fixed", "random"])
-    @pytest.mark.parametrize("dynamics", ["glauber", "metropolis"])
-    def test_thresholds_of_exactly_zero_and_one(self, dynamics, scan):
-        # Fields of +-1000 put thresholds at exactly 0.0 (exp and logistic
-        # underflow) and 1.0 (downhill moves, logistic overflow).
-        net = _random_net(4, seed=46, low=-1.0, high=1.0)
-        net = _net(net.couplings, [-1000.0, 1000.0, 0.3, -0.2])
-        tables = ising_mod._thresholds(net, dynamics)
-        flat = np.concatenate([np.asarray(table) for table in tables])
-        assert 0.0 in flat and 1.0 in flat
-        values = np.concatenate([_bucket_edges(tables), [0.0, 5e-324, 1.0 - 2**-53]])
-        _assert_walk_exact(net, dynamics, scan, values, seed=46)
-
-    @pytest.mark.parametrize("scan", ["fixed", "random"])
-    @pytest.mark.parametrize("dynamics", ["glauber", "metropolis"])
-    def test_every_chunk_through_the_fix_up(self, monkeypatch, dynamics, scan):
-        # One bucket per node holds every threshold below 1, so every draw
-        # of every chunk takes the exact searchsorted.
-        net = _random_net(4, seed=47, low=-1.0, high=1.0, field_span=1.0)
-        key = RngKey(47)
-        monkeypatch.setattr(ising_mod, "_plan", lambda counts, n_states, sweeps: None)
-        loop = simulate_field(net, 70000, key, dynamics=dynamics, scan=scan)
-        monkeypatch.setattr(ising_mod, "_BUCKETS", 1)
-        walk, _, _ = _walk_for(net, dynamics, scan)
-        assert np.all(walk.buckets.reshape(4, 2)[:, 0] == -1)
-        _force_walk(monkeypatch)
-        trace = simulate_field(net, 70000, key, dynamics=dynamics, scan=scan)
-        assert trace.work["lookups_per_sweep"] < 4
-        np.testing.assert_array_equal(trace.latent, loop.latent)
-        np.testing.assert_array_equal(trace.emitted, loop.emitted)
-
-
 class _Replay:
     """Stands in for an RngKey and for its generator: serves the uniforms
     of draws in order, row after row."""
@@ -804,7 +614,7 @@ class TestOneThreshold:
     @pytest.mark.parametrize("n", [5, 8, 12])
     def test_every_table_entry_equals_its_single_state_threshold(self, n, dynamics):
         net = _random_net(n, seed=60 + n, low=-0.6, high=0.6, field_span=1.0)
-        tables = ising_mod._thresholds(net, dynamics)
+        tables = ising_mod._thresholds(net, dynamics).tolist()
         for j, table in enumerate(tables):
             row = ising_mod._LookupRow(net, j, dynamics == "glauber")
             assert table == [row[idx] for idx in range(2**n)]
@@ -819,22 +629,127 @@ class TestOneThreshold:
     @pytest.mark.parametrize("scan", ["fixed", "random"])
     @pytest.mark.parametrize("dynamics", ["glauber", "metropolis"])
     @pytest.mark.parametrize("n, sweeps", [(5, 60), (8, 30), (12, 20), (13, 20)])
-    def test_draws_equal_to_step_thresholds(self, n, sweeps, dynamics, scan):
+    def test_draws_equal_to_step_thresholds(self, monkeypatch, n, sweeps, dynamics, scan):
         # The per-site loop over tables (n <= 12) or lookup rows (n = 13),
-        # the walk where its group tables fit, and the per-site reference
-        # through the public step functions must take the same path.
+        # the block sampler in one block and in blocks of 3 sweeps, and the
+        # per-site reference through the public step functions must take
+        # the same path.
         net = _random_net(n, seed=50 + n, low=-0.6, high=0.6, field_span=1.0)
         draws = _draws_on_thresholds(net, sweeps, dynamics, scan, seed=50 + n)
-        latent, _ = _per_site_reference(net, sweeps, _Replay(draws), dynamics, scan)
-        want = (latent.astype(np.int64) << np.arange(n)).sum(axis=1).tolist()
-        tables = ising_mod._thresholds(net, dynamics)
-        flip = dynamics == "metropolis"
-        assert ising_mod._sweep_sites(tables, draws, scan, flip, 0) == want
+        _assert_paths_agree(monkeypatch, net, draws, dynamics, scan)
+
+
+def _assert_paths_agree(monkeypatch, net, draws, dynamics, scan):
+    """The per-site reference, the per-site loop and the block sampler in
+    blocks of _BLOCK and of 3 sweeps take the same path on draws."""
+    n = net.n_nodes
+    latent, _ = _per_site_reference(net, len(draws), _Replay(draws), dynamics, scan)
+    want = (latent.astype(np.int64) << np.arange(n)).sum(axis=1).tolist()
+    assert ising_mod._sweep_sites(_loop_rows(net, dynamics), draws, scan,
+                                  dynamics == "metropolis", 0) == want
+    for block in (ising_mod._BLOCK, 3):
+        monkeypatch.setattr(ising_mod, "_BLOCK", block)
+        assert ising_mod._Blocks(net, dynamics, scan).chunk(draws, 0).tolist() == want
+
+
+def _loop_rows(net, dynamics):
+    """The thresholds as the per-site loop reads them."""
+    tables = ising_mod._thresholds(net, dynamics)
+    return tables.tolist() if isinstance(tables, np.ndarray) else tables
+
+
+def _loop_states(net, sweeps, key, dynamics, scan):
+    """The state index after each sweep of the per-site loop over the
+    run's whole stream at once."""
+    draws = key.generator().random((sweeps, ising_mod.uniforms_per_sweep(net.n_nodes, scan)))
+    return ising_mod._sweep_sites(_loop_rows(net, dynamics), draws, scan,
+                                  dynamics == "metropolis", 0)
+
+
+class TestBlockSampler:
+    """Each chunk runs as blocks of sweeps side by side, all but the first
+    from a guessed start, and is repaired exactly; the per-site loop
+    finishes a chunk whose blocks still disagree after the repair rounds.
+    These inputs reach each of those paths."""
+
+    @pytest.mark.parametrize("scan", ["fixed", "random"])
+    @pytest.mark.parametrize("dynamics", ["glauber", "metropolis"])
+    @pytest.mark.parametrize("n", [4, 13])
+    def test_matches_the_per_site_loop_across_chunks(self, monkeypatch, n, dynamics, scan):
+        # Chunks of 100 sweeps hold three whole blocks and one of 4 sweeps,
+        # padded; the run ends in a chunk of 37.
+        net = _random_net(n, seed=33, low=-1.0, high=1.0, field_span=1.0)
+        monkeypatch.setattr(ising_mod, "_CHUNK", 100)
+        trace = simulate_field(net, 937, RngKey(33), dynamics=dynamics, scan=scan)
+        assert trace.states.tolist() == _loop_states(net, 937, RngKey(33), dynamics, scan)
+        assert trace.work["rerun_sweeps"] > 0
+
+    @pytest.mark.parametrize("sweeps", [1, 2, 31])
+    @pytest.mark.parametrize("n", [3, 13])
+    def test_runs_shorter_than_one_block(self, n, sweeps):
+        net = _random_net(n, seed=34, low=-1.0, high=1.0, field_span=1.0, guess=0.2)
+        for dynamics in ("glauber", "metropolis"):
+            for scan in ("fixed", "random"):
+                key = RngKey(34, (sweeps,))
+                latent, emitted = _per_site_reference(net, sweeps, key, dynamics, scan)
+                trace = simulate_field(net, sweeps, key, dynamics=dynamics, scan=scan)
+                np.testing.assert_array_equal(trace.latent, latent)
+                np.testing.assert_array_equal(trace.emitted, emitted)
+                assert trace.work["rerun_sweeps"] == trace.work["serial_sweeps"] == 0
+
+    @pytest.mark.parametrize("scan", ["fixed", "random"])
+    def test_strongly_coupled_glauber_network(self, scan):
+        # Couplings of 2 and fields of -5 hold a chain near all-unmastered
+        # or all-mastered, equally likely, for hundreds of sweeps, so a
+        # guess from the wrong side meets the chain late: some blocks are
+        # repaired and some chunks finished on the per-site loop.
+        n = 6
+        net = _net(2.0 * (1 - np.eye(n)), [-5.0] * n)
+        trace = simulate_field(net, 5000, RngKey(35), scan=scan)
+        assert trace.states.tolist() == _loop_states(net, 5000, RngKey(35), "glauber", scan)
+        assert trace.work["rerun_sweeps"] > 0 and trace.work["serial_sweeps"] > 0
+
+    @pytest.mark.parametrize("scan", ["fixed", "random"])
+    def test_a_chain_that_never_meets_itself_runs_on_the_loop(self, scan):
+        # Metropolis with no field and no coupling flips every node every
+        # sweep, so chains from two states never meet: after the repair
+        # rounds the per-site loop runs the rest of every chunk.
+        net = IsingNetwork.from_dict({"n": 4})
+        key = RngKey(36)
+        trace = simulate_field(net, 2000, key, dynamics="metropolis", scan=scan)
+        assert trace.work["serial_sweeps"] > 0
+        assert trace.flip_rate() == 1.0
+        latent, emitted = _per_site_reference(net, 2000, key, "metropolis", scan)
+        np.testing.assert_array_equal(trace.latent, latent)
+        np.testing.assert_array_equal(trace.emitted, emitted)
+
+    @pytest.mark.parametrize("scan", ["fixed", "random"])
+    @pytest.mark.parametrize("dynamics", ["glauber", "metropolis"])
+    @pytest.mark.parametrize("n", [4, 13])
+    def test_thresholds_of_exactly_zero_and_one(self, monkeypatch, n, dynamics, scan):
+        # Fields of +-1000 put thresholds at exactly 0.0 (exp and logistic
+        # underflow) and 1.0 (downhill moves, logistic overflow); update
+        # draws are taken from those, the network's other thresholds, and
+        # the least and greatest draws the generator makes.
+        base = _random_net(n, seed=46, low=-1.0, high=1.0)
+        net = _net(base.couplings, [-1000.0, 1000.0] + [0.3, -0.2] * (n // 2 - 1) + [0.1] * (n % 2))
+        values = np.array([0.0, 5e-324, 1.0 - 2**-53])
         if n <= ising_mod._TABLE_MAX_NODES:
-            levels = [np.unique(table, return_inverse=True) for table in tables]
-            groups = ising_mod._groups(ising_mod._code_counts(levels, scan), 2**n)
-            # From n = 8 on random scan one position's table alone is too big.
-            assert (groups is None) == (n == 12 or (n == 8 and scan == "random"))
-            if groups is not None:
-                walk = ising_mod._Walk(levels, groups, scan, flip)
-                assert walk.sweep(draws, 0) == want
+            tables = ising_mod._thresholds(net, dynamics)
+            assert 0.0 in tables and 1.0 in tables
+            values = np.concatenate([values, np.unique(tables)])
+        rng = np.random.default_rng(46)
+        draws = rng.random((200, ising_mod.uniforms_per_sweep(n, scan)))
+        update = slice(0, n) if scan == "fixed" else slice(n, 2 * n)
+        draws[:, update] = rng.choice(values, size=(200, n))
+        _assert_paths_agree(monkeypatch, net, draws, dynamics, scan)
+
+    @pytest.mark.parametrize("dynamics", ["glauber", "metropolis"])
+    def test_zero_fields_of_either_sign_past_12_nodes(self, monkeypatch, dynamics):
+        # A lane adds 0.0 for each bit not set, so a field of -0.0 can come
+        # out as 0.0, whose threshold is the same: 0.5 under Glauber and 1.0
+        # under Metropolis.
+        base = _random_net(13, seed=37, low=-0.6, high=0.6)
+        net = _net(base.couplings, [-0.0, 0.0] * 6 + [-0.0])
+        draws = _draws_on_thresholds(net, 40, dynamics, "fixed", seed=37)
+        _assert_paths_agree(monkeypatch, net, draws, dynamics, "fixed")
