@@ -16,12 +16,10 @@ _EXPORTS = {
     "BktParams": "params",
     "DEFAULT_SEED": "rng",
     "DomainError": "errors",
-    "DynamicIrtConfig": "params",
     "FilterResult": "tracing",
     "FitReport": "tracing",
     "Irf4pl": "params",
     "IsingNetwork": "ising",
-    "MirtIrf": "params",
     "Population": "experiment",
     "ResponsePanel": "params",
     "RngKey": "rng",
@@ -38,17 +36,14 @@ _EXPORTS = {
     "draw_population": "experiment",
     "empirical_state_frequencies": "ising",
     "energy": "ising",
-    "equilibrium_gap": "bridge",
     "fit_baum_welch": "tracing",
     "fit_irf_cd": "irt",
     "flip_energy_delta": "ising",
     "forward_filter": "tracing",
     "glauber_step": "ising",
     "irf_4pl": "irt",
-    "irf_mirt": "irt",
     "irf_slope_max": "irt",
     "irt_to_bkt": "bridge",
-    "learner_item_equilibrium": "bridge",
     "logistic": "irt",
     "marginal_at": "chain",
     "mastered_after": "chain",
@@ -56,7 +51,6 @@ _EXPORTS = {
     "run_equilibrium_experiment": "experiment",
     "sample_trajectory": "chain",
     "sequence_loglik": "tracing",
-    "simulate_dynamic_irt": "irt",
     "simulate_field": "ising",
     "stationary_closed_form": "chain",
     "stationary_power_iteration": "chain",

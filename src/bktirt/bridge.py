@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chain import marginal_at, stationary_closed_form
+from .chain import stationary_closed_form
 from .errors import ForgettingNonzero, NonErgodic, OutOfDomain, Reducible
 from .params import BktParams
 
@@ -35,21 +35,6 @@ class SkillEquilibrium:
     p_correct: float
 
 
-def _require_ergodic(p_learn: float, p_forget: float) -> None:
-    """NonErgodic unless the chain is irreducible and aperiodic: both rates
-    above 0, and not both 1."""
-    if p_learn <= 0.0 or p_forget <= 0.0:
-        raise NonErgodic(
-            "equilibrium map needs p_learn > 0 and p_forget > 0 "
-            f"(got p_learn={p_learn}, p_forget={p_forget}); with p_forget = 0 "
-            "use classic_limit instead"
-        )
-    if p_learn + p_forget == 2.0:
-        raise NonErgodic(
-            "p_learn = p_forget = 1 is a period-2 chain; marginals never converge"
-        )
-
-
 def bkt_to_irt(params: BktParams) -> SkillEquilibrium:
     """Equilibrium response law of a skill's mastery chain.
 
@@ -60,7 +45,16 @@ def bkt_to_irt(params: BktParams) -> SkillEquilibrium:
     when p_guess > 1 - p_slip the curve decreases (c > d), as criterion 1
     draws it, and when they are equal it is flat.
     """
-    _require_ergodic(params.p_learn, params.p_forget)
+    if params.p_learn <= 0.0 or params.p_forget <= 0.0:
+        raise NonErgodic(
+            "equilibrium map needs p_learn > 0 and p_forget > 0 "
+            f"(got p_learn={params.p_learn}, p_forget={params.p_forget}); "
+            "with p_forget = 0 use classic_limit instead"
+        )
+    if params.p_learn + params.p_forget == 2.0:
+        raise NonErgodic(
+            "p_learn = p_forget = 1 is a period-2 chain; marginals never converge"
+        )
     lam1 = stationary_closed_form(params).lambda1
     d = 1.0 - params.p_slip
     p_correct = params.p_guess + (d - params.p_guess) * lam1
@@ -70,26 +64,6 @@ def bkt_to_irt(params: BktParams) -> SkillEquilibrium:
         c=params.p_guess,
         d=d,
         p_correct=p_correct,
-    )
-
-
-def learner_item_equilibrium(
-    p_learn_p: float,
-    p_forget_i: float,
-    p_slip_i: float,
-    p_guess_i: float,
-) -> SkillEquilibrium:
-    """Equilibrium law of one learner-item chain (learner-side learning rate,
-    item-side forgetting, guess and slip): theta is the log of the learner's
-    p_learn, b the log of the item's p_forget."""
-    return bkt_to_irt(
-        BktParams(
-            p_init=0.5,
-            p_learn=p_learn_p,
-            p_forget=p_forget_i,
-            p_slip=p_slip_i,
-            p_guess=p_guess_i,
-        )
     )
 
 
@@ -130,16 +104,3 @@ def classic_limit(params: BktParams) -> float:
     if params.p_learn <= 0.0:
         raise Reducible("classic_limit requires p_learn > 0")
     return 1.0 - params.p_slip
-
-
-def equilibrium_gap(params: BktParams, t: int) -> float:
-    """|P(correct at attempt t) - equilibrium correct probability|.
-
-    P(correct at t) mixes the exact t-step mastery marginal through the
-    emissions. Decays geometrically at rate |1 - p_learn - p_forget|.
-    """
-    _require_ergodic(params.p_learn, params.p_forget)
-    spread = (1.0 - params.p_slip) - params.p_guess
-    p_t = params.p_guess + spread * marginal_at(params, t)
-    p_eq = params.p_guess + spread * stationary_closed_form(params).lambda1
-    return abs(p_t - p_eq)

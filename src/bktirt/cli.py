@@ -560,6 +560,10 @@ def build_parser() -> argparse.ArgumentParser:
 # Every other command gets numpy loaded before its handler starts the run's
 # clock, so that the import falls in no phase and no ``duration_s``.
 _CLOSED_FORM = ("stationary", "bridge")
+# Commands that draw random numbers. They also get ``numpy.random`` (which
+# numpy loads only on first use) before the clock starts, where their first
+# ``RngKey.generator()`` would otherwise import it inside a phase.
+_DRAWING = ("simulate", "experiment", "ising")
 
 
 def dispatch(argv: list[str]) -> int:
@@ -575,6 +579,8 @@ def dispatch(argv: list[str]) -> int:
         args._argv = list(argv)
         if args.command not in _CLOSED_FORM:
             import numpy  # noqa: F401
+        if args.command in _DRAWING:
+            import numpy.random  # noqa: F401
         return args.handler(args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2

@@ -52,11 +52,6 @@ class InvalidInit(DomainError):
     """EM starting point violates the requested constraint set."""
 
 
-class DimensionMismatch(DomainError):
-    """Arrays that must line up do not (an ability vector against its
-    loadings)."""
-
-
 class InsufficientData(DomainError):
     """Too few usable observations for the requested fit or statistic."""
 

@@ -1,8 +1,8 @@
-"""Item response functions and the constrained curve fits built on them.
+"""The four-parameter logistic response curve and the fit of its asymptotes.
 
-Covers the 4PL family (with 1PL/2PL/3PL as constrained constructors on
-Irf4pl), the compensatory multidimensional variant, a random-walk dynamic
-ability simulator, and a weighted least-squares fit of the asymptote pair
+Covers the overflow-safe logistic, the 4PL curve (with d = 1 it is the
+3PL, with c = 0 as well the 2PL, and with a = 1 as well the 1PL), its
+maximum slope, and a weighted least-squares fit of the asymptote pair
 (c, d) at fixed discrimination.
 """
 
@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateFit, DimensionMismatch, InsufficientData, OutOfRange
-from .params import DynamicIrtConfig, Irf4pl, MirtIrf
-from .rng import RngKey
+from .errors import DegenerateFit, InsufficientData, OutOfRange
+from .params import Irf4pl
 
 
 def logistic(z):
@@ -44,45 +43,6 @@ def irf_4pl(theta, item: Irf4pl):
 def irf_slope_max(item: Irf4pl) -> float:
     """Maximum slope of the response curve, attained at theta = b: a(d-c)/4."""
     return item.a * (item.d - item.c) / 4.0
-
-
-def irf_mirt(theta, item: MirtIrf) -> float:
-    """Compensatory multidimensional response probability.
-
-    c + (d - c) * logistic(loadings . theta + beta); raising any ability
-    component with a positive loading never lowers the value.
-    """
-    theta = np.asarray(theta, dtype=float)
-    loadings = np.asarray(item.loadings, dtype=float)
-    if theta.shape != loadings.shape:
-        raise DimensionMismatch(
-            f"ability dimension {theta.shape} != loadings dimension {loadings.shape}"
-        )
-    raw = item.c + (item.d - item.c) * logistic(float(loadings @ theta) + item.beta)
-    return float(min(max(raw, item.c), item.d))
-
-
-def simulate_dynamic_irt(
-    config: DynamicIrtConfig, steps: int, key: RngKey
-) -> tuple[np.ndarray, np.ndarray]:
-    """Random-walk ability with per-attempt Bernoulli responses to every item.
-
-    theta_path[0] equals theta0; each later attempt adds one Gaussian drift
-    step, so Var(theta_path[t] - theta0) = t * noise_sd**2. responses[t, i]
-    is Bernoulli(logistic(theta_path[t] - difficulties[i])). Draw layout:
-    steps-1 normal increments, then a (steps, n_items) uniform block.
-    """
-    if steps < 1:
-        raise OutOfRange(f"steps must be >= 1, got {steps}")
-    gen = key.generator()
-    increments = gen.standard_normal(steps - 1) * config.noise_sd
-    theta_path = config.theta0 + np.concatenate([[0.0], np.cumsum(increments)])
-
-    difficulties = np.asarray(config.difficulties, dtype=float)
-    uniforms = gen.random((steps, difficulties.size))
-    probs = logistic(theta_path[:, None] - difficulties[None, :])
-    responses = (uniforms < probs).astype(np.uint8)
-    return theta_path, responses
 
 
 def fit_irf_cd(

@@ -1,10 +1,9 @@
 """Parameter bundles and response data shared by every other module.
 
-Defines the five mastery-chain probabilities, the logistic item-response
-bundles, the random-walk ability configuration, and the longitudinal response
-panel, together with their validity checks and the CSV/JSON formats used at
-the tool boundary. All types are immutable values after construction and safe
-to share across threads.
+Defines the five mastery-chain probabilities, the 4PL item-response bundle,
+and the longitudinal response panel, together with their validity checks and
+the CSV/JSON formats used at the tool boundary. All types are immutable values
+after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -144,57 +143,6 @@ class Irf4pl:
         _check_unit("d", self.d)
         if not self.c < self.d:
             raise OutOfRange(f"asymptotes must satisfy c < d, got c={self.c}, d={self.d}")
-
-    # Constrained subsets of the 4PL family.
-    @classmethod
-    def one_pl(cls, b: float) -> "Irf4pl":
-        return cls(a=1.0, b=b, c=0.0, d=1.0)
-
-    @classmethod
-    def two_pl(cls, a: float, b: float) -> "Irf4pl":
-        return cls(a=a, b=b, c=0.0, d=1.0)
-
-    @classmethod
-    def three_pl(cls, a: float, b: float, c: float) -> "Irf4pl":
-        return cls(a=a, b=b, c=c, d=1.0)
-
-
-@dataclass(frozen=True)
-class MirtIrf:
-    """Compensatory multidimensional 4PL: c + (d-c) * logistic(a.theta + beta)."""
-
-    loadings: tuple[float, ...]
-    beta: float
-    c: float = 0.0
-    d: float = 1.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "loadings", tuple(float(v) for v in self.loadings))
-        _check_unit("c", self.c)
-        _check_unit("d", self.d)
-        if not self.c < self.d:
-            raise OutOfRange(f"asymptotes must satisfy c < d, got c={self.c}, d={self.d}")
-
-
-@dataclass(frozen=True)
-class DynamicIrtConfig:
-    """Random-walk ability over fixed item difficulties.
-
-    Ability drifts between attempts by zero-mean Gaussian steps of standard
-    deviation noise_sd; each item i is answered correctly with probability
-    logistic(theta_t - difficulties[i]).
-    """
-
-    theta0: float
-    noise_sd: float
-    difficulties: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.noise_sd >= 0:
-            raise OutOfRange(f"noise_sd must be >= 0, got {self.noise_sd}")
-        object.__setattr__(
-            self, "difficulties", tuple(float(b) for b in self.difficulties)
-        )
 
 
 PANEL_CSV_HEADER = ["person_id", "item_id", "skill_id", "attempt", "correct"]

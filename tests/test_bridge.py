@@ -1,4 +1,4 @@
-"""Equilibrium maps: exactness, inverses, convergence gap, monotonicity."""
+"""Equilibrium maps: exactness, inverses, the classic limit, monotonicity."""
 
 from __future__ import annotations
 
@@ -13,9 +13,7 @@ from bktirt import (
     bkt_to_irt,
     build_matrices,
     classic_limit,
-    equilibrium_gap,
     irt_to_bkt,
-    learner_item_equilibrium,
     logistic,
     sample_trajectory,
 )
@@ -75,7 +73,8 @@ class TestBktToIrt:
             bkt_to_irt(BktParams(0.5, 0.3, 0.0, 0.1, 0.1))
 
     def test_period_two_chain_rejected_and_decreasing_curve_mapped(self):
-        # equilibrium_gap refuses the period-2 chain, and so does the map.
+        # The period-2 chain's marginals never settle, so it has no
+        # equilibrium curve.
         with pytest.raises(NonErgodic, match="period-2"):
             bkt_to_irt(BktParams(0.5, 1.0, 1.0, 0.0, 1.0))
         # A guess above 1 - slip gives a decreasing curve, which criterion 1
@@ -100,24 +99,6 @@ class TestBktToIrt:
             )
             assert more_learn.p_correct > base.p_correct
             assert more_forget.p_correct < base.p_correct
-
-
-class TestLearnerItem:
-    def test_matched_rates_give_half(self):
-        eq = learner_item_equilibrium(0.3, 0.3, 0.1, 0.1)
-        assert eq.p_correct == pytest.approx(0.5, abs=1e-12)
-
-    def test_standard_case(self):
-        eq = learner_item_equilibrium(0.3, 0.1, 0.1, 0.1)
-        assert eq.p_correct == pytest.approx(0.7, abs=1e-12)
-
-    def test_noiseless_reduces_to_stationary_mass(self):
-        eq = learner_item_equilibrium(0.3, 0.1, 0.0, 0.0)
-        assert eq.p_correct == pytest.approx(0.75, abs=1e-12)
-
-    def test_nonergodic_rejected(self):
-        with pytest.raises(NonErgodic):
-            learner_item_equilibrium(0.0, 0.1, 0.1, 0.1)
 
 
 class TestIrtToBkt:
@@ -168,49 +149,3 @@ class TestClassicLimit:
             classic_limit(BktParams(0.1, 0.3, 0.2, 0.1, 0.2))
         with pytest.raises(ValueError):
             classic_limit(BktParams(0.1, 0.0, 0.0, 0.1, 0.2))
-
-
-class TestEquilibriumGap:
-    def test_started_at_equilibrium_gap_zero(self):
-        params = BktParams(0.75, 0.3, 0.1, 0.1, 0.1)
-        assert equilibrium_gap(params, 0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_one_step_mixing_zero_for_all_t(self):
-        params = BktParams(0.1, 0.6, 0.4, 0.1, 0.1)
-        for t in range(1, 8):
-            assert equilibrium_gap(params, t) == pytest.approx(0.0, abs=1e-12)
-
-    def test_closed_form_value(self):
-        params = BktParams(0.0, 0.3, 0.1, 0.1, 0.1)
-        assert equilibrium_gap(params, 5) == pytest.approx(
-            0.8 * 0.6**5 * 0.75, abs=1e-12
-        )
-
-    def test_matches_closed_form_fuzzed(self):
-        rng = np.random.default_rng(47)
-        for _ in range(500):
-            p_learn, p_forget = rng.uniform(0.02, 0.98, size=2)
-            p_init = rng.random()
-            p_guess = rng.uniform(0, 0.5)
-            p_slip = rng.uniform(0, 0.5)
-            params = BktParams(p_init, p_learn, p_forget, p_slip, p_guess)
-            lam1 = p_learn / (p_learn + p_forget)
-            rate = abs(1.0 - p_learn - p_forget)
-            for t in (0, 1, 3, 10, 50):
-                want = abs(1.0 - p_slip - p_guess) * rate**t * abs(p_init - lam1)
-                assert abs(equilibrium_gap(params, t) - want) < 1e-12
-
-    def test_gap_ratio_equals_inverse_rate(self):
-        params = BktParams(0.0, 0.3, 0.2, 0.05, 0.1)
-        rate = abs(1.0 - 0.3 - 0.2)
-        for t in range(6):
-            ratio = equilibrium_gap(params, t) / equilibrium_gap(params, t + 1)
-            assert ratio == pytest.approx(1.0 / rate, rel=1e-9)
-
-    def test_nonergodic_rejected(self):
-        with pytest.raises(NonErgodic):
-            equilibrium_gap(BktParams(0.0, 0.0, 0.0, 0.1, 0.1), 3)
-        with pytest.raises(NonErgodic):
-            equilibrium_gap(BktParams(0.0, 1.0, 1.0, 0.1, 0.1), 3)
-        with pytest.raises(NonErgodic):
-            equilibrium_gap(BktParams(0.0, 0.3, 0.0, 0.1, 0.1), 3)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from json_strategies import bkt_objects, json_values, near_objects, networks
 
 from bktirt import BktParams, IsingNetwork, RngKey, bkt_to_irt, forward_filter, simulate_field
 from bktirt.cli import build_parser, dispatch
@@ -553,6 +554,45 @@ class TestMalformedPanelFiles:
             assert stderr.startswith(f"InvalidPanel: line {bad}:")
         else:
             assert not stderr.startswith("InvalidPanel: line")
+
+
+def _run_on_json(argv: list[str], raw) -> tuple[int, str, list[str]]:
+    """Dispatch ``argv`` with ``raw`` written as its JSON input file and an
+    --out file beside it, in process; the exit code, stderr and the files
+    the run leaves besides the input."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(raw, handle)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = dispatch([*argv, path, "--out", os.path.join(tmp, "out")])
+        return code, err.getvalue(), sorted(set(os.listdir(tmp)) - {"in.json"})
+
+
+class TestJsonFilesFuzzed:
+    """The commands that read a JSON file end cleanly, whatever it holds:
+    exit 0, or exit 1 or 2 with one stderr line and no file written. A fault
+    would end in an exception out of dispatch."""
+
+    @staticmethod
+    def _check(code: int, stderr: str, written: list[str]) -> None:
+        assert code in (0, 1, 2)
+        event(f"exit {code}")
+        assert len(stderr.splitlines()) == (1 if code else 0), stderr
+        assert "Traceback" not in stderr
+        if code:
+            assert written == []
+
+    @settings(max_examples=75, deadline=None, derandomize=True)
+    @given(json_values | networks())
+    def test_ising_net(self, raw):
+        self._check(*_run_on_json(["ising", "--sweeps", "10", "--exact", "--net"], raw))
+
+    @settings(max_examples=75, deadline=None, derandomize=True)
+    @given(json_values | near_objects(bkt_objects))
+    def test_bridge_params(self, raw):
+        self._check(*_run_on_json(["bridge", "--params"], raw))
 
 
 class TestBridgeCommand:

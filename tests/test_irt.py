@@ -7,19 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from bktirt import (
-    DynamicIrtConfig,
-    Irf4pl,
-    MirtIrf,
-    RngKey,
-    fit_irf_cd,
-    irf_4pl,
-    irf_mirt,
-    irf_slope_max,
-    logistic,
-    simulate_dynamic_irt,
-)
-from bktirt.errors import DegenerateFit, DimensionMismatch, InsufficientData
+from bktirt import Irf4pl, fit_irf_cd, irf_4pl, irf_slope_max, logistic
+from bktirt.errors import DegenerateFit, InsufficientData
 
 
 def _fuzzed_items(n, seed):
@@ -93,72 +82,6 @@ class TestSlope:
             analytic = item.a * (item.d - item.c) * s * (1 - s)
             numeric = (irf_4pl(theta + h, item) - irf_4pl(theta - h, item)) / (2 * h)
             assert abs(analytic - numeric) < 1e-6
-
-
-class TestMirt:
-    def test_compensation_cancels(self):
-        item = MirtIrf(loadings=(1.0, 1.0), beta=0.0)
-        for x in (-3.0, -0.5, 0.0, 2.0, 7.5):
-            assert irf_mirt((x, -x), item) == pytest.approx(0.5, abs=1e-15)
-
-    def test_one_dimensional_reduction_matches_4pl(self):
-        rng = np.random.default_rng(12)
-        for _ in range(1000):
-            b = rng.uniform(-3, 3)
-            c = rng.uniform(0, 0.4)
-            d = rng.uniform(c + 0.1, 1.0)
-            theta = rng.uniform(-5, 5)
-            flat = irf_mirt((theta,), MirtIrf(loadings=(1.0,), beta=-b, c=c, d=d))
-            assert abs(flat - irf_4pl(theta, Irf4pl(a=1.0, b=b, c=c, d=d))) < 1e-15
-
-    def test_zero_loading_ignores_component(self):
-        item = MirtIrf(loadings=(2.0, 0.0), beta=0.0)
-        assert irf_mirt((math.log(3.0) / 2.0, 7.0), item) == pytest.approx(0.75, abs=1e-12)
-
-    def test_monotone_in_positive_loading_direction(self):
-        rng = np.random.default_rng(13)
-        item = MirtIrf(loadings=(0.8, 1.7), beta=-0.3, c=0.05, d=0.95)
-        for _ in range(100):
-            theta = rng.uniform(-2, 2, size=2)
-            bumped = theta + np.array([0.3, 0.0])
-            assert irf_mirt(bumped, item) >= irf_mirt(theta, item)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            irf_mirt((0.1, 0.2, 0.3), MirtIrf(loadings=(1.0, 1.0), beta=0.0))
-
-
-class TestDynamicAbility:
-    def test_zero_noise_keeps_ability_constant(self):
-        config = DynamicIrtConfig(theta0=0.7, noise_sd=0.0, difficulties=(0.0, 1.0))
-        theta_path, responses = simulate_dynamic_irt(config, 50, RngKey(3))
-        np.testing.assert_allclose(theta_path, 0.7)
-        assert responses.shape == (50, 2)
-
-    def test_zero_noise_at_difficulty_is_coin_flip(self):
-        config = DynamicIrtConfig(theta0=1.2, noise_sd=0.0, difficulties=(1.2,))
-        _, responses = simulate_dynamic_irt(config, 20000, RngKey(4))
-        assert abs(responses.mean() - 0.5) < 3 * 0.5 / math.sqrt(20000)
-
-    def test_random_walk_variance_identity(self):
-        # Var(theta_t - theta_0) = t * noise_sd^2, checked by Monte Carlo.
-        config = DynamicIrtConfig(theta0=0.0, noise_sd=0.5, difficulties=())
-        key = RngKey(99)
-        t_check = 8
-        deltas = np.array(
-            [
-                simulate_dynamic_irt(config, t_check + 1, key.child(r))[0][t_check]
-                for r in range(10**4)
-            ]
-        )
-        assert abs(deltas.var() - t_check * 0.25) / (t_check * 0.25) < 0.05
-
-    def test_deterministic_under_key(self):
-        config = DynamicIrtConfig(theta0=0.0, noise_sd=0.3, difficulties=(0.0, 0.5))
-        a = simulate_dynamic_irt(config, 100, RngKey(5, (1,)))
-        b = simulate_dynamic_irt(config, 100, RngKey(5, (1,)))
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
 
 
 class TestFitAsymptotes:

@@ -17,7 +17,6 @@ import bktirt.cli
 import bktirt.errors
 from bktirt import (
     BktParams,
-    DynamicIrtConfig,
     IsingNetwork,
     ResponsePanel,
     RngKey,
@@ -29,7 +28,6 @@ from bktirt import (
     forward_filter,
     marginal_at,
     sample_trajectory,
-    simulate_dynamic_irt,
     simulate_field,
 )
 from bktirt.errors import ForgettingNonzero, OutOfRange, Reducible
@@ -39,6 +37,23 @@ def test_every_exported_name_resolves_once():
     assert len(bktirt.__all__) == len(set(bktirt.__all__))
     for name in bktirt.__all__:
         assert hasattr(bktirt, name), name
+
+
+def test_readme_lists_every_public_name_under_its_module():
+    # README's "Public API" section says what uses each name, so a name
+    # added to __all__ without a line there (and a user) fails here.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    listed, module = {}, None
+    for line in section.splitlines():
+        if header := re.fullmatch(r"\*\*`bktirt\.(\w+)`\*\*", line):
+            module = header[1]
+        elif line.startswith("- "):
+            for name in re.findall(r"`(\w+)`", line.split(":", 1)[0]):
+                assert name not in listed, name
+                listed[name] = module
+    assert listed == bktirt._EXPORTS
+    assert f"holds the {len(listed)} names" in section
 
 
 def test_version_is_the_same_everywhere(capsys):
@@ -234,14 +249,17 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, command, code, loads
 @pytest.mark.parametrize("command", ["simulate", "filter", "fit-bkt", "experiment", "irf", "ising"])
 def test_numpy_loads_before_a_run_starts_its_clock(tmp_path, command):
     # A run's clock starts when its _Run is made: numpy's import must fall
-    # in no phase of the manifest and not in its duration_s.
+    # in no phase of the manifest and not in its duration_s. So must that of
+    # numpy.random for a command that draws; one that does not never loads it.
     argvs = {argv[0]: argv for argv in _smallest_commands(tmp_path).values()}
     argvs["filter"] = ["filter", "--params", str(tmp_path / "params.json"), "--responses", "1,0"]
-    _fresh_modules(
+    draws = command in ("simulate", "experiment", "ising")
+    loaded = _fresh_modules(
         tmp_path,
         "import bktirt.cli as cli\n"
         "def started(run, *args, _init=cli._Run.__init__):\n"
         "    assert 'numpy' in sys.modules\n"
+        f"    assert ('numpy.random' in sys.modules) is {draws}\n"
         "    _init(run, *args)\n"
         "    started.runs += 1\n"
         "started.runs = 0\n"
@@ -249,6 +267,7 @@ def test_numpy_loads_before_a_run_starts_its_clock(tmp_path, command):
         "assert cli.dispatch(sys.argv[1:]) == 0 and started.runs == 1",
         *argvs[command],
     )
+    assert ("numpy.random" in loaded) is draws
 
 
 def _raised_name(node: ast.expr) -> str:
@@ -308,7 +327,7 @@ def test_the_error_code_is_the_class_name():
         for cls in vars(bktirt.errors).values()
         if isinstance(cls, type) and issubclass(cls, bktirt.errors.DomainError)
     ]
-    assert len(classes) == 15
+    assert len(classes) == 14
     for cls in classes:
         assert "code" not in vars(cls), cls.__name__
         assert cls("bad value").render() == f"{cls.__name__}: bad value"
@@ -330,12 +349,6 @@ _PANEL = ResponsePanel.from_records([(1, 1, 7, 1, 1), (1, 1, 7, 2, 0)])
         (lambda: marginal_at(_PARAMS, -1), OutOfRange),
         (lambda: Trajectory(np.zeros(2), np.zeros(3), RngKey(0)), OutOfRange),
         (lambda: sample_trajectory(_PARAMS, 0, RngKey(0)), OutOfRange),
-        (
-            lambda: simulate_dynamic_irt(
-                DynamicIrtConfig(theta0=0.0, noise_sd=0.0, difficulties=(0.0,)), 0, RngKey(0)
-            ),
-            OutOfRange,
-        ),
         (lambda: fit_irf_cd([(0.0, 0.5, 1.0), (1.0, 0.6, 1.0)], a_fixed=0.0), OutOfRange),
         (lambda: simulate_field(_NET, 0, RngKey(0)), OutOfRange),
         (lambda: simulate_field(_NET, 5, RngKey(0), dynamics="gibbs"), OutOfRange),
