@@ -1,4 +1,5 @@
-"""Equilibrium maps: exactness, inverses, the classic limit, monotonicity."""
+"""Equilibrium maps: exactness, inverses, the classic limit, monotonicity,
+and the geometric approach of the response marginals to the equilibrium."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from bktirt import (
     classic_limit,
     irt_to_bkt,
     logistic,
+    marginal_at,
     sample_trajectory,
 )
 from bktirt.errors import NonErgodic, OutOfDomain
@@ -100,6 +102,46 @@ class TestBktToIrt:
             assert more_learn.p_correct > base.p_correct
             assert more_forget.p_correct < base.p_correct
 
+    def test_p_init_does_not_enter_the_equilibrium(self):
+        base = bkt_to_irt(BktParams(0.0, 0.2, 0.4, 0.15, 0.05))
+        for p_init in (0.25, 0.5, 1.0):
+            assert bkt_to_irt(BktParams(p_init, 0.2, 0.4, 0.15, 0.05)) == base
+
+    def test_matched_rates_give_mean_of_asymptotes(self):
+        # theta = b puts the curve at its midpoint, whatever the emissions.
+        rng = np.random.default_rng(46)
+        for _ in range(500):
+            rate = rng.uniform(1e-6, 0.99)
+            p_slip, p_guess = rng.uniform(0.0, 1.0, size=2)
+            eq = bkt_to_irt(BktParams(0.5, rate, rate, p_slip, p_guess))
+            assert eq.p_correct == pytest.approx((eq.c + eq.d) / 2.0, abs=1e-12)
+
+    def test_noiseless_emissions_give_stationary_mass(self):
+        rng = np.random.default_rng(48)
+        for _ in range(500):
+            p_learn, p_forget = rng.uniform(1e-6, 0.99, size=2)
+            eq = bkt_to_irt(BktParams(0.5, p_learn, p_forget, 0.0, 0.0))
+            assert eq.c == 0.0 and eq.d == 1.0
+            assert eq.p_correct == pytest.approx(p_learn / (p_learn + p_forget), abs=1e-12)
+
+    def test_equal_emissions_give_a_flat_curve(self):
+        # p_guess = 1 - p_slip: both states answer alike, so no rate matters.
+        for p_learn, p_forget in ((0.01, 0.9), (0.5, 0.5), (0.9, 0.01)):
+            eq = bkt_to_irt(BktParams(0.5, p_learn, p_forget, 0.25, 0.75))
+            assert eq.c == eq.d == 0.75
+            assert eq.p_correct == pytest.approx(0.75, abs=1e-15)
+
+    def test_swapped_rates_reflect_the_curve(self):
+        # Swapping p_learn and p_forget negates theta - b, and
+        # logistic(-z) = 1 - logistic(z) reflects p_correct about (c + d) / 2.
+        rng = np.random.default_rng(49)
+        for _ in range(500):
+            p_learn, p_forget = rng.uniform(1e-6, 0.99, size=2)
+            p_slip, p_guess = rng.uniform(0.0, 1.0, size=2)
+            eq = bkt_to_irt(BktParams(0.5, p_learn, p_forget, p_slip, p_guess))
+            swapped = bkt_to_irt(BktParams(0.5, p_forget, p_learn, p_slip, p_guess))
+            assert eq.p_correct + swapped.p_correct == pytest.approx(eq.c + eq.d, abs=1e-12)
+
 
 class TestIrtToBkt:
     def test_exponentials_invert_logs(self):
@@ -149,3 +191,62 @@ class TestClassicLimit:
             classic_limit(BktParams(0.1, 0.3, 0.2, 0.1, 0.2))
         with pytest.raises(ValueError):
             classic_limit(BktParams(0.1, 0.0, 0.0, 0.1, 0.2))
+
+
+def _response_gap(params, t):
+    """|P(correct at attempt t) - equilibrium P(correct)|, from the exact
+    mastered marginal pushed through the emissions."""
+    d = 1.0 - params.p_slip
+    p_t = params.p_guess + (d - params.p_guess) * marginal_at(params, t)
+    return abs(p_t - bkt_to_irt(params).p_correct)
+
+
+class TestApproachToEquilibrium:
+    """The response marginal reaches the equilibrium curve geometrically:
+    gap(t) = |1 - p_slip - p_guess| * |1 - p_learn - p_forget|^t
+    * |p_init - lambda1|."""
+
+    def test_started_at_equilibrium_gap_zero(self):
+        params = BktParams(0.75, 0.3, 0.1, 0.1, 0.1)
+        for t in (0, 1, 5):
+            assert _response_gap(params, t) == pytest.approx(0.0, abs=1e-15)
+
+    def test_one_step_mixing_zero_for_all_t(self):
+        params = BktParams(0.1, 0.6, 0.4, 0.1, 0.1)
+        for t in range(1, 8):
+            assert _response_gap(params, t) == pytest.approx(0.0, abs=1e-12)
+
+    def test_closed_form_value(self):
+        params = BktParams(0.0, 0.3, 0.1, 0.1, 0.1)
+        assert _response_gap(params, 5) == pytest.approx(0.8 * 0.6**5 * 0.75, abs=1e-12)
+
+    def test_matches_closed_form_fuzzed(self):
+        rng = np.random.default_rng(47)
+        for _ in range(500):
+            p_learn, p_forget = rng.uniform(0.02, 0.98, size=2)
+            p_init = rng.random()
+            p_guess = rng.uniform(0, 0.5)
+            p_slip = rng.uniform(0, 0.5)
+            params = BktParams(p_init, p_learn, p_forget, p_slip, p_guess)
+            lam1 = p_learn / (p_learn + p_forget)
+            rate = abs(1.0 - p_learn - p_forget)
+            for t in (0, 1, 3, 10, 50):
+                want = abs(1.0 - p_slip - p_guess) * rate**t * abs(p_init - lam1)
+                assert abs(_response_gap(params, t) - want) < 1e-12
+
+    def test_gap_ratio_equals_inverse_rate(self):
+        params = BktParams(0.0, 0.3, 0.2, 0.05, 0.1)
+        rate = abs(1.0 - 0.3 - 0.2)
+        for t in range(6):
+            ratio = _response_gap(params, t) / _response_gap(params, t + 1)
+            assert ratio == pytest.approx(1.0 / rate, rel=1e-9)
+
+    def test_gap_never_grows(self):
+        rng = np.random.default_rng(50)
+        for _ in range(200):
+            p_learn, p_forget = rng.uniform(1e-3, 1.0, size=2)
+            if p_learn + p_forget == 2.0:
+                continue
+            params = BktParams(rng.random(), p_learn, p_forget, *rng.uniform(0, 1, size=2))
+            gaps = [_response_gap(params, t) for t in range(30)]
+            assert all(later <= earlier + 1e-15 for earlier, later in zip(gaps, gaps[1:]))

@@ -61,6 +61,39 @@ def test_symmetry_about_difficulty():
         assert total == pytest.approx(item.c + item.d, abs=1e-12)
 
 
+def test_logistic_reflects_about_one_half():
+    z = np.linspace(-40.0, 40.0, 161)
+    np.testing.assert_allclose(logistic(-z), 1.0 - logistic(z), rtol=0.0, atol=2e-16)
+
+
+def test_constrained_forms_are_the_defaults():
+    # d = 1 gives the 3PL, c = 0 as well the 2PL, a = 1 as well the 1PL:
+    # the logistic of theta - b.
+    assert Irf4pl(a=2.0, b=-1.0) == Irf4pl(a=2.0, b=-1.0, c=0.0, d=1.0)
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        b, theta = rng.uniform(-3, 3), rng.uniform(-8, 8)
+        assert irf_4pl(theta, Irf4pl(a=1.0, b=b)) == pytest.approx(logistic(theta - b), abs=1e-15)
+
+
+def test_array_input_matches_scalar_calls():
+    theta = np.linspace(-6.0, 6.0, 49)
+    for item in _fuzzed_items(20, seed=9):
+        values = irf_4pl(theta, item)
+        assert values.shape == theta.shape
+        assert values.tolist() == [irf_4pl(float(x), item) for x in theta]
+
+
+def test_overflowing_advantage_gives_the_exact_asymptote(recwarn):
+    # a * (theta - b) past the float range is +-inf: its logistic is the
+    # asymptote itself, with no overflow warning.
+    item = Irf4pl(a=1e300, b=0.0, c=0.1, d=0.9)
+    assert irf_4pl(1e10, item) == 0.9
+    assert irf_4pl(-1e10, item) == 0.1
+    assert irf_4pl(np.array([-1e10, 0.0, 1e10]), item).tolist() == [0.1, 0.5, 0.9]
+    assert len(recwarn) == 0
+
+
 class TestSlope:
     def test_closed_form_values(self):
         assert irf_slope_max(Irf4pl(a=1.0, b=0.0)) == pytest.approx(0.25)

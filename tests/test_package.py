@@ -17,20 +17,31 @@ import bktirt.cli
 import bktirt.errors
 from bktirt import (
     BktParams,
+    Irf4pl,
     IsingNetwork,
     ResponsePanel,
     RngKey,
     Trajectory,
+    bkt_to_irt,
     classic_limit,
     empirical_state_frequencies,
     fit_baum_welch,
     fit_irf_cd,
     forward_filter,
+    irt_to_bkt,
     marginal_at,
     sample_trajectory,
     simulate_field,
+    validate_bkt,
 )
-from bktirt.errors import ForgettingNonzero, OutOfRange, Reducible
+from bktirt.errors import (
+    ForgettingNonzero,
+    NonErgodic,
+    OutOfDomain,
+    OutOfRange,
+    Reducible,
+    Unidentified,
+)
 
 
 def test_every_exported_name_resolves_once():
@@ -346,6 +357,14 @@ _PANEL = ResponsePanel.from_records([(1, 1, 7, 1, 1), (1, 1, 7, 2, 0)])
     [
         (lambda: classic_limit(BktParams(0.0, 0.2, 0.1, 0.1, 0.1)), ForgettingNonzero),
         (lambda: classic_limit(BktParams(0.0, 0.0, 0.0, 0.1, 0.1)), Reducible),
+        (lambda: BktParams(1.5, 0.2, 0.1, 0.1, 0.1), OutOfRange),
+        (lambda: BktParams.from_json("[]"), OutOfRange),
+        (lambda: validate_bkt(BktParams(0.0, 0.2, 0.1, 0.1, 0.1), classic=True), ForgettingNonzero),
+        (lambda: validate_bkt(BktParams(0.0, 0.2, 0.1, 0.1, 0.6), identified=True), Unidentified),
+        (lambda: bkt_to_irt(_PARAMS), NonErgodic),
+        (lambda: irt_to_bkt(0.5, -1.0, 0.1, 0.9), OutOfDomain),
+        (lambda: irt_to_bkt(-1.0, -1.0, 0.9, 0.4), OutOfDomain),
+        (lambda: Irf4pl(a=0.0, b=0.0), OutOfRange),
         (lambda: marginal_at(_PARAMS, -1), OutOfRange),
         (lambda: Trajectory(np.zeros(2), np.zeros(3), RngKey(0)), OutOfRange),
         (lambda: sample_trajectory(_PARAMS, 0, RngKey(0)), OutOfRange),

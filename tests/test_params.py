@@ -104,6 +104,15 @@ class TestIrf4pl:
         with pytest.raises(OutOfRange):
             Irf4pl(a=0.0, b=0.0)
 
+    def test_nan_discrimination_rejected(self):
+        with pytest.raises(OutOfRange, match="a must be > 0"):
+            Irf4pl(a=math.nan, b=0.0)
+
+    def test_asymptotes_must_be_probabilities(self):
+        for c, d in ((-0.1, 0.9), (0.1, 1.1), (math.nan, 0.9), (0.1, math.nan), (True, 0.9)):
+            with pytest.raises(OutOfRange):
+                Irf4pl(a=1.0, b=0.0, c=c, d=d)
+
 
 class TestResponsePanel:
     def test_accepts_consecutive_attempts(self):
