@@ -51,11 +51,12 @@ def bkt_to_irt(params: BktParams) -> SkillEquilibrium:
             f"(got p_learn={params.p_learn}, p_forget={params.p_forget}); "
             "with p_forget = 0 use classic_limit instead"
         )
-    if params.p_learn + params.p_forget == 2.0:
+    stationary = stationary_closed_form(params)
+    if stationary.periodic:
         raise NonErgodic(
             "p_learn = p_forget = 1 is a period-2 chain; marginals never converge"
         )
-    lam1 = stationary_closed_form(params).lambda1
+    lam1 = stationary.lambda1
     d = 1.0 - params.p_slip
     p_correct = params.p_guess + (d - params.p_guess) * lam1
     return SkillEquilibrium(

@@ -86,7 +86,10 @@ class SimConfig:
             raise OutOfRange("iteration_counts entries must be <= 2^53")
         if not (self.bin_width > 0 and math.isfinite(self.bin_width)):
             raise OutOfRange(f"bin_width must be finite and > 0, got {self.bin_width}")
-        if 2 * math.floor(_BIN_SPAN / self.bin_width) + 1 > _MAX_BINS:
+        # 2 * floor(8 / w) + 1 > 2^20 exactly when 8 / w >= 2^19, which also
+        # holds where 8 / w overflows to inf (w below about 4.4e-308) and
+        # has no floor.
+        if _BIN_SPAN / self.bin_width >= _MAX_BINS // 2:
             raise OutOfRange(
                 f"bin_width {self.bin_width} makes more than {_MAX_BINS} bins "
                 f"over [-{_BIN_SPAN:g}, {_BIN_SPAN:g}]"

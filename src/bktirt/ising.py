@@ -13,7 +13,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -280,23 +280,6 @@ def metropolis_step(net: IsingNetwork, z, node: int, gen: np.random.Generator) -
     return z_new
 
 
-def _thresholds(net: IsingNetwork, dynamics: str) -> np.ndarray | list:
-    """Per node, the threshold by packed state that a draw must fall below
-    to set (Glauber) or flip (Metropolis) the node: up to 12 nodes one
-    (n, 2^n) array, a row per node, beyond a _LookupRow per node. Both are
-    _threshold of the same float additions, so a table entry equals its
-    lookup exactly."""
-    n, glauber = net.n_nodes, dynamics == "glauber"
-    if n > _TABLE_MAX_NODES:
-        return [_LookupRow(net, j, glauber) for j in range(n)]
-    # Every node's field (row) in every state (column) by n doublings, the
-    # k-th appending the states with bit k set: _LookupRow.field's sums.
-    local = net.fields[:, None]
-    for k in range(n):
-        local = np.concatenate([local, local + net.couplings[:, k : k + 1]], axis=1)
-    return _threshold(local, _state_bits(n).T, glauber)
-
-
 def uniforms_per_sweep(n_nodes: int, scan: str) -> int:
     """Uniforms one sweep consumes: n order keys under random scan, then n
     update draws and n emission draws."""
@@ -322,28 +305,32 @@ class _Blocks:
     first block in doubt exact. After _ROUNDS rounds, _sweep_sites runs the
     chunk on from the first block still in doubt until its path meets the
     old one, so a chain that never meets itself costs what the per-site
-    loop costs. Each lane compares its draws with the same thresholds as the
-    per-site loop, so the states are the same.
+    loop costs.
+
+    Every threshold is _threshold of one field sum, which _lookup adds for
+    many states at once. Up to 12 nodes, table row j holds node j's
+    threshold in every state, built by _lookup over all 2^n states, and
+    rows holds those rows as lists for the per-site loop. Beyond, each step
+    calls _lookup on its lanes, and rows holds a _LookupRow per node, which
+    adds the same floats one state at a time. So every lane and the
+    per-site loop compare their draws with the same thresholds, and the
+    states are the same.
     """
 
     def __init__(self, net: IsingNetwork, dynamics: str, scan: str) -> None:
         n = self.n = net.n_nodes
         self.fields, self.scan = net.fields, scan
         self.glauber = dynamics == "glauber"
-        # Up to 12 nodes each step gathers its thresholds from the 2^n
-        # table; beyond, it sums each lane's field as _LookupRow does.
-        self.thresholds = _thresholds(net, dynamics)
-        self.table = self.thresholds if isinstance(self.thresholds, np.ndarray) else None
         # Row k holds coupling (j, k) at column j: the k-th addend of node
         # j's field.
         self.columns = np.ascontiguousarray(net.couplings.T)
         self.masks = 1 << np.arange(n)[:, None]
         self.rerun = self.serial = 0
-
-    @cached_property
-    def rows(self) -> list:
-        """The thresholds as _sweep_sites reads them, built on first use."""
-        return self.thresholds if self.table is None else self.table.tolist()
+        if n > _TABLE_MAX_NODES:
+            self.table, self.rows = None, [_LookupRow(net, j, self.glauber) for j in range(n)]
+        else:
+            self.table = np.stack([self._lookup(np.arange(2**n), j) for j in range(n)])
+            self.rows = self.table.tolist()
 
     def chunk(self, draws: np.ndarray, idx: int) -> np.ndarray:
         """The state index after each sweep in a chunk of draws, from state
@@ -468,37 +455,26 @@ def _by_sweep(block: np.ndarray, size: int, blocks: int) -> np.ndarray:
 
 def _sweep_sites(tables: list, draws: np.ndarray, scan: str, flip: bool, idx: int) -> list[int]:
     """The state after each sweep in a chunk of draws, one threshold lookup
-    and compare per site update."""
+    and compare per site update; fixed scan's order is range(n) each sweep."""
     n = len(tables)
     bit = [1 << j for j in range(n)]
-    path = []
-    # Fixed scan keeps its own indexed loop: the zip form below ran
-    # 10-40% slower per update when given range(n) as the order.
     if scan == "fixed":
-        for row in _rows(draws[:, :n]):
-            for j in range(n):
-                threshold = tables[j][idx]
-                if flip:
-                    if row[j] < threshold:
-                        idx ^= bit[j]
-                elif row[j] < threshold:
-                    idx |= bit[j]
-                else:
-                    idx &= ~bit[j]
-            path.append(idx)
+        orders, updates = repeat(range(n)), draws[:, :n]
     else:
         orders = _rows(np.argsort(draws[:, :n], axis=1, kind="stable"))
-        for order, row in zip(orders, _rows(draws[:, n : 2 * n])):
-            for j, u in zip(order, row):
-                threshold = tables[j][idx]
-                if flip:
-                    if u < threshold:
-                        idx ^= bit[j]
-                elif u < threshold:
-                    idx |= bit[j]
-                else:
-                    idx &= ~bit[j]
-            path.append(idx)
+        updates = draws[:, n : 2 * n]
+    path = []
+    for order, row in zip(orders, _rows(updates)):
+        for j, u in zip(order, row):
+            threshold = tables[j][idx]
+            if flip:
+                if u < threshold:
+                    idx ^= bit[j]
+            elif u < threshold:
+                idx |= bit[j]
+            else:
+                idx &= ~bit[j]
+        path.append(idx)
     return path
 
 
@@ -527,9 +503,10 @@ def simulate_field(
     exactly (see _Blocks). A step gathers its thresholds from the 2^n table
     up to 12 nodes and sums each lane's field beyond; a chunk whose blocks
     still disagree after _ROUNDS repair rounds is finished by the per-site
-    loop, _sweep_sites. Tables, lookups and step functions take _threshold
-    of the same float additions (see _thresholds), so every path and the
-    step functions agree by construction on the same stream.
+    loop, _sweep_sites. The table, the lanes' sums, the per-site loop's
+    rows and the step functions take _threshold of the same float additions
+    (see _Blocks), so every path and the step functions agree by
+    construction on the same stream.
 
     Each chunk's latent bits and emissions are written one byte of the state
     index at a time (see _byte_tables): one np.take of the byte's node bits

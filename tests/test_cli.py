@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -224,6 +225,16 @@ class TestSimulate:
         assert dispatch(argv + ["--out", str(one)]) == 0
         assert dispatch(argv + ["--out", str(two)]) == 0
         assert one.read_bytes() == two.read_bytes()
+
+    def test_auto_seed_is_recorded_and_reproduces_the_run(self, tmp_path):
+        argv = ["simulate", "--p-learn", "0.3", "--p-forget", "0.1", "--p-slip", "0.1",
+                "--steps", "200"]
+        auto, again = tmp_path / "auto.csv", tmp_path / "again.csv"
+        assert dispatch(argv + ["--seed", "auto", "--out", str(auto)]) == 0
+        (seed,) = json.loads((tmp_path / "auto.manifest.json").read_text())["seeds"]
+        assert type(seed) is int and 0 <= seed < 2**63
+        assert dispatch(argv + ["--seed", str(seed), "--out", str(again)]) == 0
+        assert again.read_bytes() == auto.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -595,6 +606,70 @@ class TestJsonFilesFuzzed:
         self._check(*_run_on_json(["bridge", "--params"], raw))
 
 
+# Each command at a tiny size, its --out file under "out/", and the numeric
+# flags whose values TestNumericFlagsFuzzed replaces.
+_NUMERIC_FLAGS = {
+    "stationary": (["--p-learn", "0.3", "--p-forget", "0.1"], ["--p-learn", "--p-forget"]),
+    "simulate": (
+        ["--p-learn", "0.3", "--steps", "5", "--out", "out/s.csv"],
+        ["--p-init", "--p-learn", "--p-forget", "--p-slip", "--p-guess", "--steps", "--seed"],
+    ),
+    "irf": (
+        ["--points", "5", "--out", "out/c.csv"],
+        ["--a", "--b", "--c", "--d", "--theta-min", "--theta-max", "--points"],
+    ),
+    "experiment": (
+        ["--people", "2", "--items", "2", "--reps", "2", "--iters", "2", "--min-count", "1",
+         "--out", "out/e.csv"],
+        ["--people", "--items", "--reps", "--iters", "--slip", "--guess", "--seed",
+         "--bin-width", "--min-count"],
+    ),
+    "fit-bkt": (
+        ["--panel", "panel.csv", "--skill", "7", "--max-iters", "5", "--out", "out/fit.json"],
+        ["--skill", "--tol", "--max-iters"],
+    ),
+    "ising": (["--net", "net.json", "--sweeps", "20", "--out", "out/f.csv"],
+              ["--sweeps", "--burn-in", "--seed"]),
+    "filter": (["--params", "params.json", "--responses", "1,0", "--out", "out/post.json"],
+               ["--responses"]),
+}
+
+
+class TestNumericFlagsFuzzed:
+    """Every numeric flag value ends cleanly: not-a-number, infinities, a
+    signed zero, a subnormal, the largest magnitudes, a 30-digit integer,
+    hex and the empty string each exit 0, or exit 1 or 2 with one stderr
+    line and no file written. A fault would end in an exception out of
+    dispatch."""
+
+    VALUES = ["nan", "inf", "-inf", "-0", "1e-320", "1e308", "-1e308", "9" * 30, "0x10", ""]
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(command, flag) for command, (_, flags) in _NUMERIC_FLAGS.items() for flag in flags],
+    )
+    def test_value(self, tmp_path, monkeypatch, capsys, params_file, command, flag):
+        monkeypatch.chdir(tmp_path)
+        _panel_csv(tmp_path)
+        _ising_net(tmp_path)
+        base, _ = _NUMERIC_FLAGS[command]
+        for value in self.VALUES:
+            argv = [command, *base]
+            if flag in argv:
+                argv[argv.index(flag) + 1] = value
+            else:
+                argv += [flag, value]
+            (tmp_path / "out").mkdir()
+            code = dispatch(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), argv
+            assert len(err.splitlines()) == (1 if code else 0), (argv, err)
+            assert "Traceback" not in err
+            if code:
+                assert list((tmp_path / "out").iterdir()) == [], argv
+            shutil.rmtree(tmp_path / "out")
+
+
 class TestBridgeCommand:
     def test_matches_library_map(self, capsys, params_file):
         assert dispatch(["bridge", "--params", str(params_file)]) == 0
@@ -709,9 +784,12 @@ class TestExperimentCommand:
         assert len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
 
-    def test_bin_grid_past_the_cap_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("width", ["1e-300", "1e-320"])
+    def test_bin_grid_past_the_cap_exits_one(self, tmp_path, capsys, width):
+        # Below about 4.4e-308, 8 / width overflows to inf, which has no
+        # floor.
         argv = ["experiment", "--people", "3", "--items", "2", "--reps", "2",
-                "--bin-width", "1e-300", "--min-count", "1", "--out", str(tmp_path / "o.csv")]
+                "--bin-width", width, "--min-count", "1", "--out", str(tmp_path / "o.csv")]
         assert dispatch(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("OutOfRange: bin_width") and len(err.splitlines()) == 1
@@ -968,13 +1046,13 @@ class TestIsingCommand:
         import bktirt.ising as ising_mod
 
         calls = []
-        original = ising_mod._thresholds
+        original = ising_mod._Blocks
 
-        def counting(net, dynamics):
+        def counting(net, dynamics, scan):
             calls.append(dynamics)
-            return original(net, dynamics)
+            return original(net, dynamics, scan)
 
-        monkeypatch.setattr(ising_mod, "_thresholds", counting)
+        monkeypatch.setattr(ising_mod, "_Blocks", counting)
         out = tmp_path / "freq.csv"
         assert dispatch(["ising", "--net", str(_ising_net(tmp_path)), "--sweeps",
                          str(sweeps), "--out", str(out)]) == 0

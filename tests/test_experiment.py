@@ -75,8 +75,13 @@ class TestSimConfig:
             SimConfig(bin_width=0.0)
         with pytest.raises(OutOfRange, match="finite"):
             SimConfig(bin_width=math.inf)
-        with pytest.raises(OutOfRange, match="more than 1048576 bins"):
-            SimConfig(bin_width=1e-300)
+        # 8 / w overflows to inf below about 4.4e-308.
+        for width in (1e-300, 1e-320, 5e-324, 8.0 / 2**19):
+            with pytest.raises(OutOfRange, match="more than 1048576 bins"):
+                SimConfig(bin_width=width)
+        # The finest grid allowed: 2 * floor(8 / w) + 1 = 2^20 - 1 bins.
+        finest = math.nextafter(8.0 / 2**19, 1.0)
+        assert SimConfig(bin_width=finest).bin_width == finest
         assert SimConfig(bin_width=1e-4).bin_width == 1e-4
         with pytest.raises(OutOfRange):
             SimConfig(p_slip=1.5)

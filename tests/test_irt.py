@@ -154,6 +154,12 @@ class TestFitAsymptotes:
         with pytest.raises(DegenerateFit):
             fit_irf_cd([(0.3, 0.5, 10.0), (0.3, 0.6, 20.0)], a_fixed=1.0)
 
+    def test_saturated_design_rejected(self):
+        # logistic(100) and logistic(200) both round to 1.0, so the two
+        # distinct advantages give one basis row and a zero determinant.
+        with pytest.raises(DegenerateFit, match="rank-deficient"):
+            fit_irf_cd([(100.0, 0.9, 10.0), (200.0, 0.8, 20.0)], a_fixed=1.0)
+
     def test_constrained_optimum_beats_a_grid(self):
         # The loss is a convex quadratic in (c, d), so the optimum on
         # 0 <= c <= d <= 1 is at least as good as every grid point there.

@@ -79,6 +79,10 @@ class TestNetworkValidation:
         with pytest.raises(OutOfRange):
             _net([[0.0, 0.2], [0.2, 0.0]], [0.0, 0.0], guess=[0.1, 1.2])
 
+    def test_emission_shape_checked(self):
+        with pytest.raises(OutOfRange, match="one guess and one slip probability per node"):
+            _net([[0.0, 0.2], [0.2, 0.0]], [0.0, 0.0], guess=[0.1, 0.1, 0.1])
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(OutOfRange):
             _net([[0.0]], [0.0, 0.0])
@@ -614,7 +618,7 @@ class TestOneThreshold:
     @pytest.mark.parametrize("n", [5, 8, 12])
     def test_every_table_entry_equals_its_single_state_threshold(self, n, dynamics):
         net = _random_net(n, seed=60 + n, low=-0.6, high=0.6, field_span=1.0)
-        tables = ising_mod._thresholds(net, dynamics).tolist()
+        tables = ising_mod._Blocks(net, dynamics, "fixed").rows
         for j, table in enumerate(tables):
             row = ising_mod._LookupRow(net, j, dynamics == "glauber")
             assert table == [row[idx] for idx in range(2**n)]
@@ -654,8 +658,7 @@ def _assert_paths_agree(monkeypatch, net, draws, dynamics, scan):
 
 def _loop_rows(net, dynamics):
     """The thresholds as the per-site loop reads them."""
-    tables = ising_mod._thresholds(net, dynamics)
-    return tables.tolist() if isinstance(tables, np.ndarray) else tables
+    return ising_mod._Blocks(net, dynamics, "fixed").rows
 
 
 def _loop_states(net, sweeps, key, dynamics, scan):
@@ -735,7 +738,7 @@ class TestBlockSampler:
         net = _net(base.couplings, [-1000.0, 1000.0] + [0.3, -0.2] * (n // 2 - 1) + [0.1] * (n % 2))
         values = np.array([0.0, 5e-324, 1.0 - 2**-53])
         if n <= ising_mod._TABLE_MAX_NODES:
-            tables = ising_mod._thresholds(net, dynamics)
+            tables = ising_mod._Blocks(net, dynamics, scan).table
             assert 0.0 in tables and 1.0 in tables
             values = np.concatenate([values, np.unique(tables)])
         rng = np.random.default_rng(46)
@@ -745,11 +748,13 @@ class TestBlockSampler:
         _assert_paths_agree(monkeypatch, net, draws, dynamics, scan)
 
     @pytest.mark.parametrize("dynamics", ["glauber", "metropolis"])
-    def test_zero_fields_of_either_sign_past_12_nodes(self, monkeypatch, dynamics):
-        # A lane adds 0.0 for each bit not set, so a field of -0.0 can come
-        # out as 0.0, whose threshold is the same: 0.5 under Glauber and 1.0
-        # under Metropolis.
-        base = _random_net(13, seed=37, low=-0.6, high=0.6)
-        net = _net(base.couplings, [-0.0, 0.0] * 6 + [-0.0])
+    @pytest.mark.parametrize("n", [5, 13])
+    def test_zero_fields_of_either_sign(self, monkeypatch, n, dynamics):
+        # _lookup adds 0.0 for each bit not set, in the table (n = 5) and
+        # in each lane (n = 13), so a field of -0.0 can come out as 0.0,
+        # whose threshold is the same: 0.5 under Glauber and 1.0 under
+        # Metropolis.
+        base = _random_net(n, seed=37, low=-0.6, high=0.6)
+        net = _net(base.couplings, ([-0.0, 0.0] * n)[:n])
         draws = _draws_on_thresholds(net, 40, dynamics, "fixed", seed=37)
         _assert_paths_agree(monkeypatch, net, draws, dynamics, "fixed")
