@@ -13,15 +13,14 @@ equilibrium data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._value import Value
 from .chain import stationary_closed_form
 from .errors import ForgettingNonzero, NonErgodic, OutOfDomain, Reducible
 from .params import BktParams
 
 
-@dataclass(frozen=True)
-class SkillEquilibrium:
+class SkillEquilibrium(Value):
     """Skill-level equilibrium curve parameters.
 
     theta = log p_learn, b = log p_forget (both <= 0), c = p_guess,

@@ -6,15 +6,17 @@ emission rows give the law of the response (column 0 = incorrect, 1 =
 correct). All operations are pure functions of their inputs. The closed
 forms (``stationary_closed_form``, ``marginal_at``) take and return floats;
 the functions that make arrays import numpy themselves, so the closed forms
-load without it.
+load without it. ``StationaryDist`` and ``Trajectory`` are immutable value
+types on the package's slotted base (``_value.Value``), which needs no
+``dataclasses`` either.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from ._value import Value
 from .errors import OutOfRange, Reducible
 from .params import BktParams
 from .rng import RngKey
@@ -52,8 +54,7 @@ def build_matrices(params: BktParams) -> tuple[np.ndarray, np.ndarray]:
     return transition, emission
 
 
-@dataclass(frozen=True)
-class StationaryDist:
+class StationaryDist(Value):
     """Long-run latent mastery law (lambda0, lambda1) with lambda = A^T lambda.
 
     ``periodic`` marks the period-2 chain (p_learn = p_forget = 1): the
@@ -154,8 +155,7 @@ def mastered_after(p_learn, p_forget, z, steps: int):
     return lam1 + (z - lam1) * (1.0 - p_learn - p_forget) ** steps
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Value):
     """Sampled latent/emitted paths plus the stream key that produced them:
     one row per step of a mastery chain, or per sweep of a network (then
     one column per node).
@@ -176,7 +176,7 @@ class Trajectory:
     emitted: np.ndarray
     key: RngKey
     states: np.ndarray | None = None
-    work: dict[str, int] = field(default_factory=dict, compare=False)
+    work: dict[str, int]  # a fresh dict unless given (see _value)
 
     def __post_init__(self) -> None:
         if len(self.latent) != len(self.emitted) or len(self.latent) < 1:

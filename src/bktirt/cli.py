@@ -32,7 +32,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import bktirt
 
-from .errors import DomainError, TooLarge
+from .errors import DomainError, OutOfRange, TooLarge
 from .rng import DEFAULT_SEED, RngKey
 
 if TYPE_CHECKING:
@@ -359,9 +359,8 @@ def _cmd_bridge(args: argparse.Namespace) -> int:
         params = _read_params(args.params)
     with run.phase("bridge_s"):
         eq = _lib.bkt_to_irt(params)
-    import dataclasses
-
-    payload = {"format_version": FORMAT_VERSION, **dataclasses.asdict(eq)}
+    payload = {"format_version": FORMAT_VERSION, "theta": eq.theta, "b": eq.b, "c": eq.c,
+               "d": eq.d, "p_correct": eq.p_correct}
     return run.json(payload, args.out)
 
 
@@ -407,6 +406,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_irf(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.theta_max - args.theta_min):
+        raise OutOfRange(f"--theta-max {args.theta_max!r} minus --theta-min "
+                         f"{args.theta_min!r} overflows a float")
     run = _Run(args, [])
     import numpy as np
 

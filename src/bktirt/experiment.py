@@ -11,10 +11,10 @@ and 1 - p_slip.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._value import Value
 from .chain import mastered_after
 from .errors import InsufficientData, OutOfRange
 from .irt import irf_4pl
@@ -58,8 +58,7 @@ _COUNT_STREAM = 1
 _COUNT_STREAMS = 4
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Value):
     """Scale, noise and binning knobs for one experiment run."""
 
     n_people: int = 1000
@@ -109,8 +108,7 @@ class SimConfig:
         return Irf4pl(a=1.0, b=0.0, c=self.p_guess, d=1.0 - self.p_slip)
 
 
-@dataclass(frozen=True)
-class Population:
+class Population(Value):
     """Per-person learning rates and per-item forgetting rates, with logs."""
 
     p_learn: np.ndarray
@@ -141,8 +139,7 @@ def draw_population(config: SimConfig, key: RngKey | None = None) -> Population:
     )
 
 
-@dataclass(frozen=True)
-class BinnedCurve:
+class BinnedCurve(Value):
     """Pooled correct proportions by advantage bin for one step count.
 
     Bins are centered on multiples of the bin width, ordered ascending;

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
+from ._value import Value
 from .chain import Trajectory
 from .errors import InsufficientData, OutOfRange, TooLarge
 from .irt import logistic
@@ -34,8 +34,7 @@ _BLOCK = 32
 _ROUNDS = 4
 
 
-@dataclass(frozen=True)
-class IsingNetwork:
+class IsingNetwork(Value):
     """Symmetric couplings, per-node external fields, per-node emission noise."""
 
     couplings: np.ndarray

@@ -2,8 +2,10 @@
 
 Defines the five mastery-chain probabilities, the 4PL item-response bundle,
 and the longitudinal response panel, together with their validity checks and
-the CSV/JSON formats used at the tool boundary. All types are immutable values
-after construction and safe to share across threads.
+the CSV/JSON formats used at the tool boundary. The two bundles are value
+types on the package's slotted base (``_value.Value``): equal by value,
+hashable, and closed to assignment once their checks have run. The panel
+keeps its records read-only. All are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
+from ._value import Value
 from .errors import (
     ForgettingNonzero,
     InvalidPanel,
@@ -50,8 +52,7 @@ def _check_unit(name: str, value: float) -> None:
         raise OutOfRange(f"{name} must lie in [0, 1], got {value!r}")
 
 
-@dataclass(frozen=True)
-class BktParams:
+class BktParams(Value):
     """Per-skill probabilities of the two-state mastery chain.
 
     p_init    starting in the mastered state
@@ -121,8 +122,7 @@ def validate_bkt(
     return params
 
 
-@dataclass(frozen=True)
-class Irf4pl:
+class Irf4pl(Value):
     """Four-parameter logistic item response function.
 
     a  discrimination (> 0)
@@ -147,14 +147,15 @@ class Irf4pl:
 
 PANEL_CSV_HEADER = ["person_id", "item_id", "skill_id", "attempt", "correct"]
 _PERSON, _SKILL, _ATTEMPT, _CORRECT = 0, 2, 3, 4
-_INT_ROW = re.compile(r"\s*[+-]?[0-9]+\s*(,\s*[+-]?[0-9]+\s*){4}")
 
 
 def _first_bad_line(lines: Iterable[str]) -> int | None:
     """First line after the header that is neither empty nor five int64
-    fields: the first row ``np.loadtxt`` rejects."""
+    fields: the first row ``np.loadtxt`` rejects. Only a rejected file gets
+    here, so the pattern is compiled here, not when the module loads."""
+    int_row = re.compile(r"\s*[+-]?[0-9]+\s*(,\s*[+-]?[0-9]+\s*){4}")
     for number, line in enumerate(lines, start=1):
-        if number > 1 and line != "\n" and not (_INT_ROW.fullmatch(line) and all(
+        if number > 1 and line != "\n" and not (int_row.fullmatch(line) and all(
                 -(2**63) <= int(field) < 2**63 for field in line.split(","))):
             return number
     return None

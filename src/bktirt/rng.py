@@ -9,8 +9,9 @@ A key is a plain value; numpy is imported only when a generator is made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+
+from ._value import Value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -20,12 +21,11 @@ if TYPE_CHECKING:
 DEFAULT_SEED = 20240901
 
 
-@dataclass(frozen=True)
-class RngKey:
+class RngKey(Value):
     """Seed plus derivation path; the provenance record for any sample."""
 
     seed: int
-    path: tuple[int, ...] = field(default=())
+    path: tuple[int, ...] = ()
 
     def child(self, *path: int) -> "RngKey":
         return RngKey(self.seed, self.path + path)

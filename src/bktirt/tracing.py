@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
+from ._value import Value
 from .errors import (
     DomainError,
     InvalidInit,
@@ -70,7 +69,7 @@ def _pack_runs(flat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.nd
     return x, sizes
 
 
-class _Cut(NamedTuple):
+class _Cut(Value):
     """Where a packed block is cut into segments of at most `length` attempts.
 
     Each sequence's first segment is its first `length` attempts: the
@@ -142,7 +141,7 @@ def _prev(sizes: np.ndarray) -> np.ndarray:
     return np.arange(first, int(sizes.sum())) - np.repeat(sizes[:-1], sizes[1:])
 
 
-class _Block(NamedTuple):
+class _Block(Value):
     """Packed 0/1 responses x, step sizes and cut (see _Cut), with what every
     pass reuses: _prev of the block and of its later segments; ends[j], the
     later-block positions where the segments that go on from stitch step j
@@ -370,8 +369,7 @@ def _estep(params: BktParams, block: _Block):
     }
 
 
-@dataclass(frozen=True)
-class FilterResult:
+class FilterResult(Value):
     """Per-attempt filter output.
 
     posterior[t] = P(mastered at t | responses up to t), predictive[t] =
@@ -438,8 +436,7 @@ def sequence_loglik(params: BktParams, panel: ResponsePanel, skill_id: int) -> f
     return float(np.log(realized).sum())
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(Value):
     """EM fit output; loglik_trace[i] is the log-likelihood after i M-steps.
 
     stop_reason is "tolerance" when the fit converged, "iteration_cap" when
@@ -461,7 +458,7 @@ class FitReport:
     constraint_set: tuple[str, ...]
     degenerate_data: bool = False
     degenerate_cause: str = ""
-    work: dict[str, int] = field(default_factory=dict, compare=False)
+    work: dict[str, int]  # a fresh dict unless given (see _value)
 
     @property
     def stop_reason(self) -> str:
@@ -470,10 +467,16 @@ class FitReport:
         return "tolerance" if self.converged else "iteration_cap"
 
     def to_json(self) -> str:
-        raw = asdict(self)
-        del raw["work"]
-        if not self.degenerate_data:
-            del raw["degenerate_cause"]
+        raw = {
+            "params": {name: getattr(self.params, name) for name in BktParams._FIELDS},
+            "loglik_trace": self.loglik_trace,
+            "iterations": self.iterations,
+            "converged": self.converged,
+            "constraint_set": self.constraint_set,
+            "degenerate_data": self.degenerate_data,
+        }
+        if self.degenerate_data:
+            raw["degenerate_cause"] = self.degenerate_cause
         return json.dumps({**raw, "stop_reason": self.stop_reason})
 
 
@@ -541,7 +544,7 @@ def fit_baum_welch(
         name for name, flag in (("classic", classic), ("identified", identified)) if flag
     )
     # The nudged init is what the first E-step actually sees.
-    current = _nudged(asdict(init), classic)
+    current = _nudged({name: getattr(init, name) for name in BktParams._FIELDS}, classic)
     loglik, counts = _estep(current, block)
     trace = [loglik]
     converged = False

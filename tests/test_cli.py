@@ -669,6 +669,23 @@ class TestNumericFlagsFuzzed:
                 assert list((tmp_path / "out").iterdir()) == [], argv
             shutil.rmtree(tmp_path / "out")
 
+    EXTREMES = ["-1e308", "1e308", "-0", "1e-320"]
+
+    @pytest.mark.parametrize("low", EXTREMES)
+    @pytest.mark.parametrize("high", EXTREMES)
+    def test_both_ends_of_the_irf_grid(self, tmp_path, capsys, low, high):
+        # Each end alone is a finite grid end; together their span can
+        # overflow, and then irf exits 1 without a warning or a file.
+        argv = ["irf", "--points", "5", "--theta-min", low, "--theta-max", high,
+                "--out", str(tmp_path / "c.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = dispatch(argv)
+        err = capsys.readouterr().err
+        assert code == (1 if {low, high} == {"-1e308", "1e308"} else 0), argv
+        assert len(err.splitlines()) == (1 if code else 0), (argv, err)
+        assert ("c.csv" in os.listdir(tmp_path)) is (code == 0)
+
 
 class TestBridgeCommand:
     def test_matches_library_map(self, capsys, params_file):
@@ -951,6 +968,19 @@ class TestIrfCommand:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert captured.out.splitlines()[-3:] == ["-8.0,0.0", "0.0,0.5", "8.0,1.0"]
+
+    def test_a_span_beyond_the_float_range_exits_one(self, tmp_path, capsys):
+        # theta_max - theta_min overflows: the grid would hold nan and inf.
+        out = tmp_path / "c.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = dispatch(["irf", "--points", "3", "--theta-min", "-1e308",
+                             "--theta-max", "1e308", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "OutOfRange: --theta-max 1e+308 minus --theta-min -1e+308 overflows a float\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
 
 def _ising_net(tmp_path):

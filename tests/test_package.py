@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -16,11 +17,18 @@ import bktirt
 import bktirt.cli
 import bktirt.errors
 from bktirt import (
+    BinnedCurve,
     BktParams,
+    FilterResult,
+    FitReport,
     Irf4pl,
     IsingNetwork,
+    Population,
     ResponsePanel,
     RngKey,
+    SimConfig,
+    SkillEquilibrium,
+    StationaryDist,
     Trajectory,
     bkt_to_irt,
     classic_limit,
@@ -34,6 +42,7 @@ from bktirt import (
     simulate_field,
     validate_bkt,
 )
+from bktirt._value import Value
 from bktirt.errors import (
     ForgettingNonzero,
     NonErgodic,
@@ -226,16 +235,19 @@ def test_star_import_and_dir_list_every_exported_name(tmp_path):
 
 _MODELS = ["bktirt.experiment", "bktirt.ising", "bktirt.tracing", "bktirt.irt"]
 _ANY = ["numpy", "bktirt.chain", "bktirt.params", "bktirt.bridge", *_MODELS]
+# What a dataclass would load: the value types are built without it.
+_DATACLASSES = ["dataclasses", "inspect"]
 
 
 @pytest.mark.parametrize(
     "command, code, loads, skips",
     [
-        (["--version"], 0, [], _ANY),
-        (["--help"], 0, [], _ANY),
-        (["--no-such-flag"], 2, [], _ANY),
-        ("stationary_closed_form", 0, ["bktirt.chain"], ["numpy", "bktirt.bridge", *_MODELS]),
-        ("bkt_to_irt", 0, ["bktirt.bridge"], ["numpy", *_MODELS]),
+        (["--version"], 0, [], [*_ANY, *_DATACLASSES]),
+        (["--help"], 0, [], [*_ANY, *_DATACLASSES]),
+        (["--no-such-flag"], 2, [], [*_ANY, *_DATACLASSES]),
+        ("stationary_closed_form", 0, ["bktirt.chain"],
+         ["numpy", "bktirt.bridge", *_MODELS, *_DATACLASSES]),
+        ("bkt_to_irt", 0, ["bktirt.bridge"], ["numpy", *_MODELS, *_DATACLASSES]),
         ("run_equilibrium_experiment", 0, ["numpy", "bktirt.experiment"],
          ["bktirt.ising", "bktirt.tracing"]),
         ("fit_baum_welch", 0, ["numpy", "bktirt.tracing"], ["bktirt.ising", "bktirt.experiment"]),
@@ -281,6 +293,23 @@ def test_numpy_loads_before_a_run_starts_its_clock(tmp_path, command):
     assert ("numpy.random" in loaded) is draws
 
 
+def test_no_module_imports_dataclasses():
+    # The value types stand on _value.Value; a dataclass would bring back
+    # the dataclasses and inspect imports on every cold start.
+    offenders = []
+    for path in sorted(Path(bktirt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def _raised_name(node: ast.expr) -> str:
     """The dotted name a ``raise`` statement raises or calls."""
     if isinstance(node, ast.Call):
@@ -292,9 +321,11 @@ def test_every_library_raise_is_a_domain_error():
     # Callers catch DomainError for every rejected argument and the CLI
     # reports it by class name. Allowed besides: a re-raise (bare, or of a
     # name an ``except ... as`` bound), ArgumentTypeError inside the
-    # functions cli.py passes to argparse as ``type=``, and AttributeError
+    # functions cli.py passes to argparse as ``type=``, AttributeError
     # inside a module-level ``__getattr__`` (PEP 562), which ``hasattr``
-    # and ``getattr`` with a default rely on.
+    # and ``getattr`` with a default rely on, and the value base's
+    # TypeError (a wrong constructor call) and AttributeError (assignment),
+    # which any Python object raises for these.
     offenders = []
     for path in sorted(Path(bktirt.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -325,6 +356,8 @@ def test_every_library_raise_is_a_domain_error():
             if id(node) in in_converters and name == "argparse.ArgumentTypeError":
                 continue
             if id(node) in in_getattr and name == "AttributeError":
+                continue
+            if path.name == "_value.py" and name in ("TypeError", "AttributeError"):
                 continue
             cls = getattr(bktirt.errors, name, None)
             if not (isinstance(cls, type) and issubclass(cls, bktirt.errors.DomainError)):
@@ -383,3 +416,89 @@ def test_rejected_arguments_raise_the_class_that_names_them(call, error):
     with pytest.raises(error) as caught:
         call()
     assert type(caught.value) is error
+
+
+_ARRAY = np.array([0.5, 0.25])
+_P = dict(p_init=0.3, p_learn=0.2, p_forget=0.1, p_slip=0.15, p_guess=0.25)
+# Each value type, fields for one instance, and for a type that holds no
+# array, its repr as the dataclass it replaced printed it.
+_VALUE_TYPES = [
+    (RngKey, dict(seed=7, path=(1, 2)), "RngKey(seed=7, path=(1, 2))"),
+    (BktParams, _P,
+     "BktParams(p_init=0.3, p_learn=0.2, p_forget=0.1, p_slip=0.15, p_guess=0.25)"),
+    (Irf4pl, dict(a=1.5, b=-0.5, c=0.1, d=0.9), "Irf4pl(a=1.5, b=-0.5, c=0.1, d=0.9)"),
+    (StationaryDist, dict(lambda0=0.25, lambda1=0.75, periodic=False),
+     "StationaryDist(lambda0=0.25, lambda1=0.75, periodic=False)"),
+    (Trajectory, dict(latent=_ARRAY, emitted=_ARRAY, key=RngKey(1), states=None), None),
+    (SkillEquilibrium, dict(theta=-1.0, b=-2.0, c=0.1, d=0.9, p_correct=0.5),
+     "SkillEquilibrium(theta=-1.0, b=-2.0, c=0.1, d=0.9, p_correct=0.5)"),
+    (SimConfig, dict(n_people=200, n_items=50, replications=200, iteration_counts=(2, 5, 50),
+                     p_slip=0.1, p_guess=0.1, seed=20240901, bin_width=0.25),
+     "SimConfig(n_people=200, n_items=50, replications=200, iteration_counts=(2, 5, 50), "
+     "p_slip=0.1, p_guess=0.1, seed=20240901, bin_width=0.25)"),
+    (Population, dict(p_learn=_ARRAY, p_forget=_ARRAY, theta=_ARRAY, b=_ARRAY), None),
+    (BinnedCurve, dict(iterations=2, bin_centers=_ARRAY, prop_correct=_ARRAY,
+                       expected=_ARRAY, n_obs=_ARRAY), None),
+    (IsingNetwork, dict(couplings=np.zeros((2, 2)), fields=_ARRAY, p_guess=_ARRAY,
+                        p_slip=_ARRAY), None),
+    (FilterResult, dict(posterior=_ARRAY, predictive=_ARRAY, log_likelihood=-1.5), None),
+    (FitReport, dict(params=BktParams(**_P), loglik_trace=(-3.5, -2.25), iterations=1,
+                     converged=True, constraint_set=("classic",), degenerate_data=False,
+                     degenerate_cause=""),
+     "FitReport(params=BktParams(p_init=0.3, p_learn=0.2, p_forget=0.1, p_slip=0.15, "
+     "p_guess=0.25), loglik_trace=(-3.5, -2.25), iterations=1, converged=True, "
+     "constraint_set=('classic',), degenerate_data=False, degenerate_cause='', work={})"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", _VALUE_TYPES,
+                         ids=[cls.__name__ for cls, _, _ in _VALUE_TYPES])
+def test_value_type_contract(cls, fields, text):
+    value, again = cls(**fields), cls(*fields.values())
+    names = [name for name in cls.__slots__ if name != "work"]
+    assert names == list(fields)
+    # Immutable: no field can be set or deleted, and no attribute added.
+    for name in [*names, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert [getattr(value, name) for name in names] == [getattr(again, name) for name in names]
+    # Equal by value, and only to the same type: not to a tuple of the same
+    # fields, nor to another value type that holds them.
+    twin = type(cls.__name__, (Value,), {"__annotations__": dict.fromkeys(names, "object")})
+    assert value == again and not value != again
+    assert value != tuple(fields.values()) and value != twin(**fields)
+    if text is not None:
+        assert repr(value) == text
+        assert hash(value) == hash(again)
+        assert pickle.loads(pickle.dumps(value)) == value
+    else:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+    # A run's counters: a fresh dict each, outside equality and hashing.
+    if "work" in cls.__slots__:
+        counted = cls(**fields, work={"sequences": 3})
+        assert counted.work == {"sequences": 3} and value.work == again.work == {}
+        assert value.work is not again.work
+        assert counted == value and (text is None or hash(counted) == hash(value))
+    # A missing, unknown, repeated or surplus argument is a TypeError.
+    for name in names:
+        if name not in cls._defaults:
+            with pytest.raises(TypeError, match=name):
+                cls(**{k: v for k, v in fields.items() if k != name})
+    with pytest.raises(TypeError, match="nope"):
+        cls(**fields, nope=1)
+    with pytest.raises(TypeError):
+        cls(*fields.values(), **{names[0]: fields[names[0]]})
+    with pytest.raises(TypeError):
+        cls(*fields.values(), *[None] * (len(cls.__slots__) - len(names) + 1))
+
+
+def test_value_types_stay_patchable_on_the_class(monkeypatch):
+    # A tracer wraps these in place, reading each classmethod from the
+    # class's own __dict__.
+    assert type(BktParams.__dict__["from_json"]) is classmethod
+    assert type(IsingNetwork.__dict__["from_json_file"]) is classmethod
+    monkeypatch.setattr(RngKey, "generator", lambda key: key.seed)
+    assert RngKey(5).generator() == 5

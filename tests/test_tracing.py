@@ -519,13 +519,12 @@ class TestSegmentAndStitch:
             assert _cut(sizes).segments == report.work["cut_segments"] == segments
 
     def test_work_stays_out_of_equality_hashing_and_json(self):
-        import dataclasses
-
         sequences = [[1, 0, 1], [0], [1, 1]]
         init = BktParams(0.3, 0.2, 0.1, 0.15, 0.15)
         report = fit_baum_welch(_panel_from_sequences(sequences), 7, init, max_iters=2)
         assert report.work == {"sequences": 3, "responses": 6, "cut_segments": 0}
-        bare = dataclasses.replace(report, work={})
+        fields = {name: getattr(report, name) for name in type(report).__slots__}
+        bare = type(report)(**{**fields, "work": {}})
         assert bare == report and hash(bare) == hash(report)
         assert bare.to_json() == report.to_json()
         assert "work" not in json.loads(report.to_json())
