@@ -1,5 +1,7 @@
 """The base of the package's immutable value types."""
 
+import sys
+
 
 class _Fields(type):
     # The annotated names of a class body, in order, become its __slots__,
@@ -20,7 +22,8 @@ class Value(metaclass=_Fields):
     Fields are given by position or keyword; a missing or unknown one raises
     TypeError. ``__post_init__`` runs next and may still set a field with
     ``object.__setattr__``; after it, assignment and deletion raise
-    AttributeError. Instances are equal when of one class with equal fields.
+    AttributeError. Instances are equal when of one class with equal fields;
+    an array field equals an array of the same shape, dtype and values.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -56,7 +59,9 @@ class Value(metaclass=_Fields):
         return tuple(getattr(self, name) for name in self.__slots__ if name != "work")
 
     def __eq__(self, other: object) -> bool:
-        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(map(_equal, self._key(), other._key()))
 
     def __hash__(self) -> int:
         return hash(self._key())
@@ -67,3 +72,18 @@ class Value(metaclass=_Fields):
 
     def __reduce__(self):  # pickle and copy rebuild through __init__
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+def _equal(a, b) -> bool:
+    """Field equality as a tuple compares, but an array equals only an array
+    of its shape, dtype and values, where ``==`` would compare elementwise."""
+    if a is b:
+        return True
+    # An array exists only once numpy is loaded, and this module loads none.
+    np = sys.modules.get("numpy")
+    if np is not None and (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+        return (
+            isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+            and a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+        )
+    return a == b

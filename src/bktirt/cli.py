@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import math
 import os
@@ -558,17 +559,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Commands that evaluate a closed form on a few floats and build no array.
-# Every other command gets numpy loaded before its handler starts the run's
-# clock, so that the import falls in no phase and no ``duration_s``.
-_CLOSED_FORM = ("stationary", "bridge")
-# Commands that draw random numbers. They also get ``numpy.random`` (which
-# numpy loads only on first use) before the clock starts, where their first
-# ``RngKey.generator()`` would otherwise import it inside a phase.
-_DRAWING = ("simulate", "experiment", "ising")
+# What each command's run needs loaded, imported before its handler starts
+# the run's clock so that no import falls in a phase or in ``duration_s``.
+# ``stationary`` and ``bridge`` evaluate closed forms on floats and load no
+# numpy. A command that draws random numbers loads ``numpy.random``, which
+# numpy defers to a first ``RngKey.generator()``; one that writes CSV loads
+# ``csv``; and ``fit-bkt`` loads ``gzip``, which ``numpy.loadtxt`` imports
+# the first time it opens a path.
+_LOADS = {
+    "stationary": ("bktirt.chain",),
+    "bridge": ("bktirt.bridge",),
+    "simulate": ("numpy.random", "bktirt.chain", "csv"),
+    "filter": ("bktirt.tracing",),
+    "fit-bkt": ("bktirt.tracing", "gzip"),
+    "experiment": ("numpy.random", "bktirt.experiment", "csv"),
+    "irf": ("bktirt.irt", "csv"),
+    "ising": ("numpy.random", "bktirt.ising", "csv"),
+}
 
 
-def dispatch(argv: list[str]) -> int:
+def dispatch(argv: list[str], *, freeze_loaded: bool = False) -> int:
+    """Run one command line and return its exit code. With
+    ``freeze_loaded`` (see ``main``), what is loaded by then is frozen for
+    the cyclic collector and the collector is switched on just before the
+    command's handler runs; otherwise the collector is left alone."""
     try:
         parser = build_parser()
         # parse_args, but with a missing command named only when nothing
@@ -579,10 +593,12 @@ def dispatch(argv: list[str]) -> int:
         if extras:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
         args._argv = list(argv)
-        if args.command not in _CLOSED_FORM:
-            import numpy  # noqa: F401
-        if args.command in _DRAWING:
-            import numpy.random  # noqa: F401
+        for module in _LOADS[args.command]:
+            # Not importlib.import_module: this shows in python -X importtime.
+            __import__(module)
+        if freeze_loaded:
+            gc.freeze()
+            gc.enable()
         return args.handler(args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
@@ -595,7 +611,15 @@ def dispatch(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    # The process entry of ``bktirt`` and ``python -m bktirt.cli``, which
+    # exits when its one command returns. What the command loads (numpy,
+    # numpy.random, the package's modules: some 22,000 objects the cyclic
+    # collector tracks) lives until then, so the collector is off while it
+    # loads and dispatch freezes it all before the handler runs: the run
+    # collects only its own cycles, and neither it nor the collections at
+    # shutdown walk the loaded objects again.
+    gc.disable()
+    sys.exit(dispatch(sys.argv[1:], freeze_loaded=True))
 
 
 if __name__ == "__main__":

@@ -248,7 +248,7 @@ def _scan_back(params, w_m, w_u, sizes, beta_m, beta_u) -> None:
 def _forward(params: BktParams, block: _Block):
     """Scaled forward pass over a packed block.
 
-    Returns, per response, the filtered mastered and unmastered
+    Returns a list of, per response, the filtered mastered and unmastered
     probabilities, each its joint term over their sum; the realized
     probability of the response given the attempts before it; and its
     emissions P(x | mastered), P(x | unmastered).
@@ -298,7 +298,7 @@ def _forward(params: BktParams, block: _Block):
             f"response {int(x[k])} at attempt {attempt} has probability 0 under "
             "the given parameters"
         )
-    return alpha_m, alpha_u, realized, emit_m, emit_u
+    return [alpha_m, alpha_u, realized, emit_m, emit_u]
 
 
 def _backward(params: BktParams, w_m: np.ndarray, w_u: np.ndarray, block: _Block):
@@ -333,13 +333,23 @@ def _backward(params: BktParams, w_m: np.ndarray, w_u: np.ndarray, block: _Block
 
 
 def _estep(params: BktParams, block: _Block):
-    """Log-likelihood and expected counts of a packed block.
+    """Log-likelihood and expected counts of a packed block (see _counts)."""
+    forward = _forward(params, block)
+    return _loglik(forward), _counts(params, block, forward)
 
-    The counts map each parameter to (numerator, denominator) of its
-    M-step ratio.
-    """
-    alpha_m, alpha_u, realized, w_m, w_u = _forward(params, block)
-    loglik = float(np.log(realized).sum())
+
+def _loglik(forward) -> float:
+    """Log-likelihood of a block from its forward pass."""
+    return float(np.log(forward[2]).sum())
+
+
+def _counts(params: BktParams, block: _Block, forward: list) -> dict:
+    """Expected counts of a packed block from its forward pass: each
+    parameter maps to (numerator, denominator) of its M-step ratio. The
+    arrays are taken out of ``forward``, which is left empty, so each is
+    freed as soon as it is used."""
+    alpha_m, alpha_u, realized, w_m, w_u = forward
+    forward.clear()
     w_m /= realized
     w_u /= realized
     del realized
@@ -360,7 +370,7 @@ def _estep(params: BktParams, block: _Block):
         xi10 = params.p_forget * float((alpha_m[prev] * w_u[first:]).sum())
         gamma_m = np.multiply(alpha_m, beta_m, out=beta_m)
         gamma_u = np.multiply(alpha_u, beta_u, out=beta_u)
-    return loglik, {
+    return {
         "p_init": (float(gamma_m[:first].sum()), first),
         "p_learn": (xi01, float(gamma_u[prev].sum())),
         "p_forget": (xi10, float(gamma_m[prev].sum())),
@@ -432,8 +442,7 @@ def _skill_block(panel: ResponsePanel, skill_id: int) -> _Block:
 
 def sequence_loglik(params: BktParams, panel: ResponsePanel, skill_id: int) -> float:
     """Log-likelihood of every person's sequence for a skill."""
-    realized = _forward(params, _skill_block(panel, skill_id))[2]
-    return float(np.log(realized).sum())
+    return _loglik(_forward(params, _skill_block(panel, skill_id)))
 
 
 class FitReport(Value):
@@ -543,13 +552,16 @@ def fit_baum_welch(
     constraint_set = tuple(
         name for name, flag in (("classic", classic), ("identified", identified)) if flag
     )
-    # The nudged init is what the first E-step actually sees.
+    # The nudged init is what the first E-step actually sees. Each E-step
+    # runs its forward pass first, and its backward pass and counts only
+    # when an M-step follows: not after the fit converges or hits the cap.
     current = _nudged({name: getattr(init, name) for name in BktParams._FIELDS}, classic)
-    loglik, counts = _estep(current, block)
-    trace = [loglik]
+    forward = _forward(current, block)
+    trace = [_loglik(forward)]
     converged = False
     iterations = 0
     while iterations < max_iters:
+        counts = _counts(current, block, forward)
         if not all(math.isfinite(v) for pair in counts.values() for v in pair):
             cause = (
                 f"the E-step after {iterations} M-steps has counts that are not "
@@ -559,8 +571,8 @@ def fit_baum_welch(
             break
         iterations += 1
         current = _mstep(counts, current, classic, identified)
-        loglik, counts = _estep(current, block)
-        trace.append(loglik)
+        forward = _forward(current, block)
+        trace.append(_loglik(forward))
         if abs(trace[-1] - trace[-2]) / (1.0 + abs(trace[-1])) < tol:
             converged = True
             break

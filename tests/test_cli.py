@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -1279,3 +1280,80 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"lambda0": 0.5, "lambda1": 0.5}
+
+
+# How each entry point reaches bktirt.cli.main(): the call the installed
+# console script makes, and what ``python -m bktirt.cli`` runs.
+_ENTRIES = {
+    "console": "from bktirt.cli import main\nmain()",
+    "module": "import runpy\nrunpy.run_module('bktirt.cli', run_name='__main__', alter_sys=True)",
+}
+
+
+def _run_main(entry: str, argv: list[str], setup: str = "") -> subprocess.CompletedProcess:
+    """A fresh interpreter that runs ``setup``, then main() through ``entry``
+    with ``argv`` as its arguments."""
+    return subprocess.run(
+        [sys.executable, "-c", setup + _ENTRIES[entry], *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv", [["irf", "--points", "3"], ["stationary", "--p-learn", "0.3"]],
+                         ids=["irf", "stationary"])
+def test_dispatch_leaves_the_collector_as_it_found_it(capsys, argv, enabled):
+    # Only main(), the process entry, switches the collector or freezes
+    # objects; a caller of dispatch in the same process sees neither.
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert dispatch(argv) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("entry", list(_ENTRIES))
+@pytest.mark.parametrize(
+    "argv, call",
+    [(["irf", "--points", "3"], "irf_4pl"),
+     (["stationary", "--p-learn", "0.3"], "stationary_closed_form")],
+    ids=["irf", "stationary"],
+)
+def test_main_runs_the_handler_with_the_loaded_objects_frozen(capsys, entry, argv, call):
+    # The handler's library call is wrapped on the package, where the CLI
+    # looks it up, and reports the collector's state while the run goes on.
+    setup = (
+        "import gc, importlib, sys, bktirt\n"
+        "def probe(*args):\n"
+        "    print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)\n"
+        f"    module = importlib.import_module('bktirt.' + bktirt._EXPORTS[{call!r}])\n"
+        f"    return getattr(module, {call!r})(*args)\n"
+        f"bktirt.{call} = probe\n"
+    )
+    proc = _run_main(entry, argv, setup)
+    assert (proc.returncode, proc.stderr) == (0, "True True\n")
+    assert dispatch(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("entry", list(_ENTRIES))
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], 0),
+        (["--version"], 0),
+        (["irf", "--points", "0"], 2),
+        (["irf", "--c", "0.9", "--d", "0.1", "--points", "3"], 1),
+        (["fit-bkt", "--panel", "{missing}", "--skill", "0"], 2),
+    ],
+    ids=["help", "version", "usage-error", "domain-error", "io-error"],
+)
+def test_main_prints_and_exits_as_dispatch_returns(tmp_path, capsys, entry, argv, code):
+    argv = [arg.format(missing=tmp_path / "missing.csv") for arg in argv]
+    assert dispatch(argv) == code
+    want = capsys.readouterr()
+    proc = _run_main(entry, argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, want.out, want.err)

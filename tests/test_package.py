@@ -293,6 +293,38 @@ def test_numpy_loads_before_a_run_starts_its_clock(tmp_path, command):
     assert ("numpy.random" in loaded) is draws
 
 
+# The module whose calls each command with a run times.
+_RUNS = {"simulate": "bktirt.chain", "filter": "bktirt.tracing", "fit-bkt": "bktirt.tracing",
+         "bridge": "bktirt.bridge", "experiment": "bktirt.experiment", "irf": "bktirt.irt",
+         "ising": "bktirt.ising"}
+
+
+@pytest.mark.parametrize("command", list(_RUNS))
+def test_no_phase_of_a_run_imports_a_module(tmp_path, command):
+    # A phase times the command's own work: its modules, and what they load
+    # on first use, are loaded before the run's clock starts (and before
+    # main() freezes what is loaded), so every phase begins with them.
+    argvs = {argv[0]: argv for argv in _smallest_commands(tmp_path).values()}
+    argvs["filter"] = ["filter", "--params", str(tmp_path / "params.json"), "--responses", "1,0"]
+    _fresh_modules(
+        tmp_path,
+        "import contextlib\n"
+        "import bktirt.cli as cli\n"
+        "@contextlib.contextmanager\n"
+        "def phase(run, name, _phase=cli._Run.phase):\n"
+        f"    assert {_RUNS[command]!r} in sys.modules, name\n"
+        "    before = set(sys.modules)\n"
+        "    with _phase(run, name):\n"
+        "        yield\n"
+        "    phase.seen.append((name, sorted(set(sys.modules) - before)))\n"
+        "phase.seen = []\n"
+        "cli._Run.phase = phase\n"
+        "assert cli.dispatch(sys.argv[1:]) == 0\n"
+        "assert phase.seen and all(new == [] for _, new in phase.seen), phase.seen",
+        *argvs[command],
+    )
+
+
 def test_no_module_imports_dataclasses():
     # The value types stand on _value.Value; a dataclass would bring back
     # the dataclasses and inspect imports on every cold start.
@@ -469,6 +501,15 @@ def test_value_type_contract(cls, fields, text):
     twin = type(cls.__name__, (Value,), {"__annotations__": dict.fromkeys(names, "object")})
     assert value == again and not value != again
     assert value != tuple(fields.values()) and value != twin(**fields)
+    # An array field equals an equal array that is another object, and not
+    # one that differs in one element.
+    arrays = [name for name in names if isinstance(fields[name], np.ndarray)]
+    copies = {name: fields[name].copy() for name in arrays}
+    assert cls(**{**fields, **copies}) == value
+    for name in arrays:
+        changed = fields[name].copy()
+        changed.flat[1] = np.nextafter(changed.flat[1], np.inf)
+        assert cls(**{**fields, name: changed}) != value
     if text is not None:
         assert repr(value) == text
         assert hash(value) == hash(again)
@@ -493,6 +534,18 @@ def test_value_type_contract(cls, fields, text):
         cls(*fields.values(), **{names[0]: fields[names[0]]})
     with pytest.raises(TypeError):
         cls(*fields.values(), *[None] * (len(cls.__slots__) - len(names) + 1))
+
+
+def test_array_fields_compare_by_shape_dtype_and_values():
+    def trajectory(emitted):
+        return Trajectory(np.zeros(3, np.uint8), emitted, RngKey(1))
+
+    value = trajectory(np.zeros(3, np.uint8))
+    assert value == trajectory(np.zeros(3, np.uint8))
+    assert value != trajectory(np.array([0, 1, 0], np.uint8))
+    assert value != trajectory(np.zeros(3, np.int64))
+    assert value != trajectory(np.zeros((3, 1), np.uint8))
+    assert value != trajectory([0, 0, 0])
 
 
 def test_value_types_stay_patchable_on_the_class(monkeypatch):
