@@ -84,6 +84,6 @@ def _equal(a, b) -> bool:
     if np is not None and (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
         return (
             isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
-            and a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+            and a.dtype == b.dtype and np.array_equal(a, b)
         )
     return a == b
