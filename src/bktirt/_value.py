@@ -23,7 +23,8 @@ class Value(metaclass=_Fields):
     TypeError. ``__post_init__`` runs next and may still set a field with
     ``object.__setattr__``; after it, assignment and deletion raise
     AttributeError. Instances are equal when of one class with equal fields;
-    an array field equals an array of the same shape, dtype and values.
+    an array field equals an array of the same shape, dtype and values, and
+    a list or tuple field compares so item by item.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -76,9 +77,12 @@ class Value(metaclass=_Fields):
 
 def _equal(a, b) -> bool:
     """Field equality as a tuple compares, but an array equals only an array
-    of its shape, dtype and values, where ``==`` would compare elementwise."""
+    of its shape, dtype and values, where ``==`` would compare elementwise,
+    and a list or tuple compares item by item through this function."""
     if a is b:
         return True
+    if type(a) is type(b) and isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_equal, a, b))
     # An array exists only once numpy is loaded, and this module loads none.
     np = sys.modules.get("numpy")
     if np is not None and (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):

@@ -244,8 +244,8 @@ def write_summary_json(summary: dict, path: str) -> None:
 class _Run:
     """Phase wall times, work counters and the manifest of one command."""
 
-    def __init__(self, args: argparse.Namespace, seeds: list[int]) -> None:
-        self.argv = args._argv
+    def __init__(self, argv: list[str], seeds: list[int]) -> None:
+        self.argv = list(argv)
         self.seeds = seeds
         self.started = time.time()
         self.phases: dict[str, float] = {}
@@ -291,17 +291,15 @@ class _Run:
         return self.finish(path)
 
 
-def _cmd_stationary(args: argparse.Namespace) -> int:
+def _cmd_stationary(args: argparse.Namespace, run: _Run) -> int:
     dist = _lib.stationary_closed_form(_flag_params(args))
     payload = {"lambda0": dist.lambda0, "lambda1": dist.lambda1}
     if dist.periodic:
         payload["periodic"] = True
-    _write_json(payload, None)
-    return 0
+    return run.json(payload, None)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    run = _Run(args, [args.seed])
+def _cmd_simulate(args: argparse.Namespace, run: _Run) -> int:
     with run.phase("simulate_s"):
         trajectory = _lib.sample_trajectory(_flag_params(args), args.steps, RngKey(args.seed))
     run.work["steps"] = args.steps
@@ -309,8 +307,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return run.csv(args.out, ["t", "latent", "emitted"], rows)
 
 
-def _cmd_filter(args: argparse.Namespace) -> int:
-    run = _Run(args, [])
+def _cmd_filter(args: argparse.Namespace, run: _Run) -> int:
     with run.phase("load_s"):
         params = _read_params(args.params)
     with run.phase("filter_s"):
@@ -325,8 +322,7 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     return run.json(payload, args.out)
 
 
-def _cmd_fit_bkt(args: argparse.Namespace) -> int:
-    run = _Run(args, [])
+def _cmd_fit_bkt(args: argparse.Namespace, run: _Run) -> int:
     with run.phase("load_s"):
         panel = _lib.ResponsePanel.from_csv(args.panel)
     if args.init is not None:
@@ -354,8 +350,7 @@ def _cmd_fit_bkt(args: argparse.Namespace) -> int:
     return run.json(payload, args.out)
 
 
-def _cmd_bridge(args: argparse.Namespace) -> int:
-    run = _Run(args, [])
+def _cmd_bridge(args: argparse.Namespace, run: _Run) -> int:
     with run.phase("load_s"):
         params = _read_params(args.params)
     with run.phase("bridge_s"):
@@ -365,10 +360,9 @@ def _cmd_bridge(args: argparse.Namespace) -> int:
     return run.json(payload, args.out)
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
+def _cmd_experiment(args: argparse.Namespace, run: _Run) -> int:
     from .experiment import work_counts
 
-    run = _Run(args, [args.seed])
     # Sizes left unset take SimConfig's full-scale defaults.
     flags = {
         "n_people": ("--people", args.people),
@@ -378,7 +372,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     sizes = {name: value for name, (_, value) in flags.items() if value is not None}
     if args.desk and sizes:
         given = ", ".join(flags[name][0] for name in sizes)
-        args.error(f"argument --desk: not allowed with {given}")
+        # A usage error, worded and exited as the command's own parser does.
+        _Parser(prog="bktirt experiment").error(f"argument --desk: not allowed with {given}")
     config = (_lib.SimConfig.desk if args.desk else _lib.SimConfig)(
         **sizes,
         iteration_counts=args.iters,
@@ -406,11 +401,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return run.finish(args.out, summary_path)
 
 
-def _cmd_irf(args: argparse.Namespace) -> int:
+def _cmd_irf(args: argparse.Namespace, run: _Run) -> int:
     if not math.isfinite(args.theta_max - args.theta_min):
         raise OutOfRange(f"--theta-max {args.theta_max!r} minus --theta-min "
                          f"{args.theta_min!r} overflows a float")
-    run = _Run(args, [])
     import numpy as np
 
     item = _lib.Irf4pl(a=args.a, b=args.b, c=args.c, d=args.d)
@@ -422,10 +416,9 @@ def _cmd_irf(args: argparse.Namespace) -> int:
     return run.csv(args.out, ["theta", "p"], rows)
 
 
-def _cmd_ising(args: argparse.Namespace) -> int:
+def _cmd_ising(args: argparse.Namespace, run: _Run) -> int:
     from .ising import require_sweeps_after_burn_in
 
-    run = _Run(args, [args.seed])
     with run.phase("load_s"):
         net = _lib.IsingNetwork.from_json_file(args.net)
     require_sweeps_after_burn_in(args.burn_in, args.sweeps)
@@ -451,35 +444,53 @@ def _cmd_ising(args: argparse.Namespace) -> int:
     return run.csv(args.out, header, rows, diagnostics={"flip_rate": trace.flip_rate()})
 
 
+# One row per command, in --help order: its help line, its handler, and the
+# modules its run needs, loaded before dispatch starts the run's clock so that
+# no import falls in a phase or in ``duration_s``. ``stationary`` and
+# ``bridge`` evaluate closed forms on floats and list no numpy. A command that
+# draws lists ``numpy.random``, which numpy defers to a first
+# ``RngKey.generator()``; one that writes CSV lists ``csv``; and ``fit-bkt``
+# lists ``gzip``, which ``numpy.loadtxt`` imports when it first opens a path.
+_COMMANDS = {
+    "stationary": ("closed-form stationary distribution", _cmd_stationary, ("bktirt.chain",)),
+    "simulate": ("sample a latent/response trajectory", _cmd_simulate,
+                 ("numpy.random", "bktirt.chain", "csv")),
+    "filter": ("forward-filter a response sequence", _cmd_filter, ("numpy", "bktirt.tracing")),
+    "fit-bkt": ("EM fit of one skill's parameters", _cmd_fit_bkt,
+                ("numpy", "bktirt.tracing", "gzip")),
+    "bridge": ("equilibrium curve of a parameter set", _cmd_bridge, ("bktirt.bridge",)),
+    "experiment": ("population convergence experiment", _cmd_experiment,
+                   ("numpy.random", "bktirt.experiment", "csv")),
+    "irf": ("sample an item response curve", _cmd_irf, ("numpy", "bktirt.irt", "csv")),
+    "ising": ("sample an interacting mastery network", _cmd_ising,
+              ("numpy.random", "bktirt.ising", "csv")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="bktirt",
-        description="Mastery-chain and item-response toolkit",
-    )
+    parser = _Parser(prog="bktirt", description="Mastery-chain and item-response toolkit")
     parser.add_argument("--version", action="version", version=bktirt.__version__)
     # dispatch names a missing command itself (see there).
     sub = parser.add_subparsers(dest="command")
+    for name, (text, _, _) in _COMMANDS.items():
+        sub.add_parser(name, help=text)
 
-    p = sub.add_parser("stationary", help="closed-form stationary distribution")
-    _bkt_flags(p, with_init=False)
-    p.set_defaults(handler=_cmd_stationary)
+    _bkt_flags(sub.choices["stationary"], with_init=False)
 
-    p = sub.add_parser("simulate", help="sample a latent/response trajectory")
+    p = sub.choices["simulate"]
     _bkt_flags(p, with_init=True)
     p.add_argument("--steps", type=_int_at_least(1, _MAX_STEPS), default=100,
                    help=f"trajectory length, 1 to {_MAX_STEPS:,} (default: 100)")
     _add_seed(p)
     p.add_argument("--out", help="CSV path (default: print to stdout)")
-    p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("filter", help="forward-filter a response sequence")
+    p = sub.choices["filter"]
     p.add_argument("--params", required=True, help="BKT parameter JSON file")
     p.add_argument("--responses", type=_response_list, required=True,
                    help="comma-separated 0/1 responses, e.g. 1,0,1")
     p.add_argument("--out", help="JSON path (default: print to stdout)")
-    p.set_defaults(handler=_cmd_filter)
 
-    p = sub.add_parser("fit-bkt", help="EM fit of one skill's parameters")
+    p = sub.choices["fit-bkt"]
     p.add_argument("--panel", required=True, help="response panel CSV")
     p.add_argument("--skill", type=int, required=True, help="skill id to fit")
     p.add_argument("--init", help="starting-point JSON (default: built-in)")
@@ -492,14 +503,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=_int_at_least(1), default=500,
                    help="EM iteration cap, >= 1 (default: 500)")
     p.add_argument("--out", help="JSON path (default: print to stdout)")
-    p.set_defaults(handler=_cmd_fit_bkt)
 
-    p = sub.add_parser("bridge", help="equilibrium curve of a parameter set")
+    p = sub.choices["bridge"]
     p.add_argument("--params", required=True, help="BKT parameter JSON file")
     p.add_argument("--out", help="JSON path (default: print to stdout)")
-    p.set_defaults(handler=_cmd_bridge)
 
-    p = sub.add_parser("experiment", help="population convergence experiment")
+    p = sub.choices["experiment"]
     p.add_argument("--people", type=_int_at_least(1), default=None,
                    help="number of learners, >= 1 (default: 1000)")
     p.add_argument("--items", type=_int_at_least(1), default=None,
@@ -520,9 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bin count threshold for the deviation summary, >= 1 "
                         "(default: 200)")
     p.add_argument("--out", required=True, help="curve CSV path")
-    p.set_defaults(handler=_cmd_experiment, error=p.error)
 
-    p = sub.add_parser("irf", help="sample an item response curve")
+    p = sub.choices["irf"]
     p.add_argument("--a", type=_finite_float(), default=1.0,
                    help="discrimination (default: 1.0)")
     p.add_argument("--b", type=_finite_float(), default=0.0,
@@ -536,9 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=_int_at_least(1, _MAX_POINTS), default=161,
                    help=f"number of samples, 1 to {_MAX_POINTS:,} (default: 161)")
     p.add_argument("--out", help="CSV path (default: print to stdout)")
-    p.set_defaults(handler=_cmd_irf)
 
-    p = sub.add_parser("ising", help="sample an interacting mastery network")
+    p = sub.choices["ising"]
     p.add_argument("--net", required=True, help="network JSON file")
     p.add_argument("--sweeps", type=_int_at_least(1), default=10000,
                    help="full-network update sweeps, >= 1, at most "
@@ -554,28 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true",
                    help="add the exact Boltzmann column (n <= 20)")
     p.add_argument("--out", required=True, help="state-frequency CSV path")
-    p.set_defaults(handler=_cmd_ising)
 
     return parser
-
-
-# What each command's run needs loaded, imported before its handler starts
-# the run's clock so that no import falls in a phase or in ``duration_s``.
-# ``stationary`` and ``bridge`` evaluate closed forms on floats and load no
-# numpy. A command that draws random numbers loads ``numpy.random``, which
-# numpy defers to a first ``RngKey.generator()``; one that writes CSV loads
-# ``csv``; and ``fit-bkt`` loads ``gzip``, which ``numpy.loadtxt`` imports
-# the first time it opens a path.
-_LOADS = {
-    "stationary": ("bktirt.chain",),
-    "bridge": ("bktirt.bridge",),
-    "simulate": ("numpy.random", "bktirt.chain", "csv"),
-    "filter": ("bktirt.tracing",),
-    "fit-bkt": ("bktirt.tracing", "gzip"),
-    "experiment": ("numpy.random", "bktirt.experiment", "csv"),
-    "irf": ("bktirt.irt", "csv"),
-    "ising": ("numpy.random", "bktirt.ising", "csv"),
-}
 
 
 def dispatch(argv: list[str], *, freeze_loaded: bool = False) -> int:
@@ -592,14 +579,15 @@ def dispatch(argv: list[str], *, freeze_loaded: bool = False) -> int:
             parser.error("the following arguments are required: command")
         if extras:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
-        args._argv = list(argv)
-        for module in _LOADS[args.command]:
+        _, handler, loads = _COMMANDS[args.command]
+        for module in loads:
             # Not importlib.import_module: this shows in python -X importtime.
             __import__(module)
         if freeze_loaded:
             gc.freeze()
             gc.enable()
-        return args.handler(args)
+        # The run's clock starts here; a command with --seed records its seed.
+        return handler(args, _Run(argv, [args.seed] if "seed" in args else []))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     except DomainError as exc:

@@ -179,8 +179,9 @@ def require_sweeps_after_burn_in(burn_in: int, sweeps: int) -> None:
 
 
 def energy(net: IsingNetwork, z) -> float:
-    """E(z) = -(sum_{i<j} sigma_ij z_i z_j + sum_i h_i z_i)."""
-    z = np.asarray(z, dtype=float)
+    """E(z) = -(sum_{i<j} sigma_ij z_i z_j + sum_i h_i z_i), for z of n
+    entries of 0 or 1; OutOfRange otherwise."""
+    z = _bits(net, z).astype(float)
     return float(-(0.5 * z @ net.couplings @ z + net.fields @ z))
 
 
@@ -205,17 +206,23 @@ def boltzmann_exact(net: IsingNetwork) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _bits(net: IsingNetwork, z) -> np.ndarray:
+    """z as an array, once it is n entries of 0 or 1; OutOfRange otherwise."""
+    n = net.n_nodes
+    with contextlib.suppress(TypeError, ValueError):
+        bits = np.asarray(z)
+        if bits.shape == (n,) and bits.dtype.kind in "biuf" and np.all((bits == 0) | (bits == 1)):
+            return bits
+    raise OutOfRange(f"z must be {n} entries of 0 or 1, got {z!r}")
+
+
 def _state_index(net: IsingNetwork, z, node) -> int:
     """State z packed as an index (node k = bit k), once z is n entries of
     0 or 1 and node an int in [0, n); OutOfRange otherwise."""
     n = net.n_nodes
     if isinstance(node, bool) or not isinstance(node, (int, np.integer)) or not 0 <= node < n:
         raise OutOfRange(f"node must be an int in [0, {n}), got {node!r}")
-    with contextlib.suppress(TypeError, ValueError):
-        bits = np.asarray(z)
-        if bits.shape == (n,) and bits.dtype.kind in "biuf" and np.all((bits == 0) | (bits == 1)):
-            return sum(1 << k for k in np.flatnonzero(bits).tolist())
-    raise OutOfRange(f"z must be {n} entries of 0 or 1, got {z!r}")
+    return sum(1 << k for k in np.flatnonzero(_bits(net, z)).tolist())
 
 
 def _threshold(local, own, glauber: bool):
@@ -607,7 +614,8 @@ def empirical_state_frequencies(
 
     Counts the trajectory's states, or for a trajectory without them
     (built by hand) the indices state_indices packs from its latent bits.
-    Raises OutOfRange for a negative burn-in or a thinning step below 1,
+    Raises OutOfRange for a negative burn-in, a thinning step below 1 or a
+    latent path that is not (sweeps, nodes), as a mastery chain's 1-D one,
     InsufficientData when the burn-in leaves no sweep to count, and TooLarge
     beyond 20 nodes.
     """
@@ -615,6 +623,10 @@ def empirical_state_frequencies(
         raise OutOfRange(f"burn_in must be >= 0, got {burn_in}")
     if thin < 1:
         raise OutOfRange(f"thin must be >= 1, got {thin}")
+    if trace.latent.ndim != 2:
+        raise OutOfRange(
+            f"trace.latent must be 2-D (sweeps, nodes), got shape {trace.latent.shape}"
+        )
     require_sweeps_after_burn_in(burn_in, len(trace))
     n = trace.latent.shape[1]
     require_enumerable(n)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import gc
 import io
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from json_strategies import bkt_objects, json_values, near_objects, networks
 
 from bktirt import BktParams, IsingNetwork, RngKey, bkt_to_irt, forward_filter, simulate_field
-from bktirt.cli import build_parser, dispatch
+from bktirt.cli import _COMMANDS, build_parser, dispatch
 
 
 @pytest.fixture()
@@ -607,33 +608,78 @@ class TestJsonFilesFuzzed:
         self._check(*_run_on_json(["bridge", "--params"], raw))
 
 
-# Each command at a tiny size, its --out file under "out/", and the numeric
-# flags whose values TestNumericFlagsFuzzed replaces.
-_NUMERIC_FLAGS = {
-    "stationary": (["--p-learn", "0.3", "--p-forget", "0.1"], ["--p-learn", "--p-forget"]),
-    "simulate": (
-        ["--p-learn", "0.3", "--steps", "5", "--out", "out/s.csv"],
-        ["--p-init", "--p-learn", "--p-forget", "--p-slip", "--p-guess", "--steps", "--seed"],
-    ),
-    "irf": (
-        ["--points", "5", "--out", "out/c.csv"],
-        ["--a", "--b", "--c", "--d", "--theta-min", "--theta-max", "--points"],
-    ),
-    "experiment": (
-        ["--people", "2", "--items", "2", "--reps", "2", "--iters", "2", "--min-count", "1",
-         "--out", "out/e.csv"],
-        ["--people", "--items", "--reps", "--iters", "--slip", "--guess", "--seed",
-         "--bin-width", "--min-count"],
-    ),
-    "fit-bkt": (
-        ["--panel", "panel.csv", "--skill", "7", "--max-iters", "5", "--out", "out/fit.json"],
-        ["--skill", "--tol", "--max-iters"],
-    ),
-    "ising": (["--net", "net.json", "--sweeps", "20", "--out", "out/f.csv"],
-              ["--sweeps", "--burn-in", "--seed"]),
-    "filter": (["--params", "params.json", "--responses", "1,0", "--out", "out/post.json"],
-               ["--responses"]),
+# Each command with a numeric flag at a tiny size, reading its input files
+# from {inputs} and writing its --out file under {out}.
+_TINY = {
+    "stationary": ["--p-learn", "0.3", "--p-forget", "0.1"],
+    "simulate": ["--p-learn", "0.3", "--steps", "5", "--out", "{out}/s.csv"],
+    "filter": ["--params", "{inputs}/params.json", "--responses", "1,0",
+               "--out", "{out}/post.json"],
+    "fit-bkt": ["--panel", "{inputs}/panel.csv", "--skill", "7", "--max-iters", "5",
+                "--out", "{out}/fit.json"],
+    "experiment": ["--people", "2", "--items", "2", "--reps", "2", "--iters", "2",
+                   "--min-count", "1", "--out", "{out}/e.csv"],
+    "irf": ["--points", "5", "--out", "{out}/c.csv"],
+    "ising": ["--net", "{inputs}/net.json", "--sweeps", "20", "--out", "{out}/f.csv"],
 }
+
+
+def _tiny(command: str, inputs, out, values: dict[str, str]) -> list[str]:
+    """The tiny command line of ``command`` with each flag in ``values`` set
+    to its value: replaced where the line has the flag, else appended."""
+    argv = [command, *(arg.format(inputs=inputs, out=out) for arg in _TINY[command])]
+    for flag, value in values.items():
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+    return argv
+
+
+def _typed_flags() -> dict[str, list[str]]:
+    """Each command's options that convert their value (argparse ``type=``),
+    read from the parser, so a flag added later is fuzzed too."""
+    parser = build_parser()
+    (commands,) = [action.choices for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    return {
+        name: [action.option_strings[0] for action in sub._actions
+               if action.option_strings and action.type is not None]
+        for name, sub in commands.items()
+    }
+
+
+_TYPED_FLAGS = _typed_flags()
+
+
+@pytest.fixture(scope="module")
+def tiny_inputs(tmp_path_factory):
+    """The input files of the tiny command lines, written once."""
+    path = tmp_path_factory.mktemp("inputs")
+    (path / "params.json").write_text(BktParams(0.2, 0.3, 0.1, 0.1, 0.2).to_json())
+    _panel_csv(path)
+    _ising_net(path)
+    return path
+
+
+def test_every_command_with_a_numeric_flag_has_a_tiny_line():
+    assert list(_TYPED_FLAGS) == list(_COMMANDS)
+    assert list(_TINY) == [command for command, flags in _TYPED_FLAGS.items() if flags]
+    # The flags this fuzz covered while their list was kept by hand: the
+    # list read from the parser holds every one of them.
+    hand_kept = {
+        "stationary": ["--p-learn", "--p-forget"],
+        "simulate": ["--p-init", "--p-learn", "--p-forget", "--p-slip", "--p-guess", "--steps",
+                     "--seed"],
+        "irf": ["--a", "--b", "--c", "--d", "--theta-min", "--theta-max", "--points"],
+        "experiment": ["--people", "--items", "--reps", "--iters", "--slip", "--guess", "--seed",
+                       "--bin-width", "--min-count"],
+        "fit-bkt": ["--skill", "--tol", "--max-iters"],
+        "ising": ["--sweeps", "--burn-in", "--seed"],
+        "filter": ["--responses"],
+    }
+    for command, flags in hand_kept.items():
+        assert [flag for flag in flags if flag not in _TYPED_FLAGS[command]] == [], command
 
 
 class TestNumericFlagsFuzzed:
@@ -647,28 +693,47 @@ class TestNumericFlagsFuzzed:
 
     @pytest.mark.parametrize(
         "command, flag",
-        [(command, flag) for command, (_, flags) in _NUMERIC_FLAGS.items() for flag in flags],
+        [(command, flag) for command, flags in _TYPED_FLAGS.items() for flag in flags],
     )
-    def test_value(self, tmp_path, monkeypatch, capsys, params_file, command, flag):
-        monkeypatch.chdir(tmp_path)
-        _panel_csv(tmp_path)
-        _ising_net(tmp_path)
-        base, _ = _NUMERIC_FLAGS[command]
+    def test_value(self, tmp_path, capsys, tiny_inputs, command, flag):
+        out = tmp_path / "out"
         for value in self.VALUES:
-            argv = [command, *base]
-            if flag in argv:
-                argv[argv.index(flag) + 1] = value
-            else:
-                argv += [flag, value]
-            (tmp_path / "out").mkdir()
+            argv = _tiny(command, tiny_inputs, out, {flag: value})
+            out.mkdir()
             code = dispatch(argv)
             err = capsys.readouterr().err
             assert code in (0, 1, 2), argv
             assert len(err.splitlines()) == (1 if code else 0), (argv, err)
             assert "Traceback" not in err
             if code:
-                assert list((tmp_path / "out").iterdir()) == [], argv
-            shutil.rmtree(tmp_path / "out")
+                assert list(out.iterdir()) == [], argv
+            shutil.rmtree(out)
+
+    PAIR_VALUES = ["-1e308", "1e308", "-0", "1e-320", "0", "1", "3"]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_two_flags_at_once(self, tiny_inputs, data):
+        # Two typed flags of one command set together, as the irf span
+        # needed both ends; any warning is an error.
+        command = data.draw(st.sampled_from(
+            [command for command, flags in _TYPED_FLAGS.items() if len(flags) > 1]))
+        flags = data.draw(st.lists(st.sampled_from(_TYPED_FLAGS[command]), min_size=2,
+                                   max_size=2, unique=True))
+        values = data.draw(st.lists(st.sampled_from(self.PAIR_VALUES), min_size=2, max_size=2))
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out:
+            argv = _tiny(command, tiny_inputs, out, dict(zip(flags, values)))
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("error")
+                code = dispatch(argv)
+            written = os.listdir(out)
+        event(f"exit {code}")
+        assert code in (0, 1, 2), argv
+        assert len(err.getvalue().splitlines()) == (1 if code else 0), (argv, err.getvalue())
+        if code:
+            assert written == [], argv
 
     EXTREMES = ["-1e308", "1e308", "-0", "1e-320"]
 
@@ -1254,12 +1319,7 @@ def test_every_manifest_has_one_shape(tmp_path, params_file, argv, phases, work)
 
 class TestHelp:
     def test_every_subcommand_documents_defaults(self, capsys):
-        parser = build_parser()
-        subcommands = [
-            "stationary", "simulate", "filter", "fit-bkt", "bridge",
-            "experiment", "irf", "ising",
-        ]
-        for name in subcommands:
+        for name in _COMMANDS:
             assert dispatch([name, "--help"]) == 0
             text = capsys.readouterr().out
             assert name in text

@@ -33,6 +33,7 @@ from bktirt import (
     bkt_to_irt,
     classic_limit,
     empirical_state_frequencies,
+    energy,
     fit_baum_welch,
     fit_irf_cd,
     forward_filter,
@@ -293,10 +294,12 @@ def test_numpy_loads_before_a_run_starts_its_clock(tmp_path, command):
     assert ("numpy.random" in loaded) is draws
 
 
-# The module whose calls each command with a run times.
-_RUNS = {"simulate": "bktirt.chain", "filter": "bktirt.tracing", "fit-bkt": "bktirt.tracing",
-         "bridge": "bktirt.bridge", "experiment": "bktirt.experiment", "irf": "bktirt.irt",
-         "ising": "bktirt.ising"}
+# The module whose calls each command's run times: the package module its
+# row in the CLI's command table loads.
+_RUNS = {
+    name: next(module for module in loads if module.startswith("bktirt."))
+    for name, (_, _, loads) in bktirt.cli._COMMANDS.items()
+}
 
 
 @pytest.mark.parametrize("command", list(_RUNS))
@@ -439,6 +442,11 @@ _PANEL = ResponsePanel.from_records([(1, 1, 7, 1, 1), (1, 1, 7, 2, 0)])
         (lambda: simulate_field(_NET, 5, RngKey(0), scan="shuffled"), OutOfRange),
         (lambda: empirical_state_frequencies(_TRACE, burn_in=-1), OutOfRange),
         (lambda: empirical_state_frequencies(_TRACE, thin=0), OutOfRange),
+        # A mastery chain's trajectory: its latent path is 1-D, not (sweeps, nodes).
+        (lambda: empirical_state_frequencies(sample_trajectory(_PARAMS, 5, RngKey(0))),
+         OutOfRange),
+        (lambda: energy(_NET, [1, 0, 1]), OutOfRange),
+        (lambda: energy(_NET, [2, 0]), OutOfRange),
         (lambda: forward_filter(_PARAMS, []), OutOfRange),
         (lambda: fit_baum_welch(_PANEL, 7, _PARAMS, tol=0.0), OutOfRange),
         (lambda: fit_baum_welch(_PANEL, 7, _PARAMS, max_iters=0), OutOfRange),
@@ -546,6 +554,23 @@ def test_array_fields_compare_by_shape_dtype_and_values():
     assert value != trajectory(np.zeros(3, np.int64))
     assert value != trajectory(np.zeros((3, 1), np.uint8))
     assert value != trajectory([0, 0, 0])
+
+
+def test_list_fields_compare_item_by_item():
+    # A cut block holds lists of arrays (its cut's rows, its ends); each
+    # item compares as an array field does, where == on the lists would
+    # ask an array for its truth value.
+    from bktirt.tracing import _block, _cut, _pack
+
+    x, sizes = _pack([[t % 2 for t in range(n)] for n in (26, 9, 6, 4, 2)])
+    cut, block = _cut(sizes, 4), _block(x, sizes, 4)
+    assert len(cut.rows) > 1 and len(block.ends) > 1
+    assert cut == _cut(sizes, 4) and block == _block(x, sizes, 4)
+    fields = {name: getattr(cut, name) for name in type(cut).__slots__}
+    changed = [row.copy() for row in cut.rows]
+    changed[1][0] += 1
+    assert type(cut)(**{**fields, "rows": changed}) != cut
+    assert type(cut)(**{**fields, "rows": cut.rows[:-1]}) != cut
 
 
 def test_value_types_stay_patchable_on_the_class(monkeypatch):
