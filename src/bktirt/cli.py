@@ -143,10 +143,13 @@ def _int_list(text: str) -> list[int]:
 
 
 def _response_list(text: str) -> list[int]:
-    """Comma-separated responses, at least one."""
-    if responses := _int_list(text):
-        return responses
-    raise argparse.ArgumentTypeError(f"expected at least one response, got {text!r}")
+    """Comma-separated responses, at least one, none of them empty: a
+    skipped token would shift every later attempt back by one."""
+    if "" in text.split(","):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated responses, none empty, got {text!r}"
+        )
+    return _int_list(text)
 
 
 def _add_seed(parser: argparse.ArgumentParser) -> None:
@@ -360,10 +363,10 @@ def _cmd_bridge(args: argparse.Namespace, run: _Run) -> int:
     return run.json(payload, args.out)
 
 
-def _cmd_experiment(args: argparse.Namespace, run: _Run) -> int:
-    from .experiment import work_counts
-
-    # Sizes left unset take SimConfig's full-scale defaults.
+def _experiment_sizes(args: argparse.Namespace) -> dict[str, int]:
+    """The sizes given by flag; one left unset takes SimConfig's full-scale
+    default. --desk excludes them: a usage error, worded and exited as the
+    command's own parser does. The command's row runs this as its check."""
     flags = {
         "n_people": ("--people", args.people),
         "n_items": ("--items", args.items),
@@ -372,10 +375,15 @@ def _cmd_experiment(args: argparse.Namespace, run: _Run) -> int:
     sizes = {name: value for name, (_, value) in flags.items() if value is not None}
     if args.desk and sizes:
         given = ", ".join(flags[name][0] for name in sizes)
-        # A usage error, worded and exited as the command's own parser does.
         _Parser(prog="bktirt experiment").error(f"argument --desk: not allowed with {given}")
+    return sizes
+
+
+def _cmd_experiment(args: argparse.Namespace, run: _Run) -> int:
+    from .experiment import work_counts
+
     config = (_lib.SimConfig.desk if args.desk else _lib.SimConfig)(
-        **sizes,
+        **_experiment_sizes(args),
         iteration_counts=args.iters,
         p_slip=args.slip,
         p_guess=args.guess,
@@ -444,26 +452,30 @@ def _cmd_ising(args: argparse.Namespace, run: _Run) -> int:
     return run.csv(args.out, header, rows, diagnostics={"flip_rate": trace.flip_rate()})
 
 
-# One row per command, in --help order: its help line, its handler, and the
+# One row per command, in --help order: its help line, its handler, the
 # modules its run needs, loaded before dispatch starts the run's clock so that
-# no import falls in a phase or in ``duration_s``. ``stationary`` and
-# ``bridge`` evaluate closed forms on floats and list no numpy. A command that
-# draws lists ``numpy.random``, which numpy defers to a first
-# ``RngKey.generator()``; one that writes CSV lists ``csv``; and ``fit-bkt``
-# lists ``gzip``, which ``numpy.loadtxt`` imports when it first opens a path.
+# no import falls in a phase or in ``duration_s``, and a check of the parsed
+# flags (or None), run before those loads so that its usage error loads no
+# numpy. ``stationary`` and ``bridge`` evaluate closed forms on floats and
+# list no numpy. A command that draws lists ``numpy.random``, which numpy
+# defers to a first ``RngKey.generator()``; one that writes CSV lists
+# ``csv``; and ``fit-bkt`` lists ``gzip``, which ``numpy.loadtxt`` imports
+# when it first opens a path.
 _COMMANDS = {
-    "stationary": ("closed-form stationary distribution", _cmd_stationary, ("bktirt.chain",)),
+    "stationary": ("closed-form stationary distribution", _cmd_stationary,
+                   ("bktirt.chain",), None),
     "simulate": ("sample a latent/response trajectory", _cmd_simulate,
-                 ("numpy.random", "bktirt.chain", "csv")),
-    "filter": ("forward-filter a response sequence", _cmd_filter, ("numpy", "bktirt.tracing")),
+                 ("numpy.random", "bktirt.chain", "csv"), None),
+    "filter": ("forward-filter a response sequence", _cmd_filter,
+               ("numpy", "bktirt.tracing"), None),
     "fit-bkt": ("EM fit of one skill's parameters", _cmd_fit_bkt,
-                ("numpy", "bktirt.tracing", "gzip")),
-    "bridge": ("equilibrium curve of a parameter set", _cmd_bridge, ("bktirt.bridge",)),
+                ("numpy", "bktirt.tracing", "gzip"), None),
+    "bridge": ("equilibrium curve of a parameter set", _cmd_bridge, ("bktirt.bridge",), None),
     "experiment": ("population convergence experiment", _cmd_experiment,
-                   ("numpy.random", "bktirt.experiment", "csv")),
-    "irf": ("sample an item response curve", _cmd_irf, ("numpy", "bktirt.irt", "csv")),
+                   ("numpy.random", "bktirt.experiment", "csv"), _experiment_sizes),
+    "irf": ("sample an item response curve", _cmd_irf, ("numpy", "bktirt.irt", "csv"), None),
     "ising": ("sample an interacting mastery network", _cmd_ising,
-              ("numpy.random", "bktirt.ising", "csv")),
+              ("numpy.random", "bktirt.ising", "csv"), None),
 }
 
 
@@ -472,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=bktirt.__version__)
     # dispatch names a missing command itself (see there).
     sub = parser.add_subparsers(dest="command")
-    for name, (text, _, _) in _COMMANDS.items():
+    for name, (text, *_) in _COMMANDS.items():
         sub.add_parser(name, help=text)
 
     _bkt_flags(sub.choices["stationary"], with_init=False)
@@ -579,7 +591,9 @@ def dispatch(argv: list[str], *, freeze_loaded: bool = False) -> int:
             parser.error("the following arguments are required: command")
         if extras:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
-        _, handler, loads = _COMMANDS[args.command]
+        _, handler, loads, check = _COMMANDS[args.command]
+        if check is not None:
+            check(args)
         for module in loads:
             # Not importlib.import_module: this shows in python -X importtime.
             __import__(module)

@@ -15,7 +15,7 @@ stored contiguously in time-major order. Each attempt is one vector step
 over that active prefix, with no padding and no mask. A block whose longest
 sequence is long is cut into segments of about sqrt(T) attempts whose 2x2
 transfer matrices run through the same loops and are then stitched (see
-_Cut), so it takes about 2 sqrt(T) steps instead of T.
+_Block), so it takes about 2 sqrt(T) steps instead of T.
 """
 
 from __future__ import annotations
@@ -56,38 +56,12 @@ def _layout(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rank, (np.cumsum(sizes) - sizes)[step] + np.repeat(rank, lengths), sizes
 
 
-def _pack(sequences: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Packed layout of a list of 0/1 response sequences (see _pack_runs)."""
-    return _pack_runs(np.concatenate(sequences), np.array([len(seq) for seq in sequences]))
-
-
 def _pack_runs(flat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Packed responses x and step sizes of 0/1 sequences stored end to end."""
     _, dest, sizes = _layout(lengths)
     x = np.empty(flat.size, dtype=np.intp)
     x[dest] = flat
     return x, sizes
-
-
-class _Cut(Value):
-    """Where a packed block is cut into segments of at most `length` attempts.
-
-    Each sequence's first segment is its first `length` attempts: the
-    block's first `head` responses, in place. The later segments form a
-    packed block of their own, longest first, with step sizes `sizes`; its
-    k-th response is block position `later[k]` and belongs to later segment
-    `row[k]`. `rows[j - 1][r]` is the later segment that is segment j of the
-    sequence ranked r. Nothing is cut when `length` is the block's step
-    count: then `later` is empty and `segments` is 0.
-    """
-
-    length: int
-    head: int
-    later: np.ndarray
-    sizes: np.ndarray
-    row: np.ndarray
-    rows: list[np.ndarray]
-    segments: int
 
 
 def _segment_length(sizes: np.ndarray) -> int:
@@ -107,9 +81,49 @@ def _segment_length(sizes: np.ndarray) -> int:
     return length if cost < steps else steps
 
 
-def _cut(sizes: np.ndarray, length: int | None = None) -> _Cut:
-    """How a block of these step sizes is cut (see _Cut); the length is
-    chosen from the sizes unless given."""
+def _prev(sizes: np.ndarray) -> np.ndarray:
+    """Position of the previous attempt of each response after step 0."""
+    first = int(sizes[:1].sum())
+    return np.arange(first, int(sizes.sum())) - np.repeat(sizes[:-1], sizes[1:])
+
+
+class _Block(Value):
+    """Packed 0/1 responses x with step sizes `sizes`, cut into segments of
+    at most `length` attempts, and what every pass reuses.
+
+    Each sequence's first segment is its first `length` attempts: the
+    block's first `head` responses, in place. The later segments form a
+    packed block of their own, longest first, with step sizes
+    `later_sizes`; its k-th response is block position `later[k]` and
+    belongs to later segment `row[k]`. `rows[j - 1][r]` is the later segment
+    that is segment j of the sequence ranked r. Nothing is cut when `length`
+    is the block's step count: then `later` is empty and `segments` is 0.
+
+    prev and later_prev are _prev of the block and of its later segments;
+    ends[j] holds the later-block positions where the segments that go on
+    from stitch step j end (full, at its last step); correct and wrong are
+    the positions of the 1s and the 0s.
+    """
+
+    x: np.ndarray
+    sizes: np.ndarray
+    length: int
+    head: int
+    later: np.ndarray
+    later_sizes: np.ndarray
+    row: np.ndarray
+    rows: list[np.ndarray]
+    segments: int
+    prev: np.ndarray
+    later_prev: np.ndarray
+    ends: list[np.ndarray]
+    correct: np.ndarray
+    wrong: np.ndarray
+
+
+def _block(x: np.ndarray, sizes: np.ndarray, length: int | None = None) -> _Block:
+    """The block of packed responses x with these step sizes, cut into
+    segments of `length` attempts (chosen from the sizes unless given)."""
     steps = int(sizes.size)
     length = min(_segment_length(sizes) if length is None else length, steps)
     starts = np.cumsum(sizes) - sizes
@@ -124,48 +138,15 @@ def _cut(sizes: np.ndarray, length: int | None = None) -> _Cut:
     later = np.empty(step.size, dtype=np.intp)
     later[dest] = starts[step] + np.repeat(np.arange(n_cut), rest)
     most = int(count.max(initial=0))
-    return _Cut(
-        length=length,
-        head=int(starts[length - 1] + sizes[length - 1]),
-        later=later,
-        sizes=later_sizes,
-        row=np.arange(step.size) - np.repeat(np.cumsum(later_sizes) - later_sizes, later_sizes),
-        rows=[rank[first[: sizes[j * length]] + j - 1] for j in range(1, most + 1)],
-        segments=int(count.sum()),
-    )
-
-
-def _prev(sizes: np.ndarray) -> np.ndarray:
-    """Position of the previous attempt of each response after step 0."""
-    first = int(sizes[:1].sum())
-    return np.arange(first, int(sizes.sum())) - np.repeat(sizes[:-1], sizes[1:])
-
-
-class _Block(Value):
-    """Packed 0/1 responses x, step sizes and cut (see _Cut), with what every
-    pass reuses: _prev of the block and of its later segments; ends[j], the
-    later-block positions where the segments that go on from stitch step j
-    end (full, at its last step); and the positions of the 1s and the 0s."""
-
-    x: np.ndarray
-    sizes: np.ndarray
-    cut: _Cut
-    prev: np.ndarray
-    later_prev: np.ndarray
-    ends: list[np.ndarray]
-    correct: np.ndarray
-    wrong: np.ndarray
-
-
-def _block(x: np.ndarray, sizes: np.ndarray, length: int | None = None) -> _Block:
-    """The block of packed responses x with these step sizes, cut into
-    segments of `length` attempts (chosen from the sizes unless given)."""
-    cut = _cut(sizes, length)
-    tail = cut.later.size - int(cut.sizes[-1:].sum())
-    going_on = [rows.size for rows in cut.rows[1:]] + [0]
-    ends = [tail + rows[:n] for rows, n in zip(cut.rows, going_on)]
+    rows = [rank[first[: sizes[j * length]] + j - 1] for j in range(1, most + 1)]
+    head = int(starts[length - 1] + sizes[length - 1])
+    row = np.arange(step.size) - np.repeat(np.cumsum(later_sizes) - later_sizes, later_sizes)
+    tail = later.size - int(later_sizes[-1:].sum())
+    going_on = [r.size for r in rows[1:]] + [0]
+    ends = [tail + r[:n] for r, n in zip(rows, going_on)]
     correct = x == 1
-    return _Block(x, sizes, cut, _prev(sizes), _prev(cut.sizes), ends,
+    return _Block(x, sizes, length, head, later, later_sizes, row, rows, int(count.sum()),
+                  _prev(sizes), _prev(later_sizes), ends,
                   np.flatnonzero(correct), np.flatnonzero(~correct))
 
 
@@ -259,28 +240,28 @@ def _forward(params: BktParams, block: _Block):
     across sequences, one step per segment index, and each later response's
     terms are its segment prior times its matrix.
     """
-    x, cut = block.x, block.cut
-    head, later = cut.head, cut.later
+    x, head, later = block.x, block.head, block.later
     emit_m, emit_u = _emissions(params, x)
     alpha_m, alpha_u, realized = np.empty(x.size), np.empty(x.size), np.empty(x.size)
     mat_m, mat_u = np.empty((2, 2, later.size))
     scale = np.empty(later.size)
-    pi_m, pi_u = np.empty((2, cut.segments))
+    pi_m, pi_u = np.empty((2, block.segments))
     # A zero realized probability poisons only its own sequence; it is
     # reported after the pass, at the earliest attempt it occurs.
     with np.errstate(divide="ignore", invalid="ignore"):
         p_m, p_u = _scan(
-            params, emit_m[:head], emit_u[:head], block.sizes[: cut.length],
+            params, emit_m[:head], emit_u[:head], block.sizes[: block.length],
             np.array([params.p_init]), np.array([1.0 - params.p_init]),
             alpha_m[:head], alpha_u[:head], realized[:head],
         )
-        _scan(params, emit_m[later], emit_u[later], cut.sizes, _EYE_M, _EYE_U, mat_m, mat_u, scale)
-        for rows, end in zip(cut.rows, block.ends):
+        _scan(params, emit_m[later], emit_u[later], block.later_sizes, _EYE_M, _EYE_U,
+              mat_m, mat_u, scale)
+        for rows, end in zip(block.rows, block.ends):
             pi_m[rows], pi_u[rows] = p_m[: rows.size], p_u[: rows.size]
             m, u = _mix(p_m[: end.size], p_u[: end.size], mat_m[:, end], mat_u[:, end])
             total = m + u
             p_m, p_u = _predict(params, m / total, u / total)
-        m, u = _mix(pi_m[cut.row], pi_u[cut.row], mat_m, mat_u)
+        m, u = _mix(pi_m[block.row], pi_u[block.row], mat_m, mat_u)
         total = m + u
         alpha_m[later], alpha_u[later] = m / total, u / total
         realized[later] = scale * total / np.concatenate((pi_m + pi_u, total[block.later_prev]))
@@ -310,32 +291,25 @@ def _backward(params: BktParams, w_m: np.ndarray, w_u: np.ndarray, block: _Block
     values are stitched from each sequence's last segment back, and the
     first segments then run from theirs.
     """
-    cut, sizes = block.cut, block.sizes
-    head, later, n = cut.head, cut.later, cut.segments
+    sizes, head, later, n = block.sizes, block.head, block.later, block.segments
     w_lm, w_lu = w_m[later], w_u[later]
     mat_m, mat_u = np.empty((2, 2, later.size))
     mat_m[:], mat_u[:] = _EYE_M, _EYE_U
-    _scan_back(params, w_lm, w_lu, cut.sizes, mat_m, mat_u)
+    _scan_back(params, w_lm, w_lu, block.later_sizes, mat_m, mat_u)
     # Each segment's matrix carried back across its first attempt.
     k_m, k_u = _retreat(params, w_lm[:n] * mat_m[:, :n], w_lu[:n] * mat_u[:, :n])
-    b_m, b_u = np.ones((2, cut.rows[0].size if cut.rows else 0))
+    b_m, b_u = np.ones((2, block.rows[0].size if block.rows else 0))
     end_m, end_u = np.empty((2, n))
-    for rows in reversed(cut.rows):
+    for rows in reversed(block.rows):
         k = rows.size
         end_m[rows], end_u[rows] = b_m[:k], b_u[:k]
         b_m[:k], b_u[:k] = _mix(b_m[:k], b_u[:k], k_m[:, rows], k_u[:, rows])
     beta_m, beta_u = np.ones(w_m.size), np.ones(w_m.size)
-    beta_m[later], beta_u[later] = _mix(end_m[cut.row], end_u[cut.row], mat_m, mat_u)
-    lo = head - int(sizes[cut.length - 1])
+    beta_m[later], beta_u[later] = _mix(end_m[block.row], end_u[block.row], mat_m, mat_u)
+    lo = head - int(sizes[block.length - 1])
     beta_m[lo : lo + b_m.size], beta_u[lo : lo + b_u.size] = b_m, b_u
-    _scan_back(params, w_m[:head], w_u[:head], sizes[: cut.length], beta_m[:head], beta_u[:head])
+    _scan_back(params, w_m[:head], w_u[:head], sizes[: block.length], beta_m[:head], beta_u[:head])
     return beta_m, beta_u
-
-
-def _estep(params: BktParams, block: _Block):
-    """Log-likelihood and expected counts of a packed block (see _counts)."""
-    forward = _forward(params, block)
-    return _loglik(forward), _counts(params, block, forward)
 
 
 def _loglik(forward) -> float:
@@ -423,7 +397,8 @@ def forward_filter(params: BktParams, responses) -> FilterResult:
     responses = list(responses)
     if not responses:
         raise OutOfRange("responses must be non-empty")
-    alpha_m, alpha_u, realized, _, _ = _forward(params, _block(*_pack([_binary(responses)])))
+    x, sizes = _pack_runs(_binary(responses), np.array([len(responses)]))
+    alpha_m, alpha_u, realized, _, _ = _forward(params, _block(x, sizes))
     prior_m, prior_u = _predict(params, alpha_m[:-1], alpha_u[:-1])
     predictive = (
         np.concatenate(([params.p_init], prior_m)) * (1.0 - params.p_slip)
@@ -587,6 +562,6 @@ def fit_baum_welch(
         work={
             "sequences": int(block.sizes[0]),
             "responses": int(block.x.size),
-            "cut_segments": block.cut.segments,
+            "cut_segments": block.segments,
         },
     )

@@ -277,6 +277,22 @@ class TestFilterCommand:
         assert captured.err.startswith("OutOfRange:")
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("responses", ["1,0,,1", "1,", ",1"])
+    def test_empty_response_exits_two(self, capsys, tmp_path, params_file, responses):
+        # Skipped, the empty token of 1,0,,1 would report its fourth attempt
+        # as the third.
+        out = tmp_path / "filter.json"
+        argv = ["filter", "--params", str(params_file), "--responses", responses,
+                "--out", str(out)]
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "bktirt filter: error: argument --responses: expected comma-separated "
+            f"responses, none empty, got {responses!r}\n"
+        )
+        assert not out.exists()
+
     def test_zero_likelihood_exits_one(self, capsys, tmp_path):
         path = tmp_path / "noguess.json"
         path.write_text(BktParams(0.0, 0.3, 0.0, 0.1, 0.0).to_json())

@@ -270,6 +270,39 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, command, code, loads
     assert [m for m in skips if m in loaded] == []
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["experiment", "--desk", "--people", "3", "--out", "x.csv"],
+         "bktirt experiment: error: argument --desk: not allowed with --people"),
+        (["--nope"], "bktirt: error: unrecognized arguments: --nope"),
+        (["irf", "--points", "0"],
+         "bktirt irf: error: argument --points: expected an integer from 1 to 2000000, got '0'"),
+        (["simulate", "--p-learn", "0.3", "--steps", "1000001"],
+         "bktirt simulate: error: argument --steps: expected an integer from 1 to 1000000, "
+         "got '1000001'"),
+    ],
+    ids=["desk-with-size", "unknown-flag", "irf-points", "simulate-steps"],
+)
+def test_a_usage_error_logs_no_numpy_import(tmp_path, argv, error):
+    # A usage error exits 2 with one stderr line before any command module
+    # or numpy loads: the --desk check against the sizes runs before
+    # dispatch loads the experiment's modules. The import log names every
+    # module the process loaded.
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "bktirt.cli", *argv],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": _SRC},
+        capture_output=True, text=True, timeout=120,
+    )
+    lines = proc.stderr.splitlines()
+    log = [line for line in lines if line.startswith("import time:")]
+    assert proc.returncode == 2
+    assert [line for line in lines if line not in log] == [error]
+    assert any(re.search(r"\| *bktirt\.rng$", line) for line in log)
+    assert [line for line in log if re.search(r"\| *numpy(\.|$)", line)] == []
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["simulate", "filter", "fit-bkt", "experiment", "irf", "ising"])
 def test_numpy_loads_before_a_run_starts_its_clock(tmp_path, command):
     # A run's clock starts when its _Run is made: numpy's import must fall
@@ -298,7 +331,7 @@ def test_numpy_loads_before_a_run_starts_its_clock(tmp_path, command):
 # row in the CLI's command table loads.
 _RUNS = {
     name: next(module for module in loads if module.startswith("bktirt."))
-    for name, (_, _, loads) in bktirt.cli._COMMANDS.items()
+    for name, (_, _, loads, _) in bktirt.cli._COMMANDS.items()
 }
 
 
@@ -557,20 +590,21 @@ def test_array_fields_compare_by_shape_dtype_and_values():
 
 
 def test_list_fields_compare_item_by_item():
-    # A cut block holds lists of arrays (its cut's rows, its ends); each
-    # item compares as an array field does, where == on the lists would
-    # ask an array for its truth value.
-    from bktirt.tracing import _block, _cut, _pack
+    # A cut block holds lists of arrays (its rows, its ends); each item
+    # compares as an array field does, where == on the lists would ask an
+    # array for its truth value.
+    from bktirt.tracing import _block, _pack_runs
 
-    x, sizes = _pack([[t % 2 for t in range(n)] for n in (26, 9, 6, 4, 2)])
-    cut, block = _cut(sizes, 4), _block(x, sizes, 4)
-    assert len(cut.rows) > 1 and len(block.ends) > 1
-    assert cut == _cut(sizes, 4) and block == _block(x, sizes, 4)
-    fields = {name: getattr(cut, name) for name in type(cut).__slots__}
-    changed = [row.copy() for row in cut.rows]
+    lengths = np.array([26, 9, 6, 4, 2])
+    x, sizes = _pack_runs(np.concatenate([np.arange(n) % 2 for n in lengths]), lengths)
+    block = _block(x, sizes, 4)
+    assert len(block.rows) > 1 and len(block.ends) > 1
+    assert block == _block(x, sizes, 4)
+    fields = {name: getattr(block, name) for name in type(block).__slots__}
+    changed = [row.copy() for row in block.rows]
     changed[1][0] += 1
-    assert type(cut)(**{**fields, "rows": changed}) != cut
-    assert type(cut)(**{**fields, "rows": cut.rows[:-1]}) != cut
+    assert type(block)(**{**fields, "rows": changed}) != block
+    assert type(block)(**{**fields, "rows": block.rows[:-1]}) != block
 
 
 def test_value_types_stay_patchable_on_the_class(monkeypatch):

@@ -78,6 +78,13 @@ def _panel_from_sequences(sequences, skill_id=7):
     return ResponsePanel.from_records(records)
 
 
+def _packed(sequences):
+    """Packed responses x and step sizes of these 0/1 sequences."""
+    from bktirt.tracing import _pack_runs
+
+    return _pack_runs(np.concatenate(sequences), np.array([len(seq) for seq in sequences]))
+
+
 def _simulated_panel(truth, n_seq, length, seed, skill_id=7):
     key = RngKey(seed)
     sequences = [
@@ -450,7 +457,7 @@ def _brute_em_step(params, sequences):
 
 
 def test_estep_expected_counts_match_path_enumeration():
-    from bktirt.tracing import _block, _estep, _mstep, _pack
+    from bktirt.tracing import _block, _counts, _forward, _mstep
 
     rng = np.random.default_rng(77)
     for _ in range(20):
@@ -459,7 +466,8 @@ def test_estep_expected_counts_match_path_enumeration():
             rng.integers(0, 2, size=int(rng.integers(1, 7))).tolist()
             for _ in range(5)
         ]
-        _, counts = _estep(params, _block(*_pack(sequences)))
+        block = _block(*_packed(sequences))
+        counts = _counts(params, block, _forward(params, block))
         updated = _mstep(counts, params, classic=False, identified=False)
         want = _brute_em_step(params, sequences)
         got = (
@@ -476,7 +484,7 @@ class TestSegmentAndStitch:
     """Blocks cut into segments must give the uncut pass's numbers."""
 
     def test_cut_block_matches_uncut_loop(self):
-        from bktirt.tracing import _block, _estep, _forward, _pack
+        from bktirt.tracing import _block, _counts, _forward, _loglik
 
         rng = np.random.default_rng(78)
         for _ in range(30):
@@ -485,17 +493,17 @@ class TestSegmentAndStitch:
             lengths += rng.integers(1, 12 * length, size=int(rng.integers(0, 12))).tolist()
             sequences = [rng.integers(0, 2, size=n).tolist() for n in lengths]
             params = BktParams(*rng.uniform(0.02, 0.98, size=5))
-            x, sizes = _pack(sequences)
+            x, sizes = _packed(sequences)
             whole, cut = _block(x, sizes, sizes.size), _block(x, sizes, length)
-            assert whole.cut.segments == 0 and cut.cut.segments > 0
+            assert whole.segments == 0 and cut.segments > 0
 
-            stitched = _forward(params, cut)
-            for want, got in zip(_forward(params, whole), stitched):
+            unstitched, stitched = _forward(params, whole), _forward(params, cut)
+            for want, got in zip(unstitched, stitched):
                 assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
             assert np.all((stitched[0] >= 0.0) & (stitched[0] <= 1.0))
 
-            want_ll, want = _estep(params, whole)
-            got_ll, got = _estep(params, cut)
+            want_ll, got_ll = _loglik(unstitched), _loglik(stitched)
+            want, got = _counts(params, whole, unstitched), _counts(params, cut, stitched)
             assert abs(got_ll - want_ll) <= 1e-12 * abs(want_ll)
             assert list(got) == list(want)
             for name in want:
@@ -503,7 +511,7 @@ class TestSegmentAndStitch:
                     assert abs(b - a) <= 1e-12 * abs(a), name
 
     def test_cut_only_when_it_pays(self):
-        from bktirt.tracing import _cut, _pack
+        from bktirt.tracing import _block
 
         # Many short sequences are never cut; 16 sequences of 3,000 attempts
         # are cut into segments of 55: each into its first and 54 later ones.
@@ -514,9 +522,27 @@ class TestSegmentAndStitch:
         for lengths, segments in ((wide, 0), ([3000] * 16, 16 * 54), ([10], 0)):
             lengths = np.asarray(lengths)
             sequences = [rng.integers(0, 2, size=n) for n in lengths]
-            _, sizes = _pack(sequences)
             report = fit_baum_welch(_panel_from_sequences(sequences), 7, init, max_iters=1)
-            assert _cut(sizes).segments == report.work["cut_segments"] == segments
+            assert _block(*_packed(sequences)).segments == report.work["cut_segments"] == segments
+
+    def test_a_fit_builds_its_block_once(self, monkeypatch):
+        # Every E-step reuses the block the fit built: a build per pass
+        # would redo the cut's arithmetic on each of them.
+        import bktirt.tracing as tracing
+
+        calls = []
+
+        def counting(*args, _build=tracing._block, **kwargs):
+            calls.append(args)
+            return _build(*args, **kwargs)
+
+        truth = BktParams(0.2, 0.1, 0.05, 0.1, 0.2)
+        panel = _simulated_panel(truth, 16, 3000, seed=80)
+        monkeypatch.setattr(tracing, "_block", counting)
+        init = BktParams(0.3, 0.2, 0.1, 0.15, 0.15)
+        report = fit_baum_welch(panel, 7, init, max_iters=5)
+        assert report.iterations == 5 and report.work["cut_segments"] == 16 * 54
+        assert len(calls) == 1
 
     def test_work_stays_out_of_equality_hashing_and_json(self):
         sequences = [[1, 0, 1], [0], [1, 1]]
@@ -530,23 +556,24 @@ class TestSegmentAndStitch:
         assert "work" not in json.loads(report.to_json())
 
     def test_zero_likelihood_in_a_later_segment_names_its_attempt(self):
-        from bktirt.tracing import _block, _estep, _pack
+        from bktirt.tracing import _block, _forward
 
         params = BktParams(0.0, 0.0, 0.0, 0.1, 0.0)
         responses = [0] * 5000
         responses[4320] = 1
-        x, sizes = _pack([responses])
+        x, sizes = _packed([responses])
         cut = _block(x, sizes)
-        assert cut.cut.length < 4321
+        assert cut.length < 4321
         message = "response 1 at attempt 4321 has probability 0"
         with pytest.raises(ZeroLikelihood, match=message):
             forward_filter(params, responses)
         with pytest.raises(ZeroLikelihood, match=message):
             sequence_loglik(params, _panel_from_sequences([responses, [0, 0]]), 7)
-        # The E-step of fit_baum_welch, on parameters it has not nudged.
+        # The forward pass that starts each E-step of fit_baum_welch, on
+        # parameters it has not nudged.
         for block in (cut, _block(x, sizes, sizes.size)):
             with pytest.raises(ZeroLikelihood, match=message):
-                _estep(params, block)
+                _forward(params, block)
 
     def test_prior_on_an_underflowed_start_state(self):
         # Mastered from the start and never forgetting, every response a
