@@ -17,7 +17,7 @@ import math
 from typing import TYPE_CHECKING
 
 from ._value import Value
-from .errors import OutOfRange, Reducible
+from .errors import InsufficientData, OutOfRange, Reducible
 from .params import BktParams
 from .rng import RngKey
 
@@ -26,6 +26,9 @@ if TYPE_CHECKING:
 
 # Rows of latent that Trajectory.flip_rate compares at a time.
 _FLIP_BLOCK = 1 << 14
+# stationary_power_iteration's settling tolerance and step cap.
+_POWER_TOL = 1e-12
+_POWER_MAX_STEPS = 10**6
 
 
 def build_matrices(params: BktParams) -> tuple[np.ndarray, np.ndarray]:
@@ -66,11 +69,6 @@ class StationaryDist(Value):
     lambda1: float
     periodic: bool = False
 
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([self.lambda0, self.lambda1])
-
 
 def stationary_closed_form(params: BktParams) -> StationaryDist:
     """Stationary distribution (p_forget, p_learn) / (p_learn + p_forget).
@@ -88,11 +86,7 @@ def stationary_closed_form(params: BktParams) -> StationaryDist:
     return StationaryDist(1.0 - lam1, lam1, periodic=(total == 2.0))
 
 
-def stationary_power_iteration(
-    transition: np.ndarray,
-    tol: float = 1e-12,
-    max_iters: int = 10**6,
-) -> StationaryDist:
+def stationary_power_iteration(transition: np.ndarray) -> StationaryDist:
     """Stationary distribution by iterating v <- A^T v from (1, 0).
 
     Advances two steps at a time so the iteration also settles for chains
@@ -107,19 +101,19 @@ def stationary_power_iteration(
     a00, a01, a10, a11 = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
     v0, v1 = 1.0, 0.0
     steps = 0
-    while steps < max_iters:
+    while steps < _POWER_MAX_STEPS:
         w0 = a00 * v0 + a10 * v1
         w1 = a01 * v0 + a11 * v1
         u0 = a00 * w0 + a10 * w1
         u1 = a01 * w0 + a11 * w1
         steps += 2
-        settled = abs(u0 - v0) < tol and abs(u1 - v1) < tol
+        settled = abs(u0 - v0) < _POWER_TOL and abs(u1 - v1) < _POWER_TOL
         v0, v1 = u0, u1
         if settled:
             break
     w0 = a00 * v0 + a10 * v1
     w1 = a01 * v0 + a11 * v1
-    if max(abs(w0 - v0), abs(w1 - v1)) < max(math.sqrt(tol), 16.0 * tol):
+    if max(abs(w0 - v0), abs(w1 - v1)) < max(math.sqrt(_POWER_TOL), 16.0 * _POWER_TOL):
         return StationaryDist(w0, w1)
     return StationaryDist(0.5 * (v0 + w0), 0.5 * (v1 + w1), periodic=True)
 
@@ -200,6 +194,12 @@ class Trajectory(Value):
             hi = min(lo + _FLIP_BLOCK, len(self))
             flips += np.count_nonzero(self.latent[lo:hi] != self.latent[lo - 1 : hi - 1])
         return flips / self.latent.size
+
+
+def require_sweeps_after_burn_in(burn_in: int, sweeps: int) -> None:
+    """Raise InsufficientData when a burn-in leaves no sweep to count."""
+    if burn_in >= sweeps:
+        raise InsufficientData(f"burn-in of {burn_in} sweeps leaves none of {sweeps} to count")
 
 
 def sample_trajectory(params: BktParams, steps: int, key: RngKey) -> Trajectory:

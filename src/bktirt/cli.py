@@ -178,7 +178,7 @@ def _bkt_flags(parser: argparse.ArgumentParser, *, with_init: bool = True) -> No
 
 def _flag_params(args: argparse.Namespace) -> BktParams:
     """Parameters from the flags ``_bkt_flags`` adds; a flag left out is 0."""
-    return _lib.BktParams(**{name: getattr(args, name, 0.0) for name in _lib.BktParams._FIELDS})
+    return _lib.BktParams(**{name: getattr(args, name, 0.0) for name in _lib.BktParams.__slots__})
 
 
 def _read_params(path: str) -> BktParams:
@@ -409,10 +409,14 @@ def _cmd_experiment(args: argparse.Namespace, run: _Run) -> int:
     return run.finish(args.out, summary_path)
 
 
-def _cmd_irf(args: argparse.Namespace, run: _Run) -> int:
+def _irf_span(args: argparse.Namespace) -> None:
+    """The irf row's check: a span that overflows a float is refused."""
     if not math.isfinite(args.theta_max - args.theta_min):
         raise OutOfRange(f"--theta-max {args.theta_max!r} minus --theta-min "
                          f"{args.theta_min!r} overflows a float")
+
+
+def _cmd_irf(args: argparse.Namespace, run: _Run) -> int:
     import numpy as np
 
     item = _lib.Irf4pl(a=args.a, b=args.b, c=args.c, d=args.d)
@@ -424,12 +428,16 @@ def _cmd_irf(args: argparse.Namespace, run: _Run) -> int:
     return run.csv(args.out, ["theta", "p"], rows)
 
 
-def _cmd_ising(args: argparse.Namespace, run: _Run) -> int:
-    from .ising import require_sweeps_after_burn_in
+def _ising_burn_in(args: argparse.Namespace) -> None:
+    """The ising row's check: a burn-in must leave a sweep to count."""
+    from .chain import require_sweeps_after_burn_in
 
+    require_sweeps_after_burn_in(args.burn_in, args.sweeps)
+
+
+def _cmd_ising(args: argparse.Namespace, run: _Run) -> int:
     with run.phase("load_s"):
         net = _lib.IsingNetwork.from_json_file(args.net)
-    require_sweeps_after_burn_in(args.burn_in, args.sweeps)
     if (updates := args.sweeps * net.n_nodes) > _MAX_SITE_UPDATES:
         raise TooLarge(
             f"--sweeps {args.sweeps} x {net.n_nodes} nodes is {updates:,} site updates, "
@@ -455,12 +463,12 @@ def _cmd_ising(args: argparse.Namespace, run: _Run) -> int:
 # One row per command, in --help order: its help line, its handler, the
 # modules its run needs, loaded before dispatch starts the run's clock so that
 # no import falls in a phase or in ``duration_s``, and a check of the parsed
-# flags (or None), run before those loads so that its usage error loads no
-# numpy. ``stationary`` and ``bridge`` evaluate closed forms on floats and
-# list no numpy. A command that draws lists ``numpy.random``, which numpy
-# defers to a first ``RngKey.generator()``; one that writes CSV lists
-# ``csv``; and ``fit-bkt`` lists ``gzip``, which ``numpy.loadtxt`` imports
-# when it first opens a path.
+# flags (or None), run before those loads so that an error decided by the
+# flags alone loads no numpy. ``stationary`` and ``bridge`` evaluate closed
+# forms on floats and list no numpy. A command that draws lists
+# ``numpy.random``, which numpy defers to a first ``RngKey.generator()``; one
+# that writes CSV lists ``csv``; and ``fit-bkt`` lists ``gzip``, which
+# ``numpy.loadtxt`` imports when it first opens a path.
 _COMMANDS = {
     "stationary": ("closed-form stationary distribution", _cmd_stationary,
                    ("bktirt.chain",), None),
@@ -473,9 +481,10 @@ _COMMANDS = {
     "bridge": ("equilibrium curve of a parameter set", _cmd_bridge, ("bktirt.bridge",), None),
     "experiment": ("population convergence experiment", _cmd_experiment,
                    ("numpy.random", "bktirt.experiment", "csv"), _experiment_sizes),
-    "irf": ("sample an item response curve", _cmd_irf, ("numpy", "bktirt.irt", "csv"), None),
+    "irf": ("sample an item response curve", _cmd_irf, ("numpy", "bktirt.irt", "csv"),
+            _irf_span),
     "ising": ("sample an interacting mastery network", _cmd_ising,
-              ("numpy.random", "bktirt.ising", "csv"), None),
+              ("numpy.random", "bktirt.ising", "csv"), _ising_burn_in),
 }
 
 

@@ -58,6 +58,15 @@ _COUNT_STREAM = 1
 _COUNT_STREAMS = 4
 
 
+def _count(name: str, value) -> int:
+    """A count as a Python int, so that products of counts do not wrap. A
+    numpy integer is a count; a bool or a float is not, and numpy would take
+    one as a size or raise a probability to it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise OutOfRange(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class SimConfig(Value):
     """Scale, noise and binning knobs for one experiment run."""
 
@@ -71,7 +80,10 @@ class SimConfig(Value):
     bin_width: float = 0.25
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "iteration_counts", tuple(self.iteration_counts))
+        for name in ("n_people", "n_items", "replications"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
+        counts = tuple(_count("each of iteration_counts", t) for t in self.iteration_counts)
+        object.__setattr__(self, "iteration_counts", counts)
         if min(self.n_people, self.n_items, self.replications) < 1:
             raise OutOfRange("population, item and replication counts must be >= 1")
         if self.n_people * self.n_items * self.replications > _MAX_OBSERVATIONS:

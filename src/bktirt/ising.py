@@ -17,8 +17,8 @@ from itertools import repeat
 import numpy as np
 
 from ._value import Value
-from .chain import Trajectory
-from .errors import InsufficientData, OutOfRange, TooLarge
+from .chain import Trajectory, require_sweeps_after_burn_in
+from .errors import OutOfRange, TooLarge
 from .irt import logistic
 from .params import read_json
 from .rng import RngKey
@@ -26,7 +26,8 @@ from .rng import RngKey
 _EXACT_MAX_NODES = 20
 _TABLE_MAX_NODES = 12
 _INDEX_MAX_NODES = 63
-# Sweeps simulated per chunk, and state indices counted per bincount.
+# Sweeps simulated per chunk, state indices counted per bincount, and
+# states whose energies boltzmann_exact computes at a time.
 _CHUNK = 1 << 14
 # Sweeps per block of the block sampler, and its repair rounds per chunk
 # before the per-site loop finishes the chunk (see _Blocks).
@@ -172,12 +173,6 @@ def require_enumerable(n_nodes: int) -> None:
         )
 
 
-def require_sweeps_after_burn_in(burn_in: int, sweeps: int) -> None:
-    """Raise InsufficientData when a burn-in leaves no sweep to count."""
-    if burn_in >= sweeps:
-        raise InsufficientData(f"burn-in of {burn_in} sweeps leaves none of {sweeps} to count")
-
-
 def energy(net: IsingNetwork, z) -> float:
     """E(z) = -(sum_{i<j} sigma_ij z_i z_j + sum_i h_i z_i), for z of n
     entries of 0 or 1; OutOfRange otherwise."""
@@ -185,23 +180,23 @@ def energy(net: IsingNetwork, z) -> float:
     return float(-(0.5 * z @ net.couplings @ z + net.fields @ z))
 
 
-def _state_bits(n: int) -> np.ndarray:
-    # Row s holds the bits of state index s, node j = bit j.
-    return (np.arange(2**n)[:, None] >> np.arange(n)[None, :]) & 1
-
-
 def boltzmann_exact(net: IsingNetwork) -> np.ndarray:
     """Normalized exp(-E) over all 2^n states, indexed by the bit pattern of z.
 
-    Full enumeration; refuses networks beyond 20 nodes.
+    Full enumeration, _CHUNK states at a time, so no (2^n, n) matrix is
+    made; refuses networks beyond 20 nodes.
     """
     n = net.n_nodes
     require_enumerable(n)
-    states = _state_bits(n).astype(float)
-    energies = -(
-        0.5 * np.einsum("si,ij,sj->s", states, net.couplings, states)
-        + states @ net.fields
-    )
+    energies = np.empty(2**n)
+    for lo in range(0, 2**n, _CHUNK):
+        # Row s holds the bits of state index lo + s, node j = bit j.
+        index = np.arange(lo, min(lo + _CHUNK, 2**n))
+        states = ((index[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
+        energies[lo : lo + len(index)] = -(
+            0.5 * np.einsum("si,ij,sj->s", states, net.couplings, states)
+            + states @ net.fields
+        )
     weights = np.exp(-(energies - energies.min()))
     return weights / weights.sum()
 

@@ -68,18 +68,16 @@ class BktParams(Value):
     p_slip: float
     p_guess: float
 
-    _FIELDS = ("p_init", "p_learn", "p_forget", "p_slip", "p_guess")
-
     def __post_init__(self) -> None:
         # Kept as plain floats: a JSON 1 reads back as 1.0 and -0.0 as 0.0,
         # both exact, so every output prints each probability the same way.
-        for name in self._FIELDS:
+        for name in self.__slots__:
             value = getattr(self, name)
             _check_unit(name, value)
             object.__setattr__(self, name, float(value) + 0.0)
 
     def to_json(self) -> str:
-        return json.dumps({name: getattr(self, name) for name in self._FIELDS})
+        return json.dumps({name: getattr(self, name) for name in self.__slots__})
 
     @classmethod
     def from_json(cls, text: str) -> "BktParams":
@@ -88,13 +86,13 @@ class BktParams(Value):
             raise OutOfRange(
                 f"BKT parameters must be a JSON object, got {type(raw).__name__}"
             )
-        missing = [name for name in cls._FIELDS if name not in raw]
+        missing = [name for name in cls.__slots__ if name not in raw]
         if missing:
             raise OutOfRange(f"missing BKT parameter keys: {missing}")
-        unknown = [name for name in raw if name not in cls._FIELDS]
+        unknown = [name for name in raw if name not in cls.__slots__]
         if unknown:
             raise OutOfRange(f"unknown BKT parameter keys: {unknown}")
-        return cls(**{name: raw[name] for name in cls._FIELDS})
+        return cls(**{name: raw[name] for name in cls.__slots__})
 
 
 def validate_bkt(
@@ -139,6 +137,9 @@ class Irf4pl(Value):
     def __post_init__(self) -> None:
         if not self.a > 0:
             raise OutOfRange(f"discrimination a must be > 0, got {self.a}")
+        for name, value in (("a", self.a), ("b", self.b)):
+            if not math.isfinite(value):
+                raise OutOfRange(f"{name} must be finite, got {value}")
         _check_unit("c", self.c)
         _check_unit("d", self.d)
         if not self.c < self.d:
@@ -218,10 +219,6 @@ class ResponsePanel:
             )
         self.records, self._starts = rows, starts
 
-    @classmethod
-    def from_records(cls, records: Iterable[tuple[int, ...]]) -> "ResponsePanel":
-        return cls(list(records))
-
     def __eq__(self, other: object) -> bool:
         import numpy as np
 
@@ -267,6 +264,7 @@ class ResponsePanel:
             # A header-only file is an empty panel, not worth a warning.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             try:
+                # By path: numpy parses a path in blocks, an open handle line by line.
                 rows = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2,
                                   skiprows=1, comments=None, encoding="utf-8")
             except ValueError:

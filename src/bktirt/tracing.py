@@ -452,7 +452,7 @@ class FitReport(Value):
 
     def to_json(self) -> str:
         raw = {
-            "params": {name: getattr(self.params, name) for name in BktParams._FIELDS},
+            "params": {name: getattr(self.params, name) for name in BktParams.__slots__},
             "loglik_trace": self.loglik_trace,
             "iterations": self.iterations,
             "converged": self.converged,
@@ -530,7 +530,7 @@ def fit_baum_welch(
     # The nudged init is what the first E-step actually sees. Each E-step
     # runs its forward pass first, and its backward pass and counts only
     # when an M-step follows: not after the fit converges or hits the cap.
-    current = _nudged({name: getattr(init, name) for name in BktParams._FIELDS}, classic)
+    current = _nudged({name: getattr(init, name) for name in BktParams.__slots__}, classic)
     forward = _forward(current, block)
     trace = [_loglik(forward)]
     converged = False

@@ -46,7 +46,7 @@ def near_objects(draw, valid):
     return raw
 
 
-bkt_objects = st.fixed_dictionaries({name: st.floats(0.0, 1.0) for name in BktParams._FIELDS})
+bkt_objects = st.fixed_dictionaries({name: st.floats(0.0, 1.0) for name in BktParams.__slots__})
 
 
 @st.composite

@@ -194,7 +194,7 @@ def _simulated_panel(truth: BktParams, n_seq: int, length: int, key: RngKey):
     for n in range(n_seq):
         emitted = sample_trajectory(truth, length, key.child(n)).emitted
         records.extend((n, 0, 7, t + 1, int(x)) for t, x in enumerate(emitted))
-    return ResponsePanel.from_records(records)
+    return ResponsePanel(records)
 
 
 def test_criterion_7_em_properties():

@@ -53,8 +53,8 @@ class TestStationary:
         a, _ = build_matrices(params)
         oracle = np.linalg.matrix_power(a.T, 10**4) @ np.array([1.0, 0.0])
         dist = stationary_closed_form(params)
-        np.testing.assert_allclose(dist.as_array(), oracle, atol=1e-12)
-        np.testing.assert_allclose(dist.as_array(), [0.25, 0.75], atol=1e-12)
+        np.testing.assert_allclose([dist.lambda0, dist.lambda1], oracle, atol=1e-12)
+        np.testing.assert_allclose([dist.lambda0, dist.lambda1], [0.25, 0.75], atol=1e-12)
 
     def test_symmetric_rates_give_half(self):
         dist = stationary_closed_form(_params(0.4, 0.4))
@@ -75,7 +75,8 @@ class TestStationary:
             p_learn, p_forget = rng.uniform(1e-3, 1.0, size=2)
             params = _params(p_learn, p_forget)
             a, _ = build_matrices(params)
-            lam = stationary_closed_form(params).as_array()
+            dist = stationary_closed_form(params)
+            lam = np.array([dist.lambda0, dist.lambda1])
             np.testing.assert_allclose(a.T @ lam, lam, atol=1e-10)
             assert abs(lam.sum() - 1.0) < 1e-12 and np.all(lam >= 0)
 
@@ -90,13 +91,15 @@ class TestPowerIterationOracle:
             got = stationary_power_iteration(a)
             want = stationary_closed_form(params)
             assert not got.periodic
-            np.testing.assert_allclose(got.as_array(), want.as_array(), atol=1e-10)
+            np.testing.assert_allclose(
+                [got.lambda0, got.lambda1], [want.lambda0, want.lambda1], atol=1e-10
+            )
 
     def test_detects_period_two_oscillation(self):
         a, _ = build_matrices(_params(1.0, 1.0))
         got = stationary_power_iteration(a)
         assert got.periodic
-        np.testing.assert_allclose(got.as_array(), [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose([got.lambda0, got.lambda1], [0.5, 0.5], atol=1e-12)
 
 
 class TestMarginal:

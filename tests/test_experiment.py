@@ -86,6 +86,18 @@ class TestSimConfig:
         with pytest.raises(OutOfRange):
             SimConfig(p_slip=1.5)
 
+    def test_counts_are_integers_numpy_ones_included(self):
+        config = SimConfig.desk(n_people=np.int64(3), iteration_counts=(np.int32(2),))
+        assert (config.n_people, config.iteration_counts) == (3, (2,))
+        assert type(config.n_people) is type(config.iteration_counts[0]) is int
+        # As numpy integers, 2^32 * 2^32 would wrap to 0 and pass the cap.
+        with pytest.raises(OutOfRange, match=r"must be <= 2\^53"):
+            SimConfig(n_people=np.int64(2**32), n_items=np.int64(2**32), replications=1)
+        with pytest.raises(OutOfRange, match="n_people must be an integer, got True"):
+            SimConfig.desk(n_people=True)
+        with pytest.raises(OutOfRange, match="iteration_counts must be an integer, got 2.5"):
+            SimConfig.desk(iteration_counts=(2, 2.5))
+
     def test_observation_count_capped_at_two_to_the_53(self):
         # Up to 2^53 observations every count is exact as a float64 bincount
         # weight and as an int64 total; building the config allocates nothing.

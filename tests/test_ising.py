@@ -183,6 +183,30 @@ class TestBoltzmannExact:
         with pytest.raises(TooLarge):
             boltzmann_exact(_net(np.zeros((21, 21)), np.zeros(21)))
 
+    def test_blocks_of_states_give_the_whole_matrix_law_in_little_memory(self):
+        # At n = 16 the states span four blocks of _CHUNK. Each block's
+        # energies take the float operations of one (2^n, n) matrix of all
+        # states, so the law is the same to the bit, but no such matrix
+        # (8 MiB per copy here) is made. The peak holds three arrays of 2^n
+        # floats (energies, weights, law) and a block's bits, up to three
+        # copies of 8 bytes per node and state; the bound allows four.
+        n = 16
+        net = _random_net(n, seed=16, low=-1.0, high=1.0, field_span=1.0)
+        bits = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(float)
+        energies = -(0.5 * np.einsum("si,ij,sj->s", bits, net.couplings, bits)
+                     + bits @ net.fields)
+        weights = np.exp(-(energies - energies.min()))
+        del bits
+        boltzmann_exact(_random_net(2, seed=16))  # first-call allocations stay out
+        tracemalloc.start()
+        try:
+            probs = boltzmann_exact(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(probs, weights / weights.sum())
+        assert peak < 3 * 8 * 2**n + 4 * 8 * n * ising_mod._CHUNK
+
     def test_positive_manifold_from_positive_couplings(self):
         # Uniformly positive interactions force nonnegative pairwise
         # covariance of the equilibrium states.

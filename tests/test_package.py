@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import math
 import os
 import pickle
 import re
@@ -289,6 +290,17 @@ def test_a_usage_error_logs_no_numpy_import(tmp_path, argv, error):
     # or numpy loads: the --desk check against the sizes runs before
     # dispatch loads the experiment's modules. The import log names every
     # module the process loaded.
+    code, errors, log = _cli_import_log(tmp_path, argv)
+    assert code == 2
+    assert errors == [error]
+    assert any(re.search(r"\| *bktirt\.rng$", line) for line in log)
+    assert [line for line in log if re.search(r"\| *numpy(\.|$)", line)] == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def _cli_import_log(tmp_path: Path, argv: list[str]) -> tuple[int, list[str], list[str]]:
+    """Exit code, other stderr lines and import log of ``python -X
+    importtime -m bktirt.cli`` run in ``tmp_path`` with ``argv``."""
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "bktirt.cli", *argv],
         cwd=tmp_path, env={**os.environ, "PYTHONPATH": _SRC},
@@ -296,11 +308,30 @@ def test_a_usage_error_logs_no_numpy_import(tmp_path, argv, error):
     )
     lines = proc.stderr.splitlines()
     log = [line for line in lines if line.startswith("import time:")]
-    assert proc.returncode == 2
-    assert [line for line in lines if line not in log] == [error]
+    return proc.returncode, [line for line in lines if line not in log], log
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["irf", "--points", "3", "--theta-min", "-1e308", "--theta-max", "1e308"],
+         "OutOfRange: --theta-max 1e+308 minus --theta-min -1e+308 overflows a float"),
+        (["ising", "--net", "net.json", "--burn-in", "5", "--sweeps", "5", "--out", "i.csv"],
+         "InsufficientData: burn-in of 5 sweeps leaves none of 5 to count"),
+    ],
+    ids=["irf-span", "ising-burn-in"],
+)
+def test_a_refusal_decided_by_the_flags_logs_no_numpy_import(tmp_path, argv, error):
+    # Each is its row's check in the CLI's command table, which dispatch
+    # runs before it loads the command's modules: one stderr line, exit 1,
+    # no numpy and no output file.
+    (tmp_path / "net.json").write_text('{"n": 2, "couplings": [[0, 1, 0.5]]}')
+    code, errors, log = _cli_import_log(tmp_path, argv)
+    assert code == 1
+    assert errors == [error]
     assert any(re.search(r"\| *bktirt\.rng$", line) for line in log)
     assert [line for line in log if re.search(r"\| *numpy(\.|$)", line)] == []
-    assert list(tmp_path.iterdir()) == []
+    assert [path.name for path in tmp_path.iterdir()] == ["net.json"]
 
 
 @pytest.mark.parametrize("command", ["simulate", "filter", "fit-bkt", "experiment", "irf", "ising"])
@@ -450,7 +481,7 @@ _NET = IsingNetwork(
     couplings=np.zeros((2, 2)), fields=np.zeros(2), p_guess=np.zeros(2), p_slip=np.zeros(2)
 )
 _TRACE = Trajectory(np.zeros((3, 2), np.uint8), np.zeros((3, 2), np.uint8), RngKey(0))
-_PANEL = ResponsePanel.from_records([(1, 1, 7, 1, 1), (1, 1, 7, 2, 0)])
+_PANEL = ResponsePanel([(1, 1, 7, 1, 1), (1, 1, 7, 2, 0)])
 
 
 @pytest.mark.parametrize(
@@ -466,6 +497,12 @@ _PANEL = ResponsePanel.from_records([(1, 1, 7, 1, 1), (1, 1, 7, 2, 0)])
         (lambda: irt_to_bkt(0.5, -1.0, 0.1, 0.9), OutOfDomain),
         (lambda: irt_to_bkt(-1.0, -1.0, 0.9, 0.4), OutOfDomain),
         (lambda: Irf4pl(a=0.0, b=0.0), OutOfRange),
+        (lambda: Irf4pl(a=math.inf, b=0.0), OutOfRange),
+        (lambda: Irf4pl(1.0, math.nan), OutOfRange),
+        (lambda: SimConfig.desk(iteration_counts=(2.5,)), OutOfRange),
+        (lambda: SimConfig.desk(iteration_counts=(True,)), OutOfRange),
+        (lambda: SimConfig.desk(n_people=True), OutOfRange),
+        (lambda: SimConfig.desk(replications=2.0), OutOfRange),
         (lambda: marginal_at(_PARAMS, -1), OutOfRange),
         (lambda: Trajectory(np.zeros(2), np.zeros(3), RngKey(0)), OutOfRange),
         (lambda: sample_trajectory(_PARAMS, 0, RngKey(0)), OutOfRange),

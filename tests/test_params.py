@@ -67,7 +67,7 @@ def test_exact_zero_and_one_are_legal():
 
 def test_fields_are_plain_floats_without_negative_zero():
     params = BktParams(0, 1, -0.0, np.float64(0.25), 0.5)
-    values = [getattr(params, name) for name in BktParams._FIELDS]
+    values = [getattr(params, name) for name in BktParams.__slots__]
     assert [type(v) for v in values] == [float] * 5
     assert [math.copysign(1.0, v) for v in values] == [1.0] * 5
     assert values == [0.0, 1.0, 0.0, 0.25, 0.5]
@@ -116,7 +116,7 @@ class TestIrf4pl:
 
 class TestResponsePanel:
     def test_accepts_consecutive_attempts(self):
-        panel = ResponsePanel.from_records(
+        panel = ResponsePanel(
             [
                 (1, 10, 7, 1, 1),
                 (1, 11, 7, 2, 0),
@@ -128,28 +128,28 @@ class TestResponsePanel:
 
     def test_rejects_duplicate_keys(self):
         with pytest.raises(InvalidPanel):
-            ResponsePanel.from_records([(1, 10, 7, 1, 1), (1, 12, 7, 1, 0)])
+            ResponsePanel([(1, 10, 7, 1, 1), (1, 12, 7, 1, 0)])
 
     def test_rejects_gapped_attempts(self):
         with pytest.raises(InvalidPanel):
-            ResponsePanel.from_records([(1, 10, 7, 1, 1), (1, 10, 7, 3, 0)])
+            ResponsePanel([(1, 10, 7, 1, 1), (1, 10, 7, 3, 0)])
 
     def test_rejects_attempts_not_starting_at_one(self):
         with pytest.raises(InvalidPanel):
-            ResponsePanel.from_records([(1, 10, 7, 2, 1)])
+            ResponsePanel([(1, 10, 7, 2, 1)])
 
     def test_rejects_nonbinary_response(self):
         with pytest.raises(InvalidPanel):
-            ResponsePanel.from_records([(1, 10, 7, 1, 2)])
+            ResponsePanel([(1, 10, 7, 1, 2)])
 
     def test_same_attempt_different_skills_ok(self):
-        panel = ResponsePanel.from_records(
+        panel = ResponsePanel(
             [(1, 10, 7, 1, 1), (1, 10, 8, 1, 0)]
         )
         assert panel.skills() == [7, 8]
 
     def test_csv_round_trip(self, tmp_path):
-        panel = ResponsePanel.from_records(
+        panel = ResponsePanel(
             [(1, 10, 7, 1, 1), (1, 11, 7, 2, 0), (2, 10, 8, 1, 1)]
         )
         path = tmp_path / "panel.csv"
@@ -225,9 +225,9 @@ class TestColumnarPanelAgainstReference:
             want_skills, want = _reference_panel(records)
         except InvalidPanel:
             with pytest.raises(InvalidPanel):
-                ResponsePanel.from_records(records)
+                ResponsePanel(records)
             return
-        panel = ResponsePanel.from_records(records)
+        panel = ResponsePanel(records)
         assert len(panel.records) == len(records)
         assert panel.skills() == want_skills
         for skill in want_skills + [99]:
@@ -254,7 +254,7 @@ class TestColumnarPanelAgainstReference:
         outcomes = []
         for rows in (ordered, shuffled):
             try:
-                outcomes.append(ResponsePanel.from_records(rows).records.tolist())
+                outcomes.append(ResponsePanel(rows).records.tolist())
             except InvalidPanel as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
@@ -267,18 +267,18 @@ class TestColumnarPanelAgainstReference:
         records = [[0, 0, 0, 1, 1], [0, 0, 0, 1, 0]]
         records[0][column], records[1][column] = high, low
         for rows in (records, records[::-1]):
-            panel = ResponsePanel.from_records([tuple(rec) for rec in rows])
+            panel = ResponsePanel([tuple(rec) for rec in rows])
             assert panel.records[:, column].tolist() == [low, high]
             assert panel.records[:, 4].tolist() == [0, 1]
 
     def test_duplicate_named_by_its_key(self):
         with pytest.raises(InvalidPanel, match=r"duplicate .* key \(1, 7, 2\)"):
-            ResponsePanel.from_records(
+            ResponsePanel(
                 [(1, 10, 7, 2, 1), (1, 10, 7, 1, 1), (1, 12, 7, 2, 0)]
             )
 
     def test_records_are_sorted_and_read_only(self):
-        panel = ResponsePanel.from_records([(2, 0, 7, 1, 1), (1, 5, 8, 1, 0), (1, 4, 7, 1, 0)])
+        panel = ResponsePanel([(2, 0, 7, 1, 1), (1, 5, 8, 1, 0), (1, 4, 7, 1, 0)])
         assert panel.records.tolist() == [[1, 4, 7, 1, 0], [2, 0, 7, 1, 1], [1, 5, 8, 1, 0]]
         with pytest.raises(ValueError):
             panel.records[0, 4] = 1
@@ -286,10 +286,10 @@ class TestColumnarPanelAgainstReference:
     @pytest.mark.parametrize("records", [[(1, 2, 3, 4)], [(1, 2, 3, 4, 1, 0)] * 5])
     def test_rows_of_other_widths_rejected(self, records):
         with pytest.raises(ValueError):
-            ResponsePanel.from_records(records)
+            ResponsePanel(records)
 
     def test_empty_panel_has_no_skills(self):
-        panel = ResponsePanel.from_records([])
+        panel = ResponsePanel([])
         assert panel.skills() == []
         assert panel.sequences(7) == {}
 

@@ -75,7 +75,7 @@ def _panel_from_sequences(sequences, skill_id=7):
     for person, seq in enumerate(sequences):
         for attempt, correct in enumerate(seq, start=1):
             records.append((person, 0, skill_id, attempt, correct))
-    return ResponsePanel.from_records(records)
+    return ResponsePanel(records)
 
 
 def _packed(sequences):
