@@ -11,7 +11,6 @@ the Boltzmann law is provided for small networks as the convergence oracle.
 from __future__ import annotations
 
 import contextlib
-import math
 from itertools import repeat
 
 import numpy as np
@@ -20,7 +19,7 @@ from ._value import Value
 from .chain import Trajectory, require_sweeps_after_burn_in
 from .errors import OutOfRange, TooLarge
 from .irt import logistic
-from .params import read_json
+from .params import finite_number, read_json
 from .rng import RngKey
 
 _EXACT_MAX_NODES = 20
@@ -155,13 +154,10 @@ def _json_list(raw: dict, key: str, default: list) -> list:
 
 
 def _number(value, where: str) -> float:
-    """A finite JSON number (a bool is not one), else OutOfRange naming
-    ``where``."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        with contextlib.suppress(OverflowError):
-            if math.isfinite(number := float(value)):
-                return number
-    raise OutOfRange(f"{where} must be a finite number, got {value!r}")
+    """A finite JSON number as a float, else OutOfRange naming ``where``."""
+    if (number := finite_number(value)) is None:
+        raise OutOfRange(f"{where} must be a finite number, got {value!r}")
+    return number
 
 
 def require_enumerable(n_nodes: int) -> None:

@@ -43,13 +43,26 @@ def read_json(text: str):
         raise OutOfRange("JSON nested too deeply") from None
 
 
+def finite_number(value) -> float | None:
+    """``value`` as a float when it is a finite int or float (a bool is not
+    a number here), else None. An int beyond float range is not finite,
+    where ``math.isfinite`` would raise OverflowError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            return None
+        if math.isfinite(number):
+            return number
+    return None
+
+
 def _check_unit(name: str, value: float) -> None:
     # Closed interval, no epsilon slack: exact 0 and 1 are legal and the
     # degenerate chains they produce are handled downstream.
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
+    number = finite_number(value)
+    if number is None or not 0.0 <= number <= 1.0:
         raise OutOfRange(f"{name} must be a number in [0, 1], got {value!r}")
-    if not 0.0 <= value <= 1.0:
-        raise OutOfRange(f"{name} must lie in [0, 1], got {value!r}")
 
 
 class BktParams(Value):
@@ -138,8 +151,8 @@ class Irf4pl(Value):
         if not self.a > 0:
             raise OutOfRange(f"discrimination a must be > 0, got {self.a}")
         for name, value in (("a", self.a), ("b", self.b)):
-            if not math.isfinite(value):
-                raise OutOfRange(f"{name} must be finite, got {value}")
+            if finite_number(value) is None:
+                raise OutOfRange(f"{name} must be a finite number, got {value!r}")
         _check_unit("c", self.c)
         _check_unit("d", self.d)
         if not self.c < self.d:

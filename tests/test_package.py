@@ -499,6 +499,11 @@ _PANEL = ResponsePanel([(1, 1, 7, 1, 1), (1, 1, 7, 2, 0)])
         (lambda: Irf4pl(a=0.0, b=0.0), OutOfRange),
         (lambda: Irf4pl(a=math.inf, b=0.0), OutOfRange),
         (lambda: Irf4pl(1.0, math.nan), OutOfRange),
+        # Integers beyond float range, which math.isfinite cannot convert.
+        (lambda: BktParams(10**400, 0, 0, 0, 0), OutOfRange),
+        (lambda: Irf4pl(1, 0, c=10**400), OutOfRange),
+        (lambda: Irf4pl(1, 10**400), OutOfRange),
+        (lambda: Irf4pl(10**400, 0), OutOfRange),
         (lambda: SimConfig.desk(iteration_counts=(2.5,)), OutOfRange),
         (lambda: SimConfig.desk(iteration_counts=(True,)), OutOfRange),
         (lambda: SimConfig.desk(n_people=True), OutOfRange),
