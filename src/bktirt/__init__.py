@@ -32,25 +32,19 @@ _EXPORTS = {
     "build_matrices": "chain",
     "classic_limit": "bridge",
     "compare_to_irf": "experiment",
-    "conditional_prob": "ising",
     "draw_population": "experiment",
     "empirical_state_frequencies": "ising",
-    "energy": "ising",
     "fit_baum_welch": "tracing",
     "fit_irf_cd": "irt",
-    "flip_energy_delta": "ising",
     "forward_filter": "tracing",
-    "glauber_step": "ising",
     "irf_4pl": "irt",
     "irf_slope_max": "irt",
     "irt_to_bkt": "bridge",
     "logistic": "irt",
     "marginal_at": "chain",
     "mastered_after": "chain",
-    "metropolis_step": "ising",
     "run_equilibrium_experiment": "experiment",
     "sample_trajectory": "chain",
-    "sequence_loglik": "tracing",
     "simulate_field": "ising",
     "stationary_closed_form": "chain",
     "stationary_power_iteration": "chain",

@@ -3,14 +3,14 @@
 Latent node states live in {0, 1} (so an isolated node's stationary marginal
 is logistic in its field), couple through a symmetric interaction matrix, and
 evolve by single-site Glauber or Metropolis updates whose stationary law is
-the Boltzmann distribution of the energy below. Each node emits a noisy
+the Boltzmann distribution of the energy
+E(z) = -(sum_{i<j} sigma_ij z_i z_j + sum_i h_i z_i). Each node emits a noisy
 response once per sweep through its own guess/slip pair. Exact enumeration of
 the Boltzmann law is provided for small networks as the convergence oracle.
 """
 
 from __future__ import annotations
 
-import contextlib
 from itertools import repeat
 
 import numpy as np
@@ -169,13 +169,6 @@ def require_enumerable(n_nodes: int) -> None:
         )
 
 
-def energy(net: IsingNetwork, z) -> float:
-    """E(z) = -(sum_{i<j} sigma_ij z_i z_j + sum_i h_i z_i), for z of n
-    entries of 0 or 1; OutOfRange otherwise."""
-    z = _bits(net, z).astype(float)
-    return float(-(0.5 * z @ net.couplings @ z + net.fields @ z))
-
-
 def boltzmann_exact(net: IsingNetwork) -> np.ndarray:
     """Normalized exp(-E) over all 2^n states, indexed by the bit pattern of z.
 
@@ -197,25 +190,6 @@ def boltzmann_exact(net: IsingNetwork) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _bits(net: IsingNetwork, z) -> np.ndarray:
-    """z as an array, once it is n entries of 0 or 1; OutOfRange otherwise."""
-    n = net.n_nodes
-    with contextlib.suppress(TypeError, ValueError):
-        bits = np.asarray(z)
-        if bits.shape == (n,) and bits.dtype.kind in "biuf" and np.all((bits == 0) | (bits == 1)):
-            return bits
-    raise OutOfRange(f"z must be {n} entries of 0 or 1, got {z!r}")
-
-
-def _state_index(net: IsingNetwork, z, node) -> int:
-    """State z packed as an index (node k = bit k), once z is n entries of
-    0 or 1 and node an int in [0, n); OutOfRange otherwise."""
-    n = net.n_nodes
-    if isinstance(node, bool) or not isinstance(node, (int, np.integer)) or not 0 <= node < n:
-        raise OutOfRange(f"node must be an int in [0, {n}), got {node!r}")
-    return sum(1 << k for k in np.flatnonzero(_bits(net, z)).tolist())
-
-
 def _threshold(local, own, glauber: bool):
     """A node's update threshold from its local field and own bit, alike on
     arrays and on one float: logistic(local) under Glauber, min(1, exp(-dE))
@@ -228,53 +202,21 @@ def _threshold(local, own, glauber: bool):
 
 class _LookupRow:
     """One node's thresholds computed on lookup, for networks too large to
-    tabulate and for the step functions: [idx] is _threshold of field(idx)."""
+    tabulate: [idx] is _threshold of the local field in state idx, h plus
+    row[k] over its set bits k, added in ascending k."""
 
     def __init__(self, net: IsingNetwork, node: int, glauber: bool) -> None:
         self.h, self.row = float(net.fields[node]), net.couplings[node].tolist()
         self.node, self.glauber = node, glauber
 
-    def field(self, idx: int) -> float:
-        """Local field in state idx: h plus row[k] over its set bits k, ascending."""
+    def __getitem__(self, idx: int) -> float:
+        own = idx >> self.node & 1
         local, row = self.h, self.row
         while idx:
             low = idx & -idx
             local += row[low.bit_length() - 1]
             idx ^= low
-        return local
-
-    def __getitem__(self, idx: int) -> float:
-        return float(_threshold(self.field(idx), idx >> self.node & 1, self.glauber))
-
-
-def conditional_prob(net: IsingNetwork, z, node: int) -> float:
-    """P(z_node = 1 | all other nodes) = logistic(h_node + sigma_node . z)."""
-    idx = _state_index(net, z, node)
-    return _LookupRow(net, node, True)[idx]
-
-
-def glauber_step(net: IsingNetwork, z, node: int, gen: np.random.Generator) -> np.ndarray:
-    """Resample one node from its exact conditional; consumes one uniform."""
-    threshold = conditional_prob(net, z, node)
-    z_new = np.array(z, dtype=np.uint8)
-    z_new[node] = gen.random() < threshold
-    return z_new
-
-
-def flip_energy_delta(net: IsingNetwork, z, node: int) -> float:
-    """Energy change from flipping one node: -local from 0, local from 1."""
-    idx = _state_index(net, z, node)
-    local = _LookupRow(net, node, False).field(idx)
-    return local if idx >> node & 1 else -local
-
-
-def metropolis_step(net: IsingNetwork, z, node: int, gen: np.random.Generator) -> np.ndarray:
-    """Propose flipping one node, accept with min(1, exp(-dE)); consumes one uniform either way."""
-    idx = _state_index(net, z, node)
-    threshold = _LookupRow(net, node, False)[idx]
-    z_new = np.array(z, dtype=np.uint8)
-    z_new[node] ^= gen.random() < threshold
-    return z_new
+        return float(_threshold(local, own, self.glauber))
 
 
 def uniforms_per_sweep(n_nodes: int, scan: str) -> int:
@@ -428,7 +370,7 @@ class _Blocks:
     def _lookup(self, states: np.ndarray, node) -> np.ndarray:
         """Each lane's threshold of node (one int, or one per lane) in its
         state: the field h plus the couplings of the state's set bits,
-        added in ascending bit order as in _LookupRow.field. A bit that is
+        added in ascending bit order as in _LookupRow. A bit that is
         not set adds its coupling times 0.0, a zero, which leaves the field
         as it is but for the sign of a zero field, and _threshold is the
         same at 0.0 and -0.0."""
@@ -500,10 +442,9 @@ def simulate_field(
     exactly (see _Blocks). A step gathers its thresholds from the 2^n table
     up to 12 nodes and sums each lane's field beyond; a chunk whose blocks
     still disagree after _ROUNDS repair rounds is finished by the per-site
-    loop, _sweep_sites. The table, the lanes' sums, the per-site loop's
-    rows and the step functions take _threshold of the same float additions
-    (see _Blocks), so every path and the step functions agree by
-    construction on the same stream.
+    loop, _sweep_sites. The table, the lanes' sums and the per-site loop's
+    rows take _threshold of the same float additions (see _Blocks), so
+    every path agrees by construction on the same stream.
 
     Each chunk's latent bits and emissions are written one byte of the state
     index at a time (see _byte_tables): one np.take of the byte's node bits

@@ -341,13 +341,18 @@ def _counts(params: BktParams, block: _Block, forward: list) -> dict:
         # numpy's pairwise sum, not np.dot: BLAS splits a long dot product
         # by its thread count, which would make the counts depend on it.
         xi01 = params.p_learn * float((alpha_u[prev] * w_m[first:]).sum())
-        xi10 = params.p_forget * float((alpha_m[prev] * w_u[first:]).sum())
+        # Only a classic fit has p_forget 0.0, which its M-step keeps, so it
+        # skips the forgetting count. Every gamma is >= 0 and a non-finite
+        # beta makes its gamma non-finite, so either skipped sum is not
+        # finite only where gamma_u.sum() or gamma_m.sum() is not either.
+        classic = params.p_forget == 0.0
+        xi10 = 0.0 if classic else params.p_forget * float((alpha_m[prev] * w_u[first:]).sum())
         gamma_m = np.multiply(alpha_m, beta_m, out=beta_m)
         gamma_u = np.multiply(alpha_u, beta_u, out=beta_u)
     return {
         "p_init": (float(gamma_m[:first].sum()), first),
         "p_learn": (xi01, float(gamma_u[prev].sum())),
-        "p_forget": (xi10, float(gamma_m[prev].sum())),
+        "p_forget": (xi10, 0.0 if classic else float(gamma_m[prev].sum())),
         "p_slip": (float(gamma_m[block.wrong].sum()), float(gamma_m.sum())),
         "p_guess": (float(gamma_u[block.correct].sum()), float(gamma_u.sum())),
     }
@@ -413,11 +418,6 @@ def _skill_block(panel: ResponsePanel, skill_id: int) -> _Block:
     if not lengths.size:
         raise UnknownSkill(f"panel holds no records for skill {skill_id}")
     return _block(*_pack_runs(responses, lengths))
-
-
-def sequence_loglik(params: BktParams, panel: ResponsePanel, skill_id: int) -> float:
-    """Log-likelihood of every person's sequence for a skill."""
-    return _loglik(_forward(params, _skill_block(panel, skill_id)))
 
 
 class FitReport(Value):

