@@ -156,9 +156,9 @@ class Trajectory(Value):
 
     ``states`` is optional: a network sampler keeps each sweep's latent
     state packed into one integer (node j = bit j), in the narrowest
-    unsigned type that holds its 2^n states (int64 past 32 nodes), so that
-    counting states need not rebuild it from ``latent``. A mastery chain
-    leaves it None.
+    unsigned type that holds its 2^n states (int64 past 32 nodes). It is
+    what counting states counts, so a trajectory without it (a mastery
+    chain leaves it None) has no state frequencies.
 
     ``work`` holds the counters of the run that made it, by name; a network
     sampler sets ``uniforms_drawn``, ``rerun_sweeps`` (the sweeps its
@@ -175,8 +175,10 @@ class Trajectory(Value):
     def __post_init__(self) -> None:
         if len(self.latent) != len(self.emitted) or len(self.latent) < 1:
             raise OutOfRange("latent and emitted must have equal length >= 1")
-        if self.states is not None and len(self.states) != len(self.latent):
-            raise OutOfRange("states must hold one entry per row of latent")
+        if self.states is not None and (
+            self.latent.ndim != 2 or len(self.states) != len(self.latent)
+        ):
+            raise OutOfRange("states must hold one entry per row of a (sweeps, nodes) latent")
 
     def __len__(self) -> int:
         return self.latent.shape[0]

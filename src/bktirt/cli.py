@@ -139,24 +139,24 @@ def _finite_float(above: float | None = None):
     return convert
 
 
-def _int_list(text: str) -> list[int]:
-    """Comma-separated integers; empty tokens are skipped."""
-    try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
+def _int_list(noun: str, *, may_be_empty: bool = False):
+    """argparse converter for comma-separated integers (``noun`` in its
+    message), none of them empty: skipped, an empty token would shift every
+    later entry back by one. With ``may_be_empty``, no text at all is the
+    empty list, for the command to refuse in its own terms."""
 
-
-def _response_list(text: str) -> list[int]:
-    """Comma-separated responses, at least one, none of them empty: a
-    skipped token would shift every later attempt back by one."""
-    if "" in text.split(","):
+    def convert(text: str) -> list[int]:
+        tokens = [] if may_be_empty and text == "" else text.split(",")
+        try:
+            if "" not in tokens:
+                return [int(tok) for tok in tokens]
+        except ValueError:
+            pass
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated responses, none empty, got {text!r}"
+            f"expected comma-separated {noun}, none empty, got {text!r}"
         )
-    return _int_list(text)
+
+    return convert
 
 
 def _add_seed(parser: argparse.ArgumentParser) -> None:
@@ -528,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.choices["filter"]
     p.add_argument("--params", required=True, help="BKT parameter JSON file")
-    p.add_argument("--responses", type=_response_list, required=True,
+    p.add_argument("--responses", type=_int_list("responses"), required=True,
                    help="comma-separated 0/1 responses, e.g. 1,0,1")
     p.add_argument("--out", help="JSON path (default: print to stdout)")
 
@@ -557,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of items, >= 1 (default: 100)")
     p.add_argument("--reps", type=_int_at_least(1), default=None,
                    help="replications per pair, >= 1 (default: 1000)")
-    p.add_argument("--iters", type=_int_list, default="2,5,50",
+    p.add_argument("--iters", type=_int_list("integers", may_be_empty=True), default="2,5,50",
                    help="comma-separated chain step counts (default: 2,5,50)")
     p.add_argument("--slip", type=float, default=0.1, help="slip probability (default: 0.1)")
     p.add_argument("--guess", type=float, default=0.1, help="guess probability (default: 0.1)")

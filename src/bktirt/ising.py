@@ -47,6 +47,8 @@ class IsingNetwork(Value):
         fields = np.asarray(self.fields, dtype=float)
         p_guess = np.asarray(self.p_guess, dtype=float)
         p_slip = np.asarray(self.p_slip, dtype=float)
+        if fields.ndim != 1:
+            raise OutOfRange(f"fields must be 1-D, one per node, got shape {fields.shape}")
         n = fields.size
         if n < 1:
             raise OutOfRange(f"a network needs at least 1 node, got {n}")
@@ -526,47 +528,29 @@ def _byte_tables(net: IsingNetwork) -> list[tuple[slice, np.ndarray, np.ndarray]
     return out
 
 
-def state_indices(latent: np.ndarray) -> np.ndarray:
-    """Latent state per sweep packed as an integer (node j = bit j), built
-    one column at a time through one int64 buffer, so no (sweeps, n) int64
-    copy is made and the allocator is not asked for a new column each time."""
-    indices = np.zeros(latent.shape[0], dtype=np.int64)
-    column = np.empty_like(indices)
-    for j in range(latent.shape[1]):
-        np.copyto(column, latent[:, j])
-        column <<= j
-        indices |= column
-    return indices
-
-
 def empirical_state_frequencies(
     trace: Trajectory, burn_in: int = 0, thin: int = 1
 ) -> np.ndarray:
     """Relative visit frequencies over all 2^n states, after burn-in/thinning.
 
-    Counts the trajectory's states, or for a trajectory without them
-    (built by hand) the indices state_indices packs from its latent bits.
-    Raises OutOfRange for a negative burn-in, a thinning step below 1 or a
-    latent path that is not (sweeps, nodes), as a mastery chain's 1-D one,
-    InsufficientData when the burn-in leaves no sweep to count, and TooLarge
-    beyond 20 nodes.
+    Counts the trajectory's states, the packed index of each sweep that
+    simulate_field keeps. Raises OutOfRange for a negative burn-in, a
+    thinning step below 1 or a trajectory without states (a mastery
+    chain's, or one built by hand without them), InsufficientData when the
+    burn-in leaves no sweep to count, and TooLarge beyond 20 nodes.
     """
     if burn_in < 0:
         raise OutOfRange(f"burn_in must be >= 0, got {burn_in}")
     if thin < 1:
         raise OutOfRange(f"thin must be >= 1, got {thin}")
-    if trace.latent.ndim != 2:
-        raise OutOfRange(
-            f"trace.latent must be 2-D (sweeps, nodes), got shape {trace.latent.shape}"
-        )
+    if trace.states is None:
+        raise OutOfRange("trace has no states to count: simulate_field sets them, one per sweep")
     require_sweeps_after_burn_in(burn_in, len(trace))
     n = trace.latent.shape[1]
     require_enumerable(n)
-    packed = trace.states is not None
-    counted = (trace.states if packed else trace.latent)[burn_in::thin]
+    counted = trace.states[burn_in::thin]
     counts = np.zeros(2**n, dtype=np.int64)
     # bincount copies its input to intp, so it gets one block at a time.
     for lo in range(0, len(counted), _CHUNK):
-        block = counted[lo : lo + _CHUNK]
-        counts += np.bincount(block if packed else state_indices(block), minlength=2**n)
+        counts += np.bincount(counted[lo : lo + _CHUNK], minlength=2**n)
     return counts / counts.sum()

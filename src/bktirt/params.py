@@ -186,6 +186,29 @@ def _in_key_order(rows: np.ndarray) -> bool:
     return bool(np.all(after))
 
 
+def _int64_rows(records) -> np.ndarray:
+    """records as an (N, 5) int64 array, else InvalidPanel. An int64 array
+    is taken as it is; anything else must come out of numpy as integers
+    that int64 holds, so a float is refused where a cast would cut 1.5 to
+    1, and so is an int beyond int64, which numpy reads as a float or an
+    object. No rows at all (an empty list, a header-only CSV) is an empty
+    panel."""
+    import numpy as np
+
+    try:
+        rows = np.asarray(records)
+    except ValueError:  # rows of unequal lengths
+        rows = None
+    if rows is not None and rows.ndim and not len(rows):
+        rows = rows.reshape(0, 5)
+    if rows is None or rows.ndim != 2 or rows.shape[1] != 5:
+        got = "rows of unequal lengths" if rows is None else f"shape {rows.shape}"
+        raise InvalidPanel(f"records must be rows of 5 integers, got {got}")
+    if rows.size and (rows.dtype.kind not in "iu" or not np.can_cast(rows.dtype, np.int64)):
+        raise InvalidPanel(f"records must be integers within int64, read as {rows.dtype}")
+    return rows.astype(np.int64, copy=False)
+
+
 class ResponsePanel:
     """Longitudinal records (person, item, skill, attempt index, correct).
 
@@ -202,8 +225,7 @@ class ResponsePanel:
     def __init__(self, records) -> None:
         import numpy as np
 
-        rows = np.asarray(records, dtype=np.int64).reshape(len(records), 5)
-        rows = np.array(rows, order="F")  # a copy, each column contiguous
+        rows = np.array(_int64_rows(records), order="F")  # a copy, each column contiguous
         if not _in_key_order(rows):
             order = np.lexsort((rows[:, _ATTEMPT], rows[:, _PERSON], rows[:, _SKILL]))
             rows = np.asfortranarray(rows[order])

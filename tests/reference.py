@@ -1,6 +1,7 @@
 """Scalar references the tests check the package against: the Ising energy,
 one node's conditional law and its single-site Glauber and Metropolis steps,
-and a skill's log-likelihood through the EM's forward pass.
+the packed state index of each sweep, and a skill's log-likelihood through
+the EM's forward pass.
 
 The step functions take their thresholds from the sampler's own
 _LookupRow, so a test can ask that the sampler agree with them to the last
@@ -78,6 +79,12 @@ def metropolis_step(net: IsingNetwork, z, node: int, gen: np.random.Generator) -
     z_new = np.array(z, dtype=np.uint8)
     z_new[node] ^= gen.random() < threshold
     return z_new
+
+
+def state_indices(latent: np.ndarray) -> np.ndarray:
+    """Each row of a (sweeps, n) latent path packed as an int64 index
+    (node k = bit k), for up to 63 nodes."""
+    return latent.astype(np.int64) @ (1 << np.arange(latent.shape[1], dtype=np.int64))
 
 
 def sequence_loglik(params: BktParams, panel: ResponsePanel, skill_id: int) -> float:

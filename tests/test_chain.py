@@ -236,3 +236,6 @@ class TestTrajectory:
         latent = np.zeros((4, 2), np.uint8)
         with pytest.raises(OutOfRange, match="states"):
             Trajectory(latent, latent, RngKey(0), states=np.zeros(3, np.uint8))
+        # A mastery chain's 1-D path has no nodes to pack into states.
+        with pytest.raises(OutOfRange, match="states"):
+            Trajectory(latent[:, 0], latent[:, 0], RngKey(0), states=np.zeros(4, np.uint8))

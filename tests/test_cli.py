@@ -185,6 +185,7 @@ class TestArgumentErrors:
             ("--steps", ["simulate", "--p-learn", "0.2", "--steps", "99999999999999999999",
                          "--out", "s.csv"]),
             ("--points", ["irf", "--points", "99999999999", "--out", "c.csv"]),
+            ("--iters", ["experiment", "--desk", "--iters", "2,,5", "--out", "e.csv"]),
         ],
     )
     def test_malformed_flag_value_names_the_flag(

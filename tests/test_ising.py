@@ -12,16 +12,25 @@ from scipy.stats import chi2 as chi2_dist
 
 import bktirt.ising as ising_mod
 from bktirt import (
+    BktParams,
     IsingNetwork,
     RngKey,
     Trajectory,
     boltzmann_exact,
     empirical_state_frequencies,
     logistic,
+    sample_trajectory,
     simulate_field,
 )
 from bktirt.errors import InsufficientData, OutOfRange, TooLarge
-from reference import conditional_prob, energy, flip_energy_delta, glauber_step, metropolis_step
+from reference import (
+    conditional_prob,
+    energy,
+    flip_energy_delta,
+    glauber_step,
+    metropolis_step,
+    state_indices,
+)
 
 
 def _net(couplings, fields, guess=None, slip=None):
@@ -523,25 +532,18 @@ class TestSimulateField:
         net = _random_net(2, seed=18)
         trace = simulate_field(net, 50, RngKey(18))
         assert len(trace) == 50
-        indices = ising_mod.state_indices(trace.latent)
+        indices = state_indices(trace.latent)
         assert indices.shape == (50,)
         np.testing.assert_array_equal(
             (indices[:, None] >> np.arange(2)) & 1, trace.latent
         )
 
-    def test_state_indices_pack_every_bit(self):
-        latent = np.random.default_rng(34).integers(0, 2, size=(500, 63)).astype(np.uint8)
-        want = latent.astype(np.int64) @ (1 << np.arange(63, dtype=np.int64))
-        got = ising_mod.state_indices(latent)
-        assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, want)
-
 
 def _frequencies_by_rebuild(latent, burn_in, thin):
-    """State frequencies counted from indices rebuilt out of the latent
-    bits in one piece, as they were before the sampler kept its index."""
+    """State frequencies counted from the reference oracle's indices,
+    packed out of the latent bits in one piece."""
     counts = np.bincount(
-        ising_mod.state_indices(latent[burn_in::thin]), minlength=2 ** latent.shape[1]
+        state_indices(latent[burn_in::thin]), minlength=2 ** latent.shape[1]
     ).astype(float)
     return counts / counts.sum()
 
@@ -562,7 +564,7 @@ class TestStateIndex:
         np.testing.assert_array_equal(trace.latent, whole.latent)
         np.testing.assert_array_equal(trace.emitted, whole.emitted)
         np.testing.assert_array_equal(trace.states, whole.states)
-        np.testing.assert_array_equal(trace.states, ising_mod.state_indices(trace.latent))
+        np.testing.assert_array_equal(trace.states, state_indices(trace.latent))
         for burn_in, thin in ((0, 1), (70, 3), (63, 65), (300, 1)):
             want = _frequencies_by_rebuild(trace.latent, burn_in, thin)
             got = empirical_state_frequencies(trace, burn_in=burn_in, thin=thin)
@@ -577,19 +579,25 @@ class TestStateIndex:
         net = _random_net(n, seed=50 + n, low=-0.3, high=0.3, field_span=1.0)
         trace = simulate_field(net, 5, RngKey(50, (n,)))
         assert trace.states.dtype == dtype
-        np.testing.assert_array_equal(trace.states, ising_mod.state_indices(trace.latent))
+        np.testing.assert_array_equal(trace.states, state_indices(trace.latent))
 
-    def test_a_hand_built_trajectory_is_counted_from_latent(self, monkeypatch):
+    def test_a_trajectory_without_states_is_refused(self, monkeypatch):
+        # Only states are counted: a hand-built trajectory is counted when
+        # it brings them, and refused when it does not.
         latent = np.array([[0, 0], [1, 0], [1, 1], [1, 0], [0, 1], [1, 0]], dtype=np.uint8)
-        trace = Trajectory(latent, np.zeros_like(latent), RngKey(0))
-        assert trace.states is None
-        # Packed, the rows are 0, 1, 3, 1, 2, 1.
+        states = np.array([0, 1, 3, 1, 2, 1], dtype=np.uint8)
+        trace = Trajectory(latent, np.zeros_like(latent), RngKey(0), states=states)
         want = {(0, 1): [1, 3, 1, 1], (1, 2): [0, 3, 0, 0], (2, 3): [0, 1, 0, 1]}
         for chunk in (ising_mod._CHUNK, 2):
             monkeypatch.setattr(ising_mod, "_CHUNK", chunk)
             for (burn_in, thin), counts in want.items():
                 got = empirical_state_frequencies(trace, burn_in=burn_in, thin=thin)
                 np.testing.assert_array_equal(got, np.array(counts) / sum(counts))
+        chain = sample_trajectory(BktParams(0.0, 0.2, 0.1, 0.1, 0.1), 6, RngKey(0))
+        for bare in (Trajectory(latent, np.zeros_like(latent), RngKey(0)), chain):
+            assert bare.states is None
+            with pytest.raises(OutOfRange, match="no states.*simulate_field sets them"):
+                empirical_state_frequencies(bare)
 
     def test_peak_memory_per_site_update(self):
         # At n = 1 a run holds 3 bytes per sweep (latent, emitted and the

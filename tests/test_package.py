@@ -46,6 +46,7 @@ from bktirt import (
 from bktirt._value import Value
 from bktirt.errors import (
     ForgettingNonzero,
+    InvalidPanel,
     NonErgodic,
     OutOfDomain,
     OutOfRange,
@@ -486,42 +487,78 @@ _PANEL = ResponsePanel([(1, 1, 7, 1, 1), (1, 1, 7, 2, 0)])
 @pytest.mark.parametrize(
     "call, error",
     [
-        (lambda: classic_limit(BktParams(0.0, 0.2, 0.1, 0.1, 0.1)), ForgettingNonzero),
-        (lambda: classic_limit(BktParams(0.0, 0.0, 0.0, 0.1, 0.1)), Reducible),
-        (lambda: BktParams(1.5, 0.2, 0.1, 0.1, 0.1), OutOfRange),
-        (lambda: BktParams.from_json("[]"), OutOfRange),
-        (lambda: validate_bkt(BktParams(0.0, 0.2, 0.1, 0.1, 0.1), classic=True), ForgettingNonzero),
-        (lambda: validate_bkt(BktParams(0.0, 0.2, 0.1, 0.1, 0.6), identified=True), Unidentified),
-        (lambda: bkt_to_irt(_PARAMS), NonErgodic),
-        (lambda: irt_to_bkt(0.5, -1.0, 0.1, 0.9), OutOfDomain),
-        (lambda: irt_to_bkt(-1.0, -1.0, 0.9, 0.4), OutOfDomain),
-        (lambda: Irf4pl(a=0.0, b=0.0), OutOfRange),
-        (lambda: Irf4pl(a=math.inf, b=0.0), OutOfRange),
-        (lambda: Irf4pl(1.0, math.nan), OutOfRange),
+        pytest.param(lambda: classic_limit(BktParams(0.0, 0.2, 0.1, 0.1, 0.1)), ForgettingNonzero,
+                     id="classic_limit-forgetting"),
+        pytest.param(lambda: classic_limit(BktParams(0.0, 0.0, 0.0, 0.1, 0.1)), Reducible,
+                     id="classic_limit-no-learning"),
+        pytest.param(lambda: BktParams(1.5, 0.2, 0.1, 0.1, 0.1), OutOfRange,
+                     id="BktParams-p_init-above-one"),
+        pytest.param(lambda: BktParams.from_json("[]"), OutOfRange, id="BktParams-json-list"),
+        pytest.param(lambda: validate_bkt(BktParams(0.0, 0.2, 0.1, 0.1, 0.1), classic=True),
+                     ForgettingNonzero, id="validate_bkt-classic"),
+        pytest.param(lambda: validate_bkt(BktParams(0.0, 0.2, 0.1, 0.1, 0.6), identified=True),
+                     Unidentified, id="validate_bkt-identified"),
+        pytest.param(lambda: bkt_to_irt(_PARAMS), NonErgodic, id="bkt_to_irt-absorbing"),
+        pytest.param(lambda: irt_to_bkt(0.5, -1.0, 0.1, 0.9), OutOfDomain,
+                     id="irt_to_bkt-positive-theta"),
+        pytest.param(lambda: irt_to_bkt(-1.0, -1.0, 0.9, 0.4), OutOfDomain,
+                     id="irt_to_bkt-c-above-d"),
+        pytest.param(lambda: Irf4pl(a=0.0, b=0.0), OutOfRange, id="Irf4pl-zero-a"),
+        pytest.param(lambda: Irf4pl(a=math.inf, b=0.0), OutOfRange, id="Irf4pl-infinite-a"),
+        pytest.param(lambda: Irf4pl(1.0, math.nan), OutOfRange, id="Irf4pl-nan-b"),
         # Integers beyond float range, which math.isfinite cannot convert.
-        (lambda: BktParams(10**400, 0, 0, 0, 0), OutOfRange),
-        (lambda: Irf4pl(1, 0, c=10**400), OutOfRange),
-        (lambda: Irf4pl(1, 10**400), OutOfRange),
-        (lambda: Irf4pl(10**400, 0), OutOfRange),
-        (lambda: SimConfig.desk(iteration_counts=(2.5,)), OutOfRange),
-        (lambda: SimConfig.desk(iteration_counts=(True,)), OutOfRange),
-        (lambda: SimConfig.desk(n_people=True), OutOfRange),
-        (lambda: SimConfig.desk(replications=2.0), OutOfRange),
-        (lambda: marginal_at(_PARAMS, -1), OutOfRange),
-        (lambda: Trajectory(np.zeros(2), np.zeros(3), RngKey(0)), OutOfRange),
-        (lambda: sample_trajectory(_PARAMS, 0, RngKey(0)), OutOfRange),
-        (lambda: fit_irf_cd([(0.0, 0.5, 1.0), (1.0, 0.6, 1.0)], a_fixed=0.0), OutOfRange),
-        (lambda: simulate_field(_NET, 0, RngKey(0)), OutOfRange),
-        (lambda: simulate_field(_NET, 5, RngKey(0), dynamics="gibbs"), OutOfRange),
-        (lambda: simulate_field(_NET, 5, RngKey(0), scan="shuffled"), OutOfRange),
-        (lambda: empirical_state_frequencies(_TRACE, burn_in=-1), OutOfRange),
-        (lambda: empirical_state_frequencies(_TRACE, thin=0), OutOfRange),
-        # A mastery chain's trajectory: its latent path is 1-D, not (sweeps, nodes).
-        (lambda: empirical_state_frequencies(sample_trajectory(_PARAMS, 5, RngKey(0))),
-         OutOfRange),
-        (lambda: forward_filter(_PARAMS, []), OutOfRange),
-        (lambda: fit_baum_welch(_PANEL, 7, _PARAMS, tol=0.0), OutOfRange),
-        (lambda: fit_baum_welch(_PANEL, 7, _PARAMS, max_iters=0), OutOfRange),
+        pytest.param(lambda: BktParams(10**400, 0, 0, 0, 0), OutOfRange,
+                     id="BktParams-huge-int"),
+        pytest.param(lambda: Irf4pl(1, 0, c=10**400), OutOfRange, id="Irf4pl-huge-int-c"),
+        pytest.param(lambda: Irf4pl(1, 10**400), OutOfRange, id="Irf4pl-huge-int-b"),
+        pytest.param(lambda: Irf4pl(10**400, 0), OutOfRange, id="Irf4pl-huge-int-a"),
+        pytest.param(lambda: SimConfig.desk(iteration_counts=(2.5,)), OutOfRange,
+                     id="SimConfig-float-iteration"),
+        pytest.param(lambda: SimConfig.desk(iteration_counts=(True,)), OutOfRange,
+                     id="SimConfig-bool-iteration"),
+        pytest.param(lambda: SimConfig.desk(n_people=True), OutOfRange,
+                     id="SimConfig-bool-people"),
+        pytest.param(lambda: SimConfig.desk(replications=2.0), OutOfRange,
+                     id="SimConfig-float-replications"),
+        pytest.param(lambda: marginal_at(_PARAMS, -1), OutOfRange, id="marginal_at-negative-steps"),
+        pytest.param(lambda: Trajectory(np.zeros(2), np.zeros(3), RngKey(0)), OutOfRange,
+                     id="Trajectory-unequal-lengths"),
+        pytest.param(lambda: sample_trajectory(_PARAMS, 0, RngKey(0)), OutOfRange,
+                     id="sample_trajectory-zero-steps"),
+        pytest.param(lambda: fit_irf_cd([(0.0, 0.5, 1.0), (1.0, 0.6, 1.0)], a_fixed=0.0),
+                     OutOfRange, id="fit_irf_cd-zero-a"),
+        pytest.param(lambda: simulate_field(_NET, 0, RngKey(0)), OutOfRange,
+                     id="simulate_field-zero-sweeps"),
+        pytest.param(lambda: simulate_field(_NET, 5, RngKey(0), dynamics="gibbs"), OutOfRange,
+                     id="simulate_field-dynamics"),
+        pytest.param(lambda: simulate_field(_NET, 5, RngKey(0), scan="shuffled"), OutOfRange,
+                     id="simulate_field-scan"),
+        pytest.param(lambda: empirical_state_frequencies(_TRACE, burn_in=-1), OutOfRange,
+                     id="frequencies-negative-burn-in"),
+        pytest.param(lambda: empirical_state_frequencies(_TRACE, thin=0), OutOfRange,
+                     id="frequencies-zero-thin"),
+        # Only a trajectory's states are counted: a mastery chain's has none,
+        # and neither has a network trajectory built by hand without them.
+        pytest.param(lambda: empirical_state_frequencies(sample_trajectory(_PARAMS, 5, RngKey(0))),
+                     OutOfRange, id="frequencies-mastery-chain"),
+        pytest.param(lambda: empirical_state_frequencies(_TRACE), OutOfRange,
+                     id="frequencies-hand-built"),
+        pytest.param(lambda: forward_filter(_PARAMS, []), OutOfRange, id="forward_filter-empty"),
+        pytest.param(lambda: fit_baum_welch(_PANEL, 7, _PARAMS, tol=0.0), OutOfRange,
+                     id="fit_baum_welch-zero-tol"),
+        pytest.param(lambda: fit_baum_welch(_PANEL, 7, _PARAMS, max_iters=0), OutOfRange,
+                     id="fit_baum_welch-zero-iters"),
+        # Records that int64 would cut (1.5 to 1), that are not N x 5, or
+        # that int64 cannot hold.
+        pytest.param(lambda: ResponsePanel([[1, 1, 1, 1, 1.5]]), InvalidPanel,
+                     id="ResponsePanel-float"),
+        pytest.param(lambda: ResponsePanel([[1, 2, 3]]), InvalidPanel, id="ResponsePanel-width"),
+        pytest.param(lambda: ResponsePanel([[1, 1, 1, 1, 2**63]]), InvalidPanel,
+                     id="ResponsePanel-huge-int"),
+        # Four fields as a 2 x 2 array, which n_nodes would count as 4 nodes.
+        pytest.param(lambda: IsingNetwork(np.zeros((4, 4)), [[0.1, 0.2], [0.3, 0.4]],
+                                          np.zeros(4), np.zeros(4)),
+                     OutOfRange, id="IsingNetwork-2d-fields"),
     ],
 )
 def test_rejected_arguments_raise_the_class_that_names_them(call, error):
